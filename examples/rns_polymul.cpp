@@ -77,7 +77,7 @@ int main() {
   std::cout << "\nForward stage: " << fwd.slots.size()
             << " transforms, " << fwd_moduli.size()
             << " distinct moduli, one engine pass ("
-            << fwd.trace.size() << " merged commands)\n"
+            << fwd.trace.size() << " commands)\n"
             << "Engine passes total: " << backend.engine_passes()
             << " (forward wave + inverse wave)\n"
             << "Modeled: " << backend.total_cycles() << " cycles, "

@@ -201,42 +201,19 @@ void PimBackend::run_wave(std::span<const BatchItem> wave) {
          static_cast<std::uint16_t>(geometry_.channel_of(bank))});
   }
 
-  // Merge the per-bank command sequences (items sharing a bank run
-  // back-to-back, in item order) round-robin across banks, so the shared
-  // command bus sees every bank from the first cycles of the pass instead
-  // of draining banks in id order. The engine re-queues commands per bank,
-  // so the interleave is cycle-identical to concatenation — it keeps the
-  // merged trace honest as a memory-controller command stream.
-  sim::RunStats stats;
-  if (wave.size() == 1 && !log.record) {
-    stats = engine_.run(device_, plans[0]->trace);
-  } else {
-    // Cursor per bank over its items' traces (in item order): each round
-    // emits every bank's next command, copying each command exactly once.
-    struct BankCursor {
-      std::vector<std::span<const dram::Command>> seqs;
-      std::size_t seq = 0;
-      std::size_t pos = 0;
-    };
-    std::vector<BankCursor> cursors(banks);
-    std::size_t total = 0;
-    for (std::size_t j = 0; j < wave.size(); ++j) {
-      cursors[log.last_wave[j].bank].seqs.push_back(plans[j]->trace);
-      total += plans[j]->trace.size();
-    }
-    std::vector<dram::Command> merged;
-    merged.reserve(total);
-    while (merged.size() < total)
-      for (auto& c : cursors) {
-        while (c.seq < c.seqs.size() && c.pos == c.seqs[c.seq].size()) {
-          ++c.seq;
-          c.pos = 0;
-        }
-        if (c.seq < c.seqs.size()) merged.push_back(c.seqs[c.seq][c.pos++]);
-      }
-    stats = engine_.run(device_, merged);
-    if (log.record)
-      log.recorded.push_back({log.last_wave, std::move(merged)});
+  // Each bank's program is its items' cached plan traces, back to back in
+  // item order; the engine walks them in place. Only a recorded wave copies
+  // them, as the programs' bank-major concatenation.
+  std::vector<sim::BankProgram> programs(banks);
+  for (std::size_t j = 0; j < wave.size(); ++j)
+    programs[log.last_wave[j].bank].push_back(plans[j]->trace);
+  const sim::RunStats stats = engine_.run(device_, programs);
+  if (log.record) {
+    std::vector<dram::Command> trace;
+    for (const sim::BankProgram& program : programs)
+      for (const std::span<const dram::Command> segment : program)
+        trace.insert(trace.end(), segment.begin(), segment.end());
+    log.recorded.push_back({log.last_wave, std::move(trace)});
   }
 
   for (std::size_t j = 0; j < wave.size(); ++j)

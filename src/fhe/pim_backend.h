@@ -82,10 +82,9 @@ class PimBackend final : public NttBackend {
   /// pass. (A single-channel device reduces to the classic item j -> bank
   /// j % num_banks() placement.) Per-bank command traces come from the
   /// plan cache (one plan per (params, direction, bank, base_row),
-  /// bank-retargeted from the bank-0 twin) and are merged round-robin
-  /// across banks so every command bus sees its banks from cycle one
-  /// instead of draining them in id order. Rejects aliased items (see
-  /// BatchItem).
+  /// bank-retargeted from the bank-0 twin); each bank's cached traces, in
+  /// item order, are that bank's engine program, passed without copying.
+  /// Rejects aliased items (see BatchItem).
   void transform_batch_mixed(std::span<const BatchItem> items) override;
 
   /// Price the wave `items` in modeled device cycles WITHOUT touching the
@@ -133,8 +132,10 @@ class PimBackend final : public NttBackend {
   std::uint64_t plan_cache_hits() const noexcept { return plans_.hits(); }
   std::uint64_t plan_cache_misses() const noexcept { return plans_.misses(); }
 
-  /// One recorded engine pass: where every item ran, and the merged
-  /// command trace the engine executed.
+  /// One recorded engine pass: where every item ran, and the commands the
+  /// engine executed as the per-bank concatenation of its programs (bank 0's
+  /// items in item order, then bank 1's, ...) — the trace a timeline's
+  /// TimelineEvent::trace_index indexes.
   struct RecordedWave {
     std::vector<WaveSlot> slots;
     std::vector<dram::Command> trace;
@@ -144,7 +145,7 @@ class PimBackend final : public NttBackend {
   const std::vector<WaveSlot>& last_wave() const noexcept {
     return wave_log_->last_wave;
   }
-  /// Record every subsequent pass's placements + merged trace (off by
+  /// Record every subsequent pass's placements + trace (off by
   /// default: costs memory proportional to the traces). Toggling clears
   /// the log.
   void set_record_waves(bool record) {

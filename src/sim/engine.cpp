@@ -19,13 +19,22 @@ namespace {
 /// scheduled competitively so other banks keep using the bus in between.
 enum class RefreshStep : std::uint8_t { kNone, kNeedRef, kNeedRestore };
 
+/// A run of consecutive commands for one bank, and the trace index of its
+/// first command (what TimelineEvent::trace_index reports).
+struct Segment {
+  std::span<const Command> commands;
+  std::size_t bank;
+  std::size_t first_index;
+};
+
 /// Per-bank scheduling state.
 struct BankState {
   BankState(const dram::DramTiming& timing, std::size_t num_buffers,
-            std::uint64_t refresh_offset)
+            std::uint64_t refresh_offset, pim::PimBank& pim)
       : timing(timing),
         buf_avail(num_buffers, 0),
-        next_refresh(timing.trefi + refresh_offset) {}
+        next_refresh(timing.trefi + refresh_offset),
+        pim(&pim) {}
 
   dram::BankTiming timing;
   std::vector<std::uint64_t> buf_avail;  ///< buffer busy-until timestamps
@@ -35,39 +44,43 @@ struct BankState {
   std::uint64_t next_refresh = 0;        ///< next tREFI deadline
   RefreshStep refresh_step = RefreshStep::kNone;
   std::int64_t saved_row = dram::BankTiming::kNoOpenRow;
-  std::vector<std::size_t> queue;        ///< indices into the trace
-  std::size_t head = 0;
+  pim::PimBank* pim;                     ///< functional state of this bank
 
-  // Event-driven fast path: bus-independent earliest-issue times, valid
-  // until the next commit (trace command or refresh step) to this bank.
-  // Every timing constraint is of the form max(bus_free, bank-local), so
-  // the actual earliest issue cycle is max(bus_free, cached local value) —
-  // bit-identical to recomputing against the live bus, but without
-  // re-deriving the bank-local part on every scheduler scan.
-  std::uint64_t cached_cmd_local = 0;
-  std::uint64_t cached_refresh_local = 0;
-  bool cache_valid = false;
+  // Program cursor: `head` walks the current segment up to `seg_end`, then
+  // the bank's next segment in [next_segment, last_segment) takes over.
+  const Command* head = nullptr;  ///< nullptr once the program is drained
+  const Command* seg_end = nullptr;
+  std::size_t head_index = 0;     ///< trace index of *head
+  std::size_t next_segment = 0;
+  std::size_t last_segment = 0;
 
-  bool done() const noexcept { return head == queue.size(); }
+  /// The keyed loop's decision for this bank: its next action is a refresh
+  /// step rather than its head command.
+  bool refresh_next = false;
+
+  bool done() const noexcept { return head == nullptr; }
 };
 
-/// Shared scheduler core: per-bank queues, the commit rules (timing +
-/// functional effect) and the transparent-refresh state machine. The two
-/// Engine entry points differ only in how the next (bank, cycle) pair is
-/// selected each step.
+/// Shared scheduler core: per-bank program cursors, the commit rules
+/// (timing + functional effect) and the transparent-refresh state machine.
+/// The two Engine entry points differ only in how the next (bank, cycle)
+/// pair is selected each step.
 class Scheduler {
  public:
+  /// `segments` holds every bank's program, grouped by bank in ascending
+  /// bank order, each bank's segments in program order.
   Scheduler(const EngineConfig& config, pim::PimDevice& device,
-            std::span<const Command> trace)
-      : config_(config), t_(config.timing), device_(device), trace_(trace) {
+            std::span<const Segment> segments)
+      : config_(config), t_(config.timing), segments_(segments) {
     const dram::DramGeometry& g = device.geometry();
     NTTPIM_EXPECT_MSG(g.num_channels >= 1 && g.banks % g.num_channels == 0,
                       "banks must divide evenly across channels");
     bus_free_.assign(g.num_channels, 0);
     channel_makespan_.assign(g.num_channels, 0);
-    banks_.reserve(device.num_banks());
-    channel_.reserve(device.num_banks());
-    for (std::size_t b = 0; b < device.num_banks(); ++b) {
+    const std::size_t banks = device.num_banks();
+    banks_.reserve(banks);
+    channel_.reserve(banks);
+    for (std::size_t b = 0; b < banks; ++b) {
       // With stagger_refresh, channel c's tREFI clock runs offset by
       // trefi * c / num_channels so the channels' refresh windows
       // interleave instead of landing on every command bus at once.
@@ -76,33 +89,35 @@ class Scheduler {
           t_.stagger_refresh
               ? static_cast<std::uint64_t>(t_.trefi) * c / g.num_channels
               : 0;
-      banks_.emplace_back(t_, device.num_buffers(), offset);
+      banks_.emplace_back(t_, device.num_buffers(), offset, device.bank(b));
       channel_.push_back(c);
     }
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      NTTPIM_EXPECT_MSG(trace[i].bank < device.num_banks(),
-                        "command targets a nonexistent bank");
-      banks_[trace[i].bank].queue.push_back(i);
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      BankState& bs = banks_[segments[i].bank];
+      if (bs.next_segment == bs.last_segment) bs.next_segment = i;
+      bs.last_segment = i + 1;
     }
+    for (std::size_t b = 0; b < banks; ++b) load_head(b);
   }
 
-  RunStats run(bool event_driven) {
+  RunStats run(bool keyed) {
     std::uint64_t butterflies_before = 0;
-    for (std::size_t b = 0; b < device_.num_banks(); ++b)
-      butterflies_before += device_.bank(b).cu().butterfly_count();
+    for (const BankState& bs : banks_)
+      butterflies_before += bs.pim->cu().butterfly_count();
 
-    if (event_driven)
-      run_event_driven();
+    if (keyed)
+      run_keyed();
     else
       run_full_rescan();
 
     std::uint64_t butterflies_after = 0;
-    for (std::size_t b = 0; b < device_.num_banks(); ++b)
-      butterflies_after += device_.bank(b).cu().butterfly_count();
+    for (const BankState& bs : banks_)
+      butterflies_after += bs.pim->cu().butterfly_count();
 
-    stats_.cycles = makespan_;
+    stats_.cycles = *std::max_element(channel_makespan_.begin(),
+                                      channel_makespan_.end());
     stats_.channel_makespans = std::move(channel_makespan_);
-    stats_.ns = static_cast<double>(makespan_) * t_.ns_per_cycle();
+    stats_.ns = static_cast<double>(stats_.cycles) * t_.ns_per_cycle();
     stats_.butterflies = butterflies_after - butterflies_before;
 
     dram::EnergyCounts counts;
@@ -119,7 +134,7 @@ class Scheduler {
   // Earliest cycle >= t_min at which the head command of `bs` could issue.
   // Every branch composes max() with bank-local readiness, so
   // earliest(bs, cmd, t) == max(t, earliest(bs, cmd, 0)) — the separability
-  // the event-driven scheduler's per-bank cache relies on.
+  // the keyed scheduler's per-bank keys rely on.
   std::uint64_t earliest(const BankState& bs, const Command& cmd,
                          std::uint64_t t_min) const {
     std::uint64_t e = t_min;
@@ -196,9 +211,11 @@ class Scheduler {
     return t_min;
   }
 
-  // Commit the head command of bank `b` at cycle `at`.
-  void commit(std::size_t b, const Command& cmd, std::uint64_t at) {
+  // Commit the head command of bank `b` at cycle `at`, then advance the
+  // bank's program.
+  void commit(std::size_t b, std::uint64_t at) {
     BankState& bs = banks_[b];
+    const Command& cmd = *bs.head;
     std::uint64_t end = at + 1;
     std::uint64_t bus_cycles = 1;
     switch (cmd.kind) {
@@ -289,15 +306,38 @@ class Scheduler {
     bus_free_[ch] = at + bus_cycles;
     stats_.bus_busy_cycles += bus_cycles;
     channel_makespan_[ch] = std::max(channel_makespan_[ch], end);
-    makespan_ = std::max(makespan_, end);
     if (config_.record_timeline)
-      stats_.timeline.push_back(TimelineEvent{
-          bs.queue[bs.head], cmd.kind, cmd.bank, at, end});
+      stats_.timeline.push_back(
+          TimelineEvent{bs.head_index, cmd.kind, cmd.bank, at, end});
     // Functional effect, applied in per-bank program order.
-    device_.bank(b).apply(cmd);
-    ++bs.head;
+    bs.pim->apply(cmd);
     ++stats_.commands;
-    bs.cache_valid = false;
+    ++bs.head;
+    ++bs.head_index;
+    load_head(b);
+  }
+
+  // Make the next command of bank `b`'s program its head, moving on to the
+  // bank's next non-empty segment at a segment's end (the head becomes
+  // nullptr once the program is drained). A command is validated as it
+  // becomes a head, before any timing or functional state indexes by it.
+  void load_head(std::size_t b) {
+    BankState& bs = banks_[b];
+    while (bs.head == bs.seg_end) {
+      if (bs.next_segment == bs.last_segment) {
+        bs.head = bs.seg_end = nullptr;
+        return;
+      }
+      const Segment& seg = segments_[bs.next_segment++];
+      bs.head = seg.commands.data();
+      bs.seg_end = bs.head + seg.commands.size();
+      bs.head_index = seg.first_index;
+    }
+    NTTPIM_EXPECT_MSG(bs.head->bank == b,
+                      "command in another bank's program");
+    NTTPIM_EXPECT_MSG(
+        std::max(bs.head->buf, bs.head->buf2) < bs.buf_avail.size(),
+        "command references a buffer beyond Nb");
   }
 
   void commit_refresh_step(std::size_t b, std::uint64_t at) {
@@ -308,8 +348,8 @@ class Scheduler {
         if (bs.timing.open_row() != dram::BankTiming::kNoOpenRow) {
           bs.saved_row = bs.timing.open_row();
           bs.timing.issue_pre(at);
-          device_.bank(b).apply({.kind = CmdKind::kPre,
-                                 .bank = static_cast<std::uint16_t>(b)});
+          bs.pim->apply({.kind = CmdKind::kPre,
+                         .bank = static_cast<std::uint16_t>(b)});
           bs.refresh_step = RefreshStep::kNeedRef;
         } else {
           bs.saved_row = dram::BankTiming::kNoOpenRow;
@@ -318,7 +358,6 @@ class Scheduler {
           bs.next_refresh += t_.trefi;
           channel_makespan_[ch] = std::max(channel_makespan_[ch],
                                            at + t_.trfc);
-          makespan_ = std::max(makespan_, at + t_.trfc);
           bs.refresh_step = RefreshStep::kNone;
           if (config_.record_timeline)
             stats_.timeline.push_back(
@@ -334,7 +373,6 @@ class Scheduler {
         bs.next_refresh += t_.trefi;
         channel_makespan_[ch] = std::max(channel_makespan_[ch],
                                          at + t_.trfc);
-        makespan_ = std::max(makespan_, at + t_.trfc);
         bs.refresh_step = bs.saved_row == dram::BankTiming::kNoOpenRow
                               ? RefreshStep::kNone
                               : RefreshStep::kNeedRestore;
@@ -346,16 +384,14 @@ class Scheduler {
         break;
       case RefreshStep::kNeedRestore:
         bs.timing.issue_act(at, static_cast<std::uint32_t>(bs.saved_row));
-        device_.bank(b).apply({.kind = CmdKind::kAct,
-                               .bank = static_cast<std::uint16_t>(b),
-                               .row = static_cast<std::uint32_t>(
-                                   bs.saved_row)});
+        bs.pim->apply({.kind = CmdKind::kAct,
+                       .bank = static_cast<std::uint16_t>(b),
+                       .row = static_cast<std::uint32_t>(bs.saved_row)});
         bs.refresh_step = RefreshStep::kNone;
         bs.saved_row = dram::BankTiming::kNoOpenRow;
         break;
     }
     bus_free_[ch] = at + 1;
-    bs.cache_valid = false;
   }
 
   // Reference scheduling loop: repeatedly perform the oldest-ready action —
@@ -367,8 +403,8 @@ class Scheduler {
   //
   // Every step rescans every bank and re-derives its earliest issue cycle
   // from the live timing state: O(trace x banks) BankTiming queries.
-  // Retained verbatim as the golden model the event-driven scheduler is
-  // property-tested against.
+  // Retained as the golden model the keyed scheduler is property-tested
+  // against.
   void run_full_rescan() {
     std::size_t rr_start = 0;
     while (true) {
@@ -390,8 +426,7 @@ class Scheduler {
         } else if (bs.done()) {
           continue;
         } else {
-          const Command& cmd = trace_[bs.queue[bs.head]];
-          e = earliest(bs, cmd, bus_free);
+          e = earliest(bs, *bs.head, bus_free);
           is_refresh = config_.enable_refresh && e >= bs.next_refresh;
           if (is_refresh) e = refresh_action_time(bs, bus_free);
         }
@@ -406,96 +441,157 @@ class Scheduler {
         commit_refresh_step(best_bank, best_time);
         continue;
       }
-      commit(best_bank,
-             trace_[banks_[best_bank].queue[banks_[best_bank].head]],
-             best_time);
+      commit(best_bank, best_time);
       rr_start = (best_bank + 1) % banks_.size();
     }
   }
 
-  /// Refill a bank's cached bus-independent earliest-issue times. The head
-  /// command's time is only derived outside an in-flight refresh sequence —
-  /// mid-refresh the row may be transiently closed, and the reference loop
-  /// never consults the head command in that state either.
-  void refill_cache(BankState& bs) {
-    const bool mid_refresh = bs.refresh_step != RefreshStep::kNone;
-    if (!mid_refresh && !bs.done())
-      bs.cached_cmd_local = earliest(bs, trace_[bs.queue[bs.head]], 0);
-    bs.cached_refresh_local = refresh_action_time(bs, 0);
-    bs.cache_valid = true;
+  static constexpr std::uint64_t kNever =
+      std::numeric_limits<std::uint64_t>::max();
+
+  // Re-derive bank `b`'s key after it committed (or at the start of the
+  // run): the bus-independent earliest cycle of its next action, with the
+  // refresh decision folded in. Mid-refresh the key is the next refresh
+  // step's time — the row may be transiently closed, and the reference loop
+  // never consults the head command in that state either. Otherwise the
+  // head command's time, unless that already reaches the tREFI deadline.
+  // The bank then still flips to its refresh action once its channel's
+  // bus_free reaches `threshold_[b]` (see run_keyed). A drained bank's key
+  // is kNever.
+  void rekey(std::size_t b) {
+    BankState& bs = banks_[b];
+    threshold_[b] = kNever;
+    bs.refresh_next = bs.refresh_step != RefreshStep::kNone;
+    if (bs.refresh_next) {
+      key_[b] = refresh_action_time(bs, 0);
+    } else if (bs.done()) {
+      key_[b] = kNever;
+    } else {
+      key_[b] = earliest(bs, *bs.head, 0);
+      if (config_.enable_refresh) {
+        if (key_[b] >= bs.next_refresh)
+          flip_to_refresh(b);
+        else
+          threshold_[b] = bs.next_refresh;
+      }
+    }
   }
 
-  // Event-driven scheduling loop: same selection rule and tie rotation as
-  // run_full_rescan, but each bank's bus-independent earliest-issue times
-  // are cached and invalidated only when *that* bank commits something.
-  // Because every timing constraint separates as max(bus_free, bank-local),
-  // max(bus_free, cached local) reproduces the reference cycle exactly, so
-  // the scan degenerates to a couple of max/compare operations per bank and
-  // BankTiming is queried O(trace) instead of O(trace x banks) times.
-  void run_event_driven() {
+  void flip_to_refresh(std::size_t b) {
+    banks_[b].refresh_next = true;
+    key_[b] = refresh_action_time(banks_[b], 0);
+    threshold_[b] = kNever;
+  }
+
+  // Keyed scheduling loop: the same selection rule and tie rotation as
+  // run_full_rescan, over per-bank keys refreshed only for the bank that
+  // commits. Every timing constraint separates as max(bus_free, local),
+  // so a bank's reference time is max(bus_free of its channel, key) — and
+  // its refresh decision e >= next_refresh, with e below the deadline at
+  // rekey time, can only flip later by the monotone bus_free reaching the
+  // threshold. Each step takes the minimum over banks, then the first bank
+  // in rotation order from rr_start that reaches it: the reference's
+  // strict-< scan from rr_start picks exactly that bank. Refresh steps do
+  // not advance the rotation.
+  void run_keyed() {
+    const std::size_t banks = banks_.size();
+    key_.resize(banks);
+    threshold_.resize(banks);
+    for (std::size_t b = 0; b < banks; ++b) rekey(b);
     std::size_t rr_start = 0;
     while (true) {
-      std::size_t best_bank = banks_.size();
-      bool best_is_refresh = false;
-      std::uint64_t best_time = std::numeric_limits<std::uint64_t>::max();
-      for (std::size_t offset = 0; offset < banks_.size(); ++offset) {
-        const std::size_t b = (rr_start + offset) % banks_.size();
-        BankState& bs = banks_[b];
+      std::uint64_t best = kNever;
+      for (std::size_t b = 0; b < banks; ++b) {
         const std::uint64_t bus_free = bus_free_[channel_[b]];
-        const bool mid_refresh = bs.refresh_step != RefreshStep::kNone;
-        if (bs.done() && !mid_refresh) continue;
-        if (!bs.cache_valid) refill_cache(bs);
-        std::uint64_t e;
-        bool is_refresh;
-        if (mid_refresh) {
-          is_refresh = true;
-          e = std::max(bus_free, bs.cached_refresh_local);
-        } else {
-          e = std::max(bus_free, bs.cached_cmd_local);
-          is_refresh = config_.enable_refresh && e >= bs.next_refresh;
-          if (is_refresh)
-            e = std::max(bus_free, bs.cached_refresh_local);
-        }
-        if (e < best_time) {
-          best_time = e;
-          best_bank = b;
-          best_is_refresh = is_refresh;
-        }
+        if (bus_free >= threshold_[b]) flip_to_refresh(b);
+        best = std::min(best, std::max(bus_free, key_[b]));
       }
-      if (best_bank == banks_.size()) break;  // all work drained
-      if (best_is_refresh) {
-        commit_refresh_step(best_bank, best_time);
-        continue;
+      if (best == kNever) break;  // all work drained
+      std::size_t b = rr_start;
+      while (std::max(bus_free_[channel_[b]], key_[b]) != best)
+        b = b + 1 == banks ? 0 : b + 1;
+      if (banks_[b].refresh_next) {
+        commit_refresh_step(b, best);
+      } else {
+        commit(b, best);
+        rr_start = b + 1 == banks ? 0 : b + 1;
       }
-      commit(best_bank,
-             trace_[banks_[best_bank].queue[banks_[best_bank].head]],
-             best_time);
-      rr_start = (best_bank + 1) % banks_.size();
+      rekey(b);
     }
   }
 
   const EngineConfig& config_;
   const dram::DramTiming& t_;
-  pim::PimDevice& device_;
-  std::span<const Command> trace_;
+  std::span<const Segment> segments_;
   std::vector<BankState> banks_;
   std::vector<std::size_t> channel_;  ///< bank -> channel (command bus)
   std::vector<std::uint64_t> bus_free_;  ///< per-channel bus availability
-  std::vector<std::uint64_t> channel_makespan_;
-  std::uint64_t makespan_ = 0;
+  std::vector<std::uint64_t> channel_makespan_;  ///< max is the makespan
+  // Keyed loop only: per-bank key and refresh threshold (see rekey).
+  std::vector<std::uint64_t> key_;
+  std::vector<std::uint64_t> threshold_;
   RunStats stats_;
 };
+
+/// The flat-trace adapter: split `trace` into maximal same-bank runs and
+/// group them by bank, keeping each bank's runs in trace order.
+std::vector<Segment> partition_by_bank(std::span<const Command> trace,
+                                       std::size_t banks) {
+  std::vector<Segment> runs;
+  for (std::size_t i = 0; i < trace.size();) {
+    const std::size_t bank = trace[i].bank;
+    NTTPIM_EXPECT_MSG(bank < banks, "command targets a nonexistent bank");
+    std::size_t end = i + 1;
+    while (end < trace.size() && trace[end].bank == bank) ++end;
+    runs.push_back({trace.subspan(i, end - i), bank, i});
+    i = end;
+  }
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const Segment& a, const Segment& b) {
+                     return a.bank < b.bank;
+                   });
+  return runs;
+}
+
+/// Programs as segments, indexed by position in their bank-major
+/// concatenation.
+std::vector<Segment> program_segments(std::span<const BankProgram> programs,
+                                      std::size_t banks) {
+  NTTPIM_EXPECT_MSG(programs.size() <= banks, "more programs than banks");
+  std::vector<Segment> segments;
+  std::size_t index = 0;
+  for (std::size_t b = 0; b < programs.size(); ++b)
+    for (const std::span<const Command> seg : programs[b]) {
+      segments.push_back({seg, b, index});
+      index += seg.size();
+    }
+  return segments;
+}
 
 }  // namespace
 
 RunStats Engine::run(pim::PimDevice& device,
+                     std::span<const BankProgram> programs) const {
+  const auto segments = program_segments(programs, device.num_banks());
+  return Scheduler(config_, device, segments).run(/*keyed=*/true);
+}
+
+RunStats Engine::run(pim::PimDevice& device,
                      std::span<const dram::Command> trace) const {
-  return Scheduler(config_, device, trace).run(/*event_driven=*/true);
+  const auto segments = partition_by_bank(trace, device.num_banks());
+  return Scheduler(config_, device, segments).run(/*keyed=*/true);
+}
+
+RunStats Engine::run_reference(pim::PimDevice& device,
+                               std::span<const BankProgram> programs) const {
+  const auto segments = program_segments(programs, device.num_banks());
+  return Scheduler(config_, device, segments).run(/*keyed=*/false);
 }
 
 RunStats Engine::run_reference(pim::PimDevice& device,
                                std::span<const dram::Command> trace) const {
-  return Scheduler(config_, device, trace).run(/*event_driven=*/false);
+  const auto segments = partition_by_bank(trace, device.num_banks());
+  return Scheduler(config_, device, segments).run(/*keyed=*/false);
 }
 
 }  // namespace nttpim::sim

@@ -6,9 +6,10 @@
 // functional effects, so the NTT result can be verified word-for-word
 // against the reference transform while the cycle count is measured.
 //
-// Scheduling model. Commands issue in order *per bank*; across banks the
-// engine each step picks the oldest-ready head-of-queue (lowest earliest
-// issue cycle, ties broken by bank id), which models a simple
+// Scheduling model. Each bank runs its own command program in order;
+// across banks the engine each step picks the oldest-ready head (lowest
+// earliest issue cycle; ties rotate round-robin, starting from the bank
+// after the last committed command), which models a simple
 // bank-round-robin memory controller. Each *channel* of the device
 // geometry has its own command bus (one command per cycle; PARAM occupies
 // two bus cycles for its 16-bit chunks): a command serializes only against
@@ -50,10 +51,18 @@ struct EngineConfig {
   bool record_timeline = false;
 };
 
+/// One bank's command program: the commands it issues, in order, as
+/// segments run back to back. A bank running several stacked items gets
+/// one segment per item. The engine borrows the segments for the run.
+using BankProgram = std::vector<std::span<const dram::Command>>;
+
 /// One scheduled command instance (for timing-diagram rendering).
 struct TimelineEvent {
-  std::size_t trace_index;  ///< index into the input trace (or SIZE_MAX
-                            ///< for engine-inserted refresh operations)
+  /// The command's position in the run's input: the index into the flat
+  /// trace, or for the program entry the index into the bank-major
+  /// concatenation of the programs (bank 0's segments in order, then bank
+  /// 1's, ...). SIZE_MAX for engine-inserted refresh operations.
+  std::size_t trace_index;
   dram::CmdKind kind;
   std::uint16_t bank;
   std::uint64_t issue;  ///< bus cycle the command issued
@@ -106,21 +115,33 @@ class Engine {
 
   const EngineConfig& config() const noexcept { return config_; }
 
-  /// Execute `trace` on `device` (functionally and temporally). Commands
-  /// for different banks may interleave in the span; per-bank order is
-  /// preserved. Returns the run statistics including the energy estimate.
+  /// Execute per-bank command programs on `device` (functionally and
+  /// temporally): programs[b] is bank b's program, and banks beyond
+  /// programs.size() stay idle. Returns the run statistics including the
+  /// energy estimate. Throws std::invalid_argument for more programs than
+  /// banks, or when a command reaches the head of its bank's program while
+  /// targeting another bank or a buffer beyond Nb.
   ///
-  /// Uses the event-driven scheduler: per-bank bus-independent
-  /// earliest-issue times are cached and invalidated only on commits to
-  /// that bank, so BankTiming is queried O(trace) instead of
-  /// O(trace x banks) times. Bit-identical to run_reference().
+  /// Uses the keyed scheduler: each bank keeps a bus-independent
+  /// earliest-issue key, refreshed only when that bank commits, so
+  /// BankTiming is queried O(commands) instead of O(commands x banks)
+  /// times. Bit-identical to run_reference().
+  RunStats run(pim::PimDevice& device,
+               std::span<const BankProgram> programs) const;
+
+  /// Flat-trace entry: commands for different banks may interleave in the
+  /// span; per-bank order is preserved. Partitions the trace by bank into
+  /// per-bank programs (no command is copied) and runs them; the result is
+  /// independent of how the banks interleave in `trace`.
   RunStats run(pim::PimDevice& device,
                std::span<const dram::Command> trace) const;
 
   /// Reference scheduler: the original full-rescan loop that re-derives
   /// every bank's earliest issue cycle from live timing state on every
-  /// step. Slower, retained as the golden model the event-driven fast path
-  /// is property-tested against (identical RunStats and functional output).
+  /// step. Slower, retained as the golden model the keyed fast path is
+  /// property-tested against (identical RunStats and functional output).
+  RunStats run_reference(pim::PimDevice& device,
+                         std::span<const BankProgram> programs) const;
   RunStats run_reference(pim::PimDevice& device,
                          std::span<const dram::Command> trace) const;
 

@@ -184,6 +184,36 @@ TEST(Engine, RejectsUnknownBank) {
   EXPECT_THROW(engine.run(device, trace), std::invalid_argument);
 }
 
+TEST(Engine, RejectsBufferBeyondNb) {
+  // Validated when the CU_RD becomes the bank's head — before the timing
+  // model indexes its buffer.
+  const dram::DramGeometry g = dram::hbm2e_geometry(1);
+  pim::PimDevice device(g, 2);
+  const Engine engine(EngineConfig{});
+  const std::vector<Command> read{
+      {.kind = CmdKind::kAct, .bank = 0, .row = 0},
+      {.kind = CmdKind::kCuRead, .bank = 0, .row = 0, .buf = 2}};
+  EXPECT_THROW(engine.run(device, read), std::invalid_argument);
+
+  pim::PimDevice fresh(g, 2);
+  const std::vector<Command> c2{
+      {.kind = CmdKind::kC2, .bank = 0, .buf = 0, .buf2 = 7}};
+  EXPECT_THROW(engine.run(fresh, c2), std::invalid_argument);
+}
+
+TEST(Engine, RejectsCommandInWrongBankProgram) {
+  const dram::DramGeometry g = dram::hbm2e_geometry(2);
+  pim::PimDevice device(g, 2);
+  const Engine engine(EngineConfig{});
+  const std::vector<Command> bank1{
+      {.kind = CmdKind::kAct, .bank = 1, .row = 0}};
+  const std::vector<BankProgram> programs{{bank1}};  // bank 0's program
+  EXPECT_THROW(engine.run(device, programs), std::invalid_argument);
+
+  const std::vector<BankProgram> too_many(3);
+  EXPECT_THROW(engine.run(device, too_many), std::invalid_argument);
+}
+
 TEST(Engine, RefreshOccursAtTrefiRate) {
   const dram::DramGeometry g = dram::hbm2e_geometry();
   const ntt::NttParams params = ntt::NttParams::create(4096);

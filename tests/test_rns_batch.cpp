@@ -177,7 +177,7 @@ TEST(RnsProduct, FourLimbsOneForwardPassFourBanksFourModuli) {
   EXPECT_EQ(banks.size(), 4u);
   EXPECT_EQ(moduli.size(), 4u);
 
-  // The merged trace programs each bank's CU with that bank's limb prime
+  // The recorded trace programs each bank's CU with that bank's limb prime
   // and nothing else: per-bank heterogeneity down at the command level.
   for (std::uint16_t bank = 0; bank < 4; ++bank) {
     std::size_t param_loads = 0;
