@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the NTT kernel library: the
-// algorithm variants discussed in paper Sec. II.B (Cooley-Tukey vs Pease vs
-// Stockham) and the modular-reduction strategies of the BU datapath
-// (Montgomery vs Barrett vs plain `%`).
+// Cooley-Tukey and Gentleman-Sande dataflows of paper Sec. II.B and the
+// modular-reduction strategies of the BU datapath (Montgomery vs Barrett
+// vs plain `%`).
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -11,14 +11,10 @@
 #include "common/bitutil.h"
 #include "common/random.h"
 #include "ntt/barrett.h"
-#include "ntt/fourstep.h"
 #include "ntt/montgomery.h"
 #include "ntt/params.h"
-#include "ntt/pease.h"
 #include "ntt/poly.h"
-#include "ntt/radix4.h"
 #include "ntt/reference.h"
-#include "ntt/stockham.h"
 #include "sim/runner.h"
 
 namespace {
@@ -59,46 +55,6 @@ void BM_NttGentlemanSande(benchmark::State& state) {
     auto a = input;
     ntt::ntt_dif_natural_to_bitrev(a, p);
     benchmark::DoNotOptimize(a.data());
-  }
-}
-
-void BM_NttPease(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& p = params_for(n);
-  const auto input = input_for(n, p.q());
-  for (auto _ : state) {
-    auto out = ntt::ntt_pease_natural_to_bitrev(input, p);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
-void BM_NttStockham(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& p = params_for(n);
-  const auto input = input_for(n, p.q());
-  for (auto _ : state) {
-    auto out = ntt::ntt_stockham(input, p);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
-void BM_NttRadix4(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& p = params_for(n);
-  const auto input = input_for(n, p.q());
-  for (auto _ : state) {
-    auto out = ntt::ntt_radix4(input, p);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
-void BM_NttFourStep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& p = params_for(n);
-  const auto input = input_for(n, p.q());
-  for (auto _ : state) {
-    auto out = ntt::ntt_four_step(input, p);
-    benchmark::DoNotOptimize(out.data());
   }
 }
 
@@ -263,10 +219,6 @@ int run_json_baseline(const std::string& path) {
 
 BENCHMARK(BM_NttCooleyTukey)->RangeMultiplier(4)->Range(256, 8192);
 BENCHMARK(BM_NttGentlemanSande)->RangeMultiplier(4)->Range(256, 8192);
-BENCHMARK(BM_NttPease)->RangeMultiplier(4)->Range(256, 4096);
-BENCHMARK(BM_NttStockham)->RangeMultiplier(4)->Range(256, 8192);
-BENCHMARK(BM_NttRadix4)->Arg(256)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_NttFourStep)->RangeMultiplier(4)->Range(256, 8192);
 BENCHMARK(BM_NttPlainMod)->RangeMultiplier(4)->Range(256, 8192);
 BENCHMARK(BM_NttMontgomeryCpu)->RangeMultiplier(4)->Range(256, 8192);
 BENCHMARK(BM_ReduceMontgomery);

@@ -15,12 +15,12 @@
 // A second, skewed-load scenario exercises the dispatch layer: bursts of
 // expensive (N = 1024) and cheap (N = 256) requests are staged behind a
 // paused former so the wave stream alternates one hot size class with one
-// cold one. Blind round-robin assignment then pins every hot wave to the
+// cold one. Blind round-robin assignment would pin every hot wave to the
 // same shard — the cross-device imbalance the cost-aware dispatcher and
-// work stealing exist to fix — and the scenario is run three ways (FIFO,
-// FIFO + stealing, cost-aware + stealing), reporting each mode's
-// busiest-shard share of the modeled device cycles and its stolen-wave
-// count.
+// work stealing exist to fix. The "fifo" row is a deterministic modeled
+// replay of that round-robin placement; the "cost_aware_steal" row is the
+// live service. Each reports its busiest-shard share of the modeled
+// device cycles and its stolen-wave count.
 //
 // A third scenario prices the heterogeneous backend tier: the same staged
 // bulk/small wave stream is served by a lone PIM shard and then by the
@@ -35,9 +35,9 @@
 // (shard, channel) dispatcher spread the waves per channel.
 //
 // A fifth scenario prices the multi-tenant QoS layers: a bulk tenant's
-// backlog staged *ahead of* a deadlined critical tenant's requests, run
-// under FIFO forming, under EDF forming + deadline-pressure dispatch
-// (the critical p99 collapses), and once more with a token bucket on the
+// backlog staged *ahead of* a critical tenant's requests, run without the
+// critical deadline and priority ("fifo"), with them (the critical p99
+// collapses), and once more with a token bucket on the
 // bulk tenant (exactly half its requests shed) — see run_qos.
 //
 // `--json <path>` appends "service_throughput", "service_skewed_dispatch",
@@ -197,15 +197,69 @@ struct SkewedPoint {
   std::uint64_t busiest_shard_cycles = 0;
   std::uint64_t total_shard_cycles = 0;
   double busiest_share = 0;  ///< busiest / total modeled device cycles
+  /// Modeled replay (no live service, so no wall-clock fields).
+  bool replay = false;
   bool verified = false;
 };
 
-/// One skewed-load run: 24 four-item waves staged behind a paused former,
-/// alternating N=1024 (hot) and N=256 (cold), released at once onto 2
-/// shards. Round-robin assignment resonates with the alternation — every
-/// hot wave lands on shard 0 — so the three dispatch modes separate
-/// cleanly in busiest-shard share.
-SkewedPoint run_skewed(const char* mode, bool cost_aware, bool stealing) {
+void set_shares(SkewedPoint& p, const std::vector<std::uint64_t>& cycles) {
+  for (const std::uint64_t c : cycles) {
+    p.busiest_shard_cycles = std::max(p.busiest_shard_cycles, c);
+    p.total_shard_cycles += c;
+  }
+  p.busiest_share = p.total_shard_cycles
+                        ? static_cast<double>(p.busiest_shard_cycles) /
+                              static_cast<double>(p.total_shard_cycles)
+                        : 0;
+}
+
+/// Blind round-robin baseline of the skewed stream as a deterministic
+/// modeled replay: wave w executes on shard w % 2, each shard a private
+/// backend built from the service's own PIM descriptor, so every wave
+/// costs exactly the modeled cycles a live round-robin service would
+/// charge. The alternation resonates with the rotation — every hot wave
+/// lands on shard 0.
+SkewedPoint run_skewed_round_robin() {
+  const ntt::NttParams hot = ntt::NttParams::create(kSkewedHotN, 29);
+  const ntt::NttParams cold = ntt::NttParams::create(kSkewedColdN, 30);
+  const service::BackendDescriptor d =
+      service::make_pim_descriptor(kSkewedBanksPerShard, kNumBuffers);
+  std::vector<std::unique_ptr<fhe::NttBackend>> shards;
+  for (int s = 0; s < 2; ++s) shards.push_back(d.factory());
+
+  Rng rng(13);
+  fhe::CpuBackend cpu;
+  std::size_t mismatches = 0;
+  for (std::size_t w = 0; w < kSkewedWaves; ++w) {
+    const ntt::NttParams& params = (w % 2 == 0) ? hot : cold;
+    std::vector<std::vector<std::uint32_t>> polys;
+    for (std::size_t i = 0; i < kSkewedBanksPerShard; ++i)
+      polys.push_back(rng.residues(params.n(), params.q()));
+    std::vector<std::vector<std::uint32_t>> expected = polys;
+    std::vector<fhe::BatchItem> items;
+    for (std::size_t i = 0; i < polys.size(); ++i) {
+      cpu.forward(expected[i], params);
+      items.push_back({&polys[i], &params, false});
+    }
+    shards[w % 2]->transform_batch_mixed(items);
+    if (polys != expected) ++mismatches;
+  }
+
+  SkewedPoint p;
+  p.mode = "fifo";
+  p.replay = true;
+  p.requests = kSkewedWaves * kSkewedBanksPerShard;
+  std::vector<std::uint64_t> cycles;
+  for (const auto& b : shards) cycles.push_back(b->modeled_cycles());
+  set_shares(p, cycles);
+  p.verified = mismatches == 0;
+  return p;
+}
+
+/// The live skewed-load run: 24 four-item waves staged behind a paused
+/// former, alternating N=1024 (hot) and N=256 (cold), released at once
+/// onto 2 shards under cost-aware dispatch with stealing.
+SkewedPoint run_skewed() {
   const auto hot = std::make_shared<const ntt::NttParams>(
       ntt::NttParams::create(kSkewedHotN, 29));
   const auto cold = std::make_shared<const ntt::NttParams>(
@@ -219,8 +273,6 @@ SkewedPoint run_skewed(const char* mode, bool cost_aware, bool stealing) {
   cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
   cfg.former.start_paused = true;                   // stage the whole skew, then go
   cfg.dispatch.shard_queue_waves = 2;  // shallow queues: imbalance stalls dispatch
-  cfg.dispatch.cost_aware_dispatch = cost_aware;
-  cfg.dispatch.work_stealing = stealing;
   service::NttService svc(cfg);
 
   Rng rng(13);
@@ -248,20 +300,16 @@ SkewedPoint run_skewed(const char* mode, bool cost_aware, bool stealing) {
 
   const service::ServiceStats stats = svc.stats();
   SkewedPoint p;
-  p.mode = mode;
+  p.mode = "cost_aware_steal";
   p.requests = futures.size();
   p.seconds = seconds;
   p.requests_per_sec = static_cast<double>(p.requests) / seconds;
+  std::vector<std::uint64_t> cycles;
   for (const auto& shard : stats.shards) {
     p.stolen_waves += shard.stolen_waves;
-    p.busiest_shard_cycles =
-        std::max(p.busiest_shard_cycles, shard.modeled_cycles);
-    p.total_shard_cycles += shard.modeled_cycles;
+    cycles.push_back(shard.modeled_cycles);
   }
-  p.busiest_share = p.total_shard_cycles
-                        ? static_cast<double>(p.busiest_shard_cycles) /
-                              static_cast<double>(p.total_shard_cycles)
-                        : 0;
+  set_shares(p, cycles);
   p.verified = mismatches == 0 && stats.completed == p.requests &&
                stats.failed == 0;
   return p;
@@ -269,9 +317,8 @@ SkewedPoint run_skewed(const char* mode, bool cost_aware, bool stealing) {
 
 std::vector<SkewedPoint> skewed_sweep(bool& all_verified) {
   std::vector<SkewedPoint> points;
-  points.push_back(run_skewed("fifo", false, false));
-  points.push_back(run_skewed("fifo_steal", false, true));
-  points.push_back(run_skewed("cost_aware_steal", true, true));
+  points.push_back(run_skewed_round_robin());
+  points.push_back(run_skewed());
   for (const auto& p : points) all_verified = all_verified && p.verified;
   return points;
 }
@@ -288,9 +335,12 @@ void write_skewed_section(bench::JsonWriter& json,
     json.field("n_hot", kSkewedHotN);
     json.field("n_cold", kSkewedColdN);
     json.field("requests", p.requests);
-    json.field("host_wall_clock", true);
-    json.field("host_cores", std::thread::hardware_concurrency());
-    json.field("requests_per_sec", p.requests_per_sec);
+    json.field("modeled_replay", p.replay);
+    if (!p.replay) {
+      json.field("host_wall_clock", true);
+      json.field("host_cores", std::thread::hardware_concurrency());
+      json.field("requests_per_sec", p.requests_per_sec);
+    }
     json.field("stolen_waves", p.stolen_waves);
     json.field("busiest_shard_cycles", p.busiest_shard_cycles);
     json.field("total_shard_cycles", p.total_shard_cycles);
@@ -378,8 +428,6 @@ HeteroReplay run_hetero_replay(
   for (const auto& d : descriptors)
     cfg.shards.push_back({d.kind, d.cost_scale});
   cfg.queue_capacity_waves = kHeteroWaves;  // nothing pops: never block
-  cfg.cost_aware = true;
-  cfg.work_stealing = false;
   service::Dispatcher dispatcher(
       cfg, [&](std::size_t shard, std::vector<service::Request>& wave) {
         std::vector<fhe::BatchItem> items;
@@ -427,10 +475,10 @@ HeteroReplay run_hetero_replay(
 /// dispatch queues make the simulated device back up immediately — the
 /// overflow traffic the CPU tier exists to absorb: cost-aware dispatch
 /// spills waves to the CPU whenever its price-plus-backlog beats the
-/// queued-up PIM's. Work stealing is off here on purpose: steals trigger
-/// on wall-clock idleness (the host CPU races a cycle *simulator*), while
-/// this scenario compares *modeled* makespans, so routing must stay
-/// purely price-driven.
+/// queued-up PIM's, and an idle shard steals. Steals trigger on wall-clock
+/// idleness (the host CPU races a cycle *simulator*), so the modeled
+/// makespans this scenario compares come from the worker-less replay
+/// (run_hetero_replay), not from the live run.
 HeteroPoint run_hetero(const char* mode, bool add_cpu) {
   const auto bulk = std::make_shared<const ntt::NttParams>(
       ntt::NttParams::create(kHeteroBulkN, 29));
@@ -448,8 +496,6 @@ HeteroPoint run_hetero(const char* mode, bool add_cpu) {
   cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
   cfg.former.start_paused = true;  // stage the whole burst, then go
   cfg.dispatch.shard_queue_waves = 2;  // shallow: overflow reaches dispatch
-  cfg.dispatch.cost_aware_dispatch = true;
-  cfg.dispatch.work_stealing = false;  // see above
   service::NttService svc(cfg);
 
   Rng rng(29);
@@ -710,12 +756,12 @@ struct QosPoint {
 /// One QoS run: 64 bulk N=1024 transforms (tenant 0) staged behind a
 /// paused former *ahead of* 8 deadlined critical N=256 transforms (tenant
 /// 1), then released at once onto a single 4-bank shard — the worst
-/// ordering for the latecomer. Under FIFO forming the critical tenant
-/// waits out the whole bulk backlog (its p99 ~ the makespan); with the
-/// QoS policies on, EDF forming cuts the critical requests into the first
-/// waves and deadline pressure keeps them ahead in the lanes, so the
-/// critical p99 collapses while the bulk p99 barely moves (the bulk
-/// backlog is device-bound either way). The overload mode adds a hard
+/// ordering for the latecomer. In the "fifo" mode the critical requests
+/// carry no deadline or priority, so they wait out the whole bulk backlog
+/// (their p99 ~ the makespan); with them set, the former cuts the critical
+/// requests into the first waves and the deadline-ordered lanes keep them
+/// ahead, so the critical p99 collapses while the bulk p99 barely moves
+/// (the bulk backlog is device-bound either way). The overload mode adds a hard
 /// token bucket on the bulk tenant: exactly 32 of its 64 requests shed
 /// with AdmissionShedError, deterministically.
 /// When `trace_path` is set, lifecycle tracing is enabled for the run and
@@ -723,7 +769,7 @@ struct QosPoint {
 /// (load it in Perfetto / chrome://tracing: one track per service thread,
 /// flow arrows stitching each request submit -> cut -> execute ->
 /// complete). A failed write fails the point's `verified`.
-QosPoint run_qos(const char* mode, bool qos_policies, bool overload,
+QosPoint run_qos(const char* mode, bool deadlined, bool overload,
                  const std::optional<std::string>& trace_path = std::nullopt) {
   const auto bulk_params = std::make_shared<const ntt::NttParams>(
       ntt::NttParams::create(kQosBulkN, 29));
@@ -738,8 +784,6 @@ QosPoint run_qos(const char* mode, bool qos_policies, bool overload,
   cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
   cfg.former.start_paused = true;  // stage bulk-then-critical, then go
   cfg.qos.num_classes = 2;         // per-class stats in every mode
-  cfg.qos.edf_forming = qos_policies;
-  cfg.qos.deadline_pressure = qos_policies;
   if (overload)
     cfg.qos.admission = {{.rate_per_sec = 0.0, .burst = kQosOverloadBurst}};
   cfg.telemetry.enabled = trace_path.has_value();
@@ -759,9 +803,11 @@ QosPoint run_qos(const char* mode, bool qos_policies, bool overload,
   }
   service::SubmitOptions critical;
   critical.qos.tenant = 1;
-  critical.qos.priority = 10;
-  critical.qos.deadline =
-      service::ServiceClock::now() + std::chrono::milliseconds(1);
+  if (deadlined) {
+    critical.qos.priority = 10;
+    critical.qos.deadline =
+        service::ServiceClock::now() + std::chrono::milliseconds(1);
+  }
   for (std::size_t i = 0; i < kQosCriticalRequests; ++i) {
     auto poly = rng.residues(critical_params->n(), critical_params->q());
     expected.push_back(poly);
@@ -1103,12 +1149,13 @@ constexpr const char* kUsage =
     "  Closed-loop load generator for the async NTT serving runtime:\n"
     "  client count x shard count x flush window sweep reporting aggregate\n"
     "  requests/sec, mean wave occupancy and latency percentiles, plus a\n"
-    "  skewed-load dispatch comparison (FIFO vs stealing vs cost-aware),\n"
+    "  skewed-load dispatch comparison (round-robin replay vs live\n"
+    "  cost-aware dispatch with stealing),\n"
     "  a heterogeneous-tier comparison (PIM-only vs PIM + CPU pool), a\n"
     "  channel-hierarchy comparison (16 banks behind 1 vs 4 command buses\n"
     "  plus a live 4-channel shard), a multi-tenant QoS comparison\n"
-    "  (bulk-ahead-of-critical staging under FIFO vs EDF + deadline\n"
-    "  pressure vs added token-bucket overload shedding) and a telemetry\n"
+    "  (bulk-ahead-of-critical staging without vs with critical deadlines\n"
+    "  vs added token-bucket overload shedding) and a telemetry\n"
     "  overhead comparison (identical runs with lifecycle tracing off vs\n"
     "  on; CI holds the on/off throughput ratio above 0.95).\n"
     "  --json [path]       append service_throughput,\n"
@@ -1184,12 +1231,12 @@ int main(int argc, char** argv) {
                         TablePrinter::num(p.busiest_share),
                         p.verified ? "YES" : "NO"});
   skew_table.print(std::cout);
-  std::cout << "\nRound-robin assignment resonates with the alternating "
+  std::cout << "\nThe round-robin replay resonates with the alternating "
                "size classes — every expensive wave lands on shard 0 "
-               "(busiest share ~ its cost share). Stealing lets the idle "
-               "shard take the oldest queued wave of the loaded one, and "
-               "cost-aware assignment avoids most of the imbalance before "
-               "it forms.\n";
+               "(busiest share ~ its cost share). Cost-aware assignment "
+               "avoids most of the imbalance before it forms, and stealing "
+               "lets the idle shard take the oldest queued wave of the "
+               "loaded one.\n";
 
   const auto hetero = hetero_sweep(all_verified);
   std::cout << "\n==== Heterogeneous tier (bulk N=" << kHeteroBulkN
@@ -1258,9 +1305,9 @@ int main(int argc, char** argv) {
                        TablePrinter::num(p.background_p99_us, 1),
                        p.verified ? "YES" : "NO"});
   qos_table.print(std::cout);
-  std::cout << "\nFIFO forming makes the latecomer critical tenant wait "
+  std::cout << "\nWithout a deadline the latecomer critical tenant waits "
                "out the entire staged bulk backlog (crit p99 ~ the run's "
-               "makespan). EDF forming + deadline-pressure dispatch cut "
+               "makespan). With one, forming and dispatch order cut "
                "the deadlined requests into the first waves, collapsing "
                "the critical p99 while the device-bound bulk p99 barely "
                "moves; the overload mode's token bucket sheds exactly the "

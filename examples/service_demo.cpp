@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
                              service::make_cpu_descriptor(/*threads=*/2)};
   cfg.backend.banks_per_shard = 4;
   cfg.former.flush_window = std::chrono::microseconds(300);
-  // Two request classes; only the bulk tenant is rate-limited. EDF forming
-  // and deadline-pressure dispatch are on by default once num_classes > 1.
+  // Two request classes; only the bulk tenant is rate-limited. The
+  // critical tenant's deadlines and priority order forming and dispatch.
   cfg.qos.num_classes = 2;
   cfg.qos.admission = {{.rate_per_sec = 0.0, .burst = kBulkBurst}};
   // Lifecycle tracing costs nothing unless asked for (one relaxed atomic

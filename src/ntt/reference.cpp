@@ -48,11 +48,13 @@ std::vector<std::uint32_t> naive_idft(std::span<const std::uint32_t> x,
 
 namespace {
 
-// Shared DIT kernel over an explicit modulus and twiddle base (omega for
-// forward, omega^-1 for unscaled inverse).
-void dit_kernel_raw(std::span<std::uint32_t> a, std::uint64_t q,
-                    std::uint64_t twiddle_base) {
+// Shared DIT kernel over a twiddle base (omega for forward, omega^-1 for
+// unscaled inverse).
+void dit_kernel(std::span<std::uint32_t> a, const NttParams& params,
+                std::uint32_t twiddle_base) {
+  NTTPIM_EXPECT(a.size() == params.n());
   const std::size_t n = a.size();
+  const std::uint64_t q = params.q();
   const auto steps = stage_steps(n, q, twiddle_base % q);
   unsigned s = 1;
   for (std::size_t m = 1; m < n; m <<= 1, ++s) {
@@ -72,12 +74,6 @@ void dit_kernel_raw(std::span<std::uint32_t> a, std::uint64_t q,
   }
 }
 
-void dit_kernel(std::span<std::uint32_t> a, const NttParams& params,
-                std::uint32_t twiddle_base) {
-  NTTPIM_EXPECT(a.size() == params.n());
-  dit_kernel_raw(a, params.q(), twiddle_base);
-}
-
 }  // namespace
 
 void ntt_dit_bitrev_to_natural(std::span<std::uint32_t> a,
@@ -88,15 +84,6 @@ void ntt_dit_bitrev_to_natural(std::span<std::uint32_t> a,
 void intt_dit_bitrev_to_natural(std::span<std::uint32_t> a,
                                 const NttParams& params) {
   dit_kernel(a, params, params.omega_inv());
-}
-
-void forward_ntt_with_root(std::vector<std::uint32_t>& a, std::uint32_t q,
-                           std::uint32_t omega) {
-  NTTPIM_EXPECT(is_pow2(a.size()));
-  NTTPIM_EXPECT_MSG(pow_mod(omega, a.size(), q) == 1,
-                    "omega must be an |a|-th root of unity mod q");
-  bit_reverse_permute(a);
-  dit_kernel_raw(a, q, omega);
 }
 
 void ntt_dif_natural_to_bitrev(std::span<std::uint32_t> a,

@@ -50,13 +50,6 @@ std::vector<std::uint32_t> ntt_recursive(std::span<const std::uint32_t> a,
 /// Natural -> natural forward NTT (bit-reverse + DIT).
 void forward_ntt(std::vector<std::uint32_t>& a, const NttParams& params);
 
-/// Natural -> natural forward NTT over an explicit primitive |a|-th root —
-/// used by composed algorithms (e.g. the four-step NTT) whose
-/// sub-transforms must share the parent transform's root rather than a
-/// freshly derived one.
-void forward_ntt_with_root(std::vector<std::uint32_t>& a, std::uint32_t q,
-                           std::uint32_t omega);
-
 /// Natural -> natural inverse NTT (bit-reverse + DIT(omega^-1) + scale 1/N).
 void inverse_ntt(std::vector<std::uint32_t>& a, const NttParams& params);
 

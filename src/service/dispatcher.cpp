@@ -21,12 +21,8 @@ Dispatcher::Dispatcher(const Config& config, Estimator estimator)
   // shared until the constructor returns (TSA exempts constructors for the
   // same reason).
   const sync::MutexLock lk(mu_);
-  for (std::size_t s = 0; s < cfg_.shards.size(); ++s) {
-    queues_.emplace_back(config.queue_capacity_waves, cfg_.shards[s].channels,
-                         cfg_.deadline_pressure);
-    for (std::size_t c = 0; c < cfg_.shards[s].channels; ++c)
-      pairs_.emplace_back(s, c);
-  }
+  for (const Shard& shard : cfg_.shards)
+    queues_.emplace_back(cfg_.queue_capacity_waves, shard.channels);
 }
 
 std::uint64_t Dispatcher::priced_for(std::size_t shard,
@@ -59,9 +55,7 @@ Dispatcher::Assignment Dispatcher::dispatch(std::vector<Request>&& wave) {
     wave_deadline = std::min(wave_deadline, r.qos.edf_deadline());
     wave_seq = std::min(wave_seq, r.seq);
   }
-  const bool urgent =
-      cfg_.deadline_pressure &&
-      wave_deadline != ServiceClock::time_point::max();
+  const bool urgent = wave_deadline != ServiceClock::time_point::max();
   // Price the wave once per shard (heterogeneous backends price the same
   // wave differently; a shard's channels are identical buses and share its
   // price); incompatible shards drop out here.
@@ -73,29 +67,25 @@ Dispatcher::Assignment Dispatcher::dispatch(std::vector<Request>&& wave) {
   }
   NTTPIM_CHECK_MSG(any_compatible, "no shard can execute the wave");
   for (;;) {
-    // Pick the target first, then wait for space *there*: cost-aware mode
-    // re-picks after every wake (backlogs moved while we slept), while
-    // round-robin keeps its strict order even when other queues are empty
-    // — blind assignment blocking behind one slow shard is exactly the
-    // pathology the skewed-load bench demonstrates.
+    // Pick the target first, then wait for space *there*, re-picking after
+    // every wake (backlogs moved while we slept). Smallest completion
+    // estimate (channel backlog + this wave's price) among compatible
+    // (shard, channel) pairs with space; when every compatible channel is
+    // full, smallest overall (and the wait below applies). Ties resolve
+    // to the first pair in shard-major order.
     std::size_t target_s = queues_.size();
     std::size_t target_c = 0;
-    std::size_t target_idx = 0;  // flattened index (round-robin only)
-    if (cfg_.cost_aware) {
-      // Smallest completion estimate (channel backlog + this wave's price)
-      // among compatible (shard, channel) pairs with space; when every
-      // compatible channel is full, smallest overall (and the wait below
-      // applies). Ties resolve to the first pair in shard-major order.
-      auto best = std::numeric_limits<std::uint64_t>::max();
-      bool target_has_space = false;
-      for (const auto& [s, c] : pairs_) {
-        if (price[s] == kIncompatibleCycles) continue;
+    auto best = std::numeric_limits<std::uint64_t>::max();
+    bool target_has_space = false;
+    for (std::size_t s = 0; s < queues_.size(); ++s) {
+      if (price[s] == kIncompatibleCycles) continue;
+      for (std::size_t c = 0; c < queues_[s].channels(); ++c) {
         const bool space = !queues_[s].full(c, mu_);
-        // Deadline pressure: an urgent wave jumps the less-urgent queued
-        // waves of whatever lane it lands in, so its real ETA counts only
-        // the executing work plus the queued work *ahead* of its key —
-        // a lane drowning in bulk is still a fine home for a critical
-        // wave. Deadline-less waves keep the whole-lane backlog.
+        // A deadlined wave jumps the less-urgent queued waves of whatever
+        // lane it lands in, so its real ETA counts only the executing work
+        // plus the queued work *ahead* of its key — a lane drowning in
+        // bulk is still a fine home for a critical wave. Deadline-less
+        // waves keep the whole-lane backlog.
         const std::uint64_t ahead =
             urgent ? queues_[s].queued_cycles_before(c, wave_deadline,
                                                      wave_seq, mu_) +
@@ -110,22 +100,8 @@ Dispatcher::Assignment Dispatcher::dispatch(std::vector<Request>&& wave) {
           target_has_space = space;
         }
       }
-    } else {
-      // Round-robin over the flattened compatible (shard, channel) pairs:
-      // the cursor advances past the chosen pair only once the push
-      // happens, keeping the strict order.
-      for (std::size_t probe = 0; probe < pairs_.size(); ++probe) {
-        const std::size_t idx = (rr_next_ + probe) % pairs_.size();
-        if (price[pairs_[idx].first] != kIncompatibleCycles) {
-          target_s = pairs_[idx].first;
-          target_c = pairs_[idx].second;
-          target_idx = idx;
-          break;
-        }
-      }
     }
     if (closed_ || !queues_[target_s].full(target_c, mu_)) {
-      if (!cfg_.cost_aware) rr_next_ = target_idx + 1;
       QueuedWave priced;
       priced.wave_id = wave_id;
       priced.estimated_cycles = price[target_s];
@@ -154,8 +130,7 @@ Dispatcher::NextWave Dispatcher::land_steal(std::size_t shard,
   queues_[shard].begin_wave(tc, cycles, mu_);
   space_cv_.notify_all();
   return NextWave{std::move(wave.requests), wave.wave_id, cycles, tc,
-                  /*stolen=*/cfg_.work_stealing,
-                  /*rebalanced=*/false};
+                  /*stolen=*/true, /*rebalanced=*/false};
 }
 
 std::optional<Dispatcher::NextWave> Dispatcher::try_steal_urgent_for(
@@ -171,7 +146,7 @@ std::optional<Dispatcher::NextWave> Dispatcher::try_steal_urgent_for(
   for (std::size_t s = 0; s < queues_.size(); ++s) {
     if (s == shard) continue;
     for (std::size_t c = 0; c < queues_[s].channels(); ++c) {
-      // Lanes are urgency-ordered under deadline_pressure, so the first
+      // Lanes are urgency-ordered, so the first
       // compatible deadlined wave of each lane is that lane's candidate.
       for (std::size_t i = 0; i < queues_[s].size(c, mu_); ++i) {
         QueuedWave& w = queues_[s].wave_at(c, i, mu_);
@@ -194,11 +169,8 @@ std::optional<Dispatcher::NextWave> Dispatcher::try_steal_urgent_for(
 
 std::optional<Dispatcher::NextWave> Dispatcher::try_steal_for(
     std::size_t shard) {
-  if (cfg_.deadline_pressure) {
-    if (auto urgent = try_steal_urgent_for(shard)) return urgent;
-    // No deadlined wave anywhere: fall through to the load-relief steal.
-  }
-  // Victim order: queued cost, descending; within the victim, channels by
+  if (auto urgent = try_steal_urgent_for(shard)) return urgent;
+  // No deadlined wave anywhere: the load-relief steal. Victim order: queued cost, descending; within the victim, channels by
   // queued cost descending (relieve the bus that is furthest behind).
   std::vector<std::size_t> victims;
   victims.reserve(queues_.size());
@@ -270,49 +242,13 @@ std::vector<Dispatcher::NextWave> Dispatcher::next_waves_for(
       return group;
     }
     // Only an entirely empty shard crosses shard boundaries: local
-    // rebalance above strictly precedes remote stealing. After close() an
-    // empty-handed worker drains peers even with stealing disabled
-    // (accepted work always executes), but those takes are drain
-    // reassignments, not policy steals — `stolen` stays false for them.
-    if (cfg_.work_stealing || closed_) {
-      if (auto stolen = try_steal_for(shard)) {
-        std::vector<NextWave> group;
-        group.push_back(std::move(*stolen));
-        return group;
-      }
+    // rebalance above strictly precedes remote stealing.
+    if (auto stolen = try_steal_for(shard)) {
+      std::vector<NextWave> group;
+      group.push_back(std::move(*stolen));
+      return group;
     }
     if (closed_) return {};
-    ready_cv_.wait(lk);
-  }
-}
-
-std::optional<Dispatcher::NextWave> Dispatcher::next_wave_for(
-    std::size_t shard) {
-  NTTPIM_EXPECT(shard < shards());
-  sync::MutexLock lk(mu_);
-  for (;;) {
-    ShardQueue& own = queues_[shard];
-    if (!own.empty(mu_)) {
-      // Oldest wave of the most-loaded own channel.
-      std::size_t c = 0;
-      bool found = false;
-      for (std::size_t d = 0; d < own.channels(); ++d) {
-        if (own.empty(d, mu_)) continue;
-        if (!found || own.queued_cycles(d, mu_) > own.queued_cycles(c, mu_))
-          c = d;
-        found = true;
-      }
-      QueuedWave wave = own.take_oldest(c, mu_);
-      own.begin_wave(c, wave.estimated_cycles, mu_);
-      space_cv_.notify_all();
-      return NextWave{std::move(wave.requests), wave.wave_id,
-                      wave.estimated_cycles, c,
-                      /*stolen=*/false, /*rebalanced=*/false};
-    }
-    if (cfg_.work_stealing || closed_) {
-      if (auto stolen = try_steal_for(shard)) return stolen;
-    }
-    if (closed_) return std::nullopt;
     ready_cv_.wait(lk);
   }
 }

@@ -27,9 +27,8 @@
 //    shards this is what routes cheap waves to a CPU worker while bulk
 //    waves stay on the PIM; within a PIM shard it is what spreads bulk
 //    waves across buses so the worker can merge one wave per channel into
-//    a single channel-overlapped engine pass. `cost_aware = false`
-//    degrades to blind round-robin over the flattened (shard, channel)
-//    pairs — the FIFO baseline the bench compares against.
+//    a single channel-overlapped engine pass. Ties go to the first
+//    least-backlog pair in shard-major order.
 //  - Compatibility: an Estimator may return kIncompatibleCycles to mark a
 //    (shard, wave) pair unrunnable; assignment and stealing both skip such
 //    pairs. (Every current backend runs every wave — the sentinel is the
@@ -38,8 +37,7 @@
 //    (next_waves_for) and some channels come up empty while siblings still
 //    hold queued waves, the empty channels take the oldest wave of the
 //    most-loaded sibling so the merged pass keeps every bus busy. This
-//    never crosses a shard (same backend, same thread), so it is always
-//    on, independent of the work_stealing policy, and is reported as
+//    never crosses a shard (same backend, same thread) and is reported as
 //    `rebalanced`, not `stolen`.
 //  - Stealing: only when its *whole* shard is empty does a worker cross
 //    shards — local rebalance strictly precedes remote stealing. It takes
@@ -50,23 +48,22 @@
 //    untouched — a wave executes entirely on whichever shard took it, and
 //    only the dispatch bookkeeping crosses threads (under the Dispatcher's
 //    one mutex).
-//  - Deadline pressure (Config::deadline_pressure, QoS): lanes hold waves
-//    in (earliest deadline, arrival) order, so the wave a worker pops next
-//    is always the most urgent one and a deadlined wave jumps queued bulk;
-//    assignment prices an urgent wave against only the queued work ahead
-//    of it in lane order; and an idle shard steals the most-deadline-
-//    urgent compatible wave anywhere before relieving the most-loaded
-//    peer. Deadline-less waves carry +inf, so unclassed traffic behaves
-//    exactly as with the flag off.
+//  - Deadlines: lanes hold waves in (earliest deadline, arrival) order, so
+//    the wave a worker pops next is always the most urgent one and a
+//    deadlined wave jumps queued bulk; assignment prices a deadlined wave
+//    against only the queued work ahead of it in lane order; and an idle
+//    shard steals the most-deadline-urgent compatible wave anywhere before
+//    relieving the most-loaded peer. Deadline-less waves carry +inf, so
+//    classless traffic gets FIFO lanes, whole-lane pricing and the
+//    load-relief steal.
 //  - Backpressure: per-channel queues are bounded in waves; dispatch()
 //    blocks while its target channel is full, which stops the wave-former
 //    from being drained, which backpressures submitters through the
 //    former's own bounded queue.
 //
-// close() ends intake; workers then drain every queue (an empty own shard
-// lets a worker take a leftover peer wave regardless of the stealing
-// policy — accepted work always executes) and next_wave(s)_for return
-// empty once everything is gone.
+// close() ends intake; workers then drain every queue (an empty-handed
+// worker keeps stealing leftover peer waves — accepted work always
+// executes) and next_waves_for returns empty once everything is gone.
 #pragma once
 
 #include <cstddef>
@@ -100,18 +97,6 @@ class Dispatcher {
     /// One entry per shard, in worker order.
     std::vector<Shard> shards = {Shard{}};
     std::size_t queue_capacity_waves = 4;  ///< per-channel bound, in waves
-    bool cost_aware = true;     ///< least-backlog assignment (false = RR)
-    bool work_stealing = true;  ///< idle shards steal from loaded peers
-    /// Deadline pressure (the dispatch half of the QoS tentpole): lanes
-    /// order by (deadline, arrival) instead of append order, a deadlined
-    /// wave's assignment ETA counts only the queued work *ahead of it* in
-    /// lane order (it jumps the rest), and a thief takes the most-
-    /// deadline-urgent compatible wave across every peer before falling
-    /// back to the load-relief steal. With no deadlines in flight all
-    /// three reduce exactly to the FIFO behavior, so the flag only
-    /// matters for classed traffic — and turning it off is the QoS
-    /// bench's FIFO baseline.
-    bool deadline_pressure = false;
   };
 
   /// Estimator return value marking a (shard, wave) pair the shard's
@@ -163,7 +148,7 @@ class Dispatcher {
     /// Channel of the executing shard the wave runs on — the channel hint
     /// the worker stamps on the wave's batch items.
     std::size_t channel = 0;
-    bool stolen = false;  ///< taken from a peer under the stealing policy
+    bool stolen = false;  ///< taken from a peer shard's queue
     /// Moved between channels of the executing shard by a group pop's
     /// local rebalance (never a policy steal — same backend, same thread).
     bool rebalanced = false;
@@ -174,7 +159,7 @@ class Dispatcher {
   /// pass. Own channels pop their oldest wave; channels left empty-handed
   /// take the oldest wave of the most-loaded sibling channel
   /// (`rebalanced`). Only when the whole shard is empty does the worker
-  /// steal remotely — when stealing is enabled, or after close() — taking
+  /// steal remotely: the most-deadline-urgent compatible peer wave, else
   /// the oldest compatible wave of the most-loaded peer, re-priced, onto
   /// this shard's least-backlogged channel (a group of one). Returns an
   /// empty vector only when the dispatcher is closed and every wave this
@@ -185,14 +170,7 @@ class Dispatcher {
   /// complete() when done.
   std::vector<NextWave> next_waves_for(std::size_t shard);
 
-  /// Single-wave variant of next_waves_for: the oldest wave of this
-  /// shard's most-loaded channel, else a remote steal onto the
-  /// least-backlogged channel. Same blocking and drain semantics;
-  /// nullopt == drained. (Group pops are what production workers use —
-  /// this is the granular probe for tests and simple consumers.)
-  std::optional<NextWave> next_wave_for(std::size_t shard);
-
-  /// Account the end of a wave next_wave(s)_for(shard) handed out, on the
+  /// Account the end of a wave next_waves_for(shard) handed out, on the
   /// channel the NextWave named.
   void complete(std::size_t shard, std::uint64_t estimated_cycles,
                 std::size_t channel = 0);
@@ -228,9 +206,9 @@ class Dispatcher {
   std::uint64_t priced_for(std::size_t shard, std::vector<Request>& wave) const
       NTTPIM_REQUIRES(mu_);
 
-  /// Remote-steal step shared by the group and single-wave pop paths:
-  /// under deadline_pressure, the most-deadline-urgent compatible wave
-  /// across all peers (when any peer wave has a real deadline); otherwise
+  /// Remote-steal step of next_waves_for: the most-deadline-urgent
+  /// compatible wave across all peers (when any peer wave has a real
+  /// deadline); otherwise
   /// the oldest compatible wave of the most-loaded peer. Either way the
   /// loot is re-priced and accounted as executing on this shard's
   /// least-backlogged channel. Caller holds mu_; returns nullopt when no
@@ -260,12 +238,6 @@ class Dispatcher {
   /// deque, not vector: ShardQueue holds move-only Requests and emplacing
   /// into a deque never relocates existing elements.
   std::deque<ShardQueue> queues_ NTTPIM_GUARDED_BY(mu_);
-  /// Flattened (shard, channel) pairs, shard-major — the round-robin orbit.
-  /// Immutable after construction, but only ever read under mu_ anyway.
-  std::vector<std::pair<std::size_t, std::size_t>> pairs_
-      NTTPIM_GUARDED_BY(mu_);
-  /// Round-robin cursor (cost_aware = false).
-  std::size_t rr_next_ NTTPIM_GUARDED_BY(mu_) = 0;
   bool closed_ NTTPIM_GUARDED_BY(mu_) = false;
 };
 

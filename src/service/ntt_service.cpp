@@ -31,10 +31,6 @@ std::vector<BackendDescriptor> resolve_descriptors(const ServiceConfig& cfg) {
   return resolved;
 }
 
-/// The whole QoS machinery is gated on num_classes > 1: a classless
-/// service is FIFO end to end by construction (see QosConfig).
-bool qos_active(const ServiceConfig& cfg) { return cfg.qos.num_classes > 1; }
-
 WaveFormer::Config former_config(const ServiceConfig& cfg) {
   WaveFormer::Config fc;
   fc.capacity_items = cfg.former.queue_capacity;
@@ -46,7 +42,6 @@ WaveFormer::Config former_config(const ServiceConfig& cfg) {
   fc.flush_window = cfg.former.flush_window;
   fc.overflow = cfg.former.overflow;
   fc.start_paused = cfg.former.start_paused;
-  fc.edf = qos_active(cfg) && cfg.qos.edf_forming;
   return fc;
 }
 
@@ -58,9 +53,6 @@ Dispatcher::Config dispatcher_config(
   for (const BackendDescriptor& d : resolved)
     dc.shards.push_back({d.kind, d.cost_scale, d.channels});
   dc.queue_capacity_waves = cfg.dispatch.shard_queue_waves;
-  dc.cost_aware = cfg.dispatch.cost_aware_dispatch;
-  dc.work_stealing = cfg.dispatch.work_stealing;
-  dc.deadline_pressure = qos_active(cfg) && cfg.qos.deadline_pressure;
   return dc;
 }
 
@@ -116,7 +108,7 @@ NttService::NttService(const ServiceConfig& config)
   NTTPIM_EXPECT_MSG(
       cfg_.qos.admission.size() <= cfg_.qos.num_classes,
       "admission buckets beyond qos.num_classes can never be consulted");
-  if (qos_active(cfg_) && !cfg_.qos.admission.empty())
+  if (!cfg_.qos.admission.empty())
     admission_.emplace(AdmissionController::Config{cfg_.qos.admission, {}});
   NTTPIM_EXPECT_MSG(cfg_.backend.banks_per_shard >= 1,
                     "wave sizing needs at least one bank per shard");

@@ -104,14 +104,6 @@ struct DispatchConfig {
   /// approaches the PR-4 behavior of handing each wave to the next free
   /// shard.
   std::size_t shard_queue_waves = 4;
-  /// Price each formed wave per shard (each backend's own
-  /// estimate_wave_cycles, scaled by its descriptor's cost_scale) and
-  /// assign it to the shard that would clear it soonest. false = blind
-  /// round-robin — the FIFO baseline of the dispatch bench.
-  bool cost_aware_dispatch = true;
-  /// Let a shard whose queue is empty steal the oldest compatible queued
-  /// wave from the most-loaded peer (whole-wave steals; see dispatcher.h).
-  bool work_stealing = true;
 };
 
 /// Execution-tier half of the service configuration: what the shards are.
@@ -143,24 +135,16 @@ struct BackendConfig {
 
 /// Multi-tenant QoS half of the service configuration.
 ///
-/// `num_classes = 1` (the default) keeps the whole QoS machinery inert:
-/// FIFO forming, append-order lanes, no admission control, a single
-/// classless stats entry — behavior-identical to the pre-QoS service by
-/// construction, whatever the other fields say. With num_classes > 1,
-/// requests carry a RequestClass (tenant < num_classes enforced at
-/// submit) and the three policy levers below activate.
+/// Deadlines and priorities act whenever requests carry them: the former
+/// cuts waves in (deadline, priority, arrival) order and flushes no later
+/// than the earliest pending deadline (wave_former.h), and the dispatcher
+/// keeps (deadline, arrival)-ordered lanes and steals the most urgent wave
+/// first (dispatcher.h). Classless requests form and dispatch in arrival
+/// order.
 struct QosConfig {
   /// Distinct request classes (tenants) the service accepts; sizes the
-  /// per-class stats and bounds RequestClass::tenant.
+  /// per-class stats and bounds RequestClass::tenant (enforced at submit).
   std::size_t num_classes = 1;
-  /// EDF-within-flush-window wave forming: the former flushes no later
-  /// than the earliest pending deadline and cuts waves in (deadline,
-  /// priority, arrival) order (see wave_former.h).
-  bool edf_forming = true;
-  /// Deadline-pressure dispatch: (deadline, arrival)-ordered lanes,
-  /// jump-ahead ETA pricing for deadlined waves, and most-deadline-urgent
-  /// steal target selection (see dispatcher.h).
-  bool deadline_pressure = true;
   /// Per-tenant token buckets, indexed by tenant id (see admission.h).
   /// Empty (the default) admits everything; tenants beyond the vector are
   /// unlimited. A shed request fails with AdmissionShedError *before*
@@ -297,7 +281,7 @@ class NttService {
   /// Lifecycle trace rings (see TelemetryConfig). Before the worker
   /// threads in declaration order, so it outlives every emitting thread.
   telemetry::TraceCollector collector_;
-  /// Engaged iff qos.num_classes > 1 and qos.admission is non-empty:
+  /// Engaged iff qos.admission is non-empty:
   /// consulted by enqueue() before the former ever sees the request.
   std::optional<AdmissionController> admission_;
   WaveFormer former_;

@@ -65,10 +65,10 @@ class AdmissionShedError : public std::runtime_error {
 
 /// QoS class of one request: which tenant issued it and how urgent it is.
 /// The class travels with the request through every layer — admission
-/// buckets and per-class stats key on `tenant`, EDF wave forming and
-/// deadline-pressure dispatch act on `deadline` (with `priority` breaking
-/// ties). A default-constructed class is "classless": tenant 0, priority
-/// 0, no deadline — the FIFO behavior of the pre-QoS service.
+/// buckets and per-class stats key on `tenant`, wave forming and dispatch
+/// order by `deadline` (with `priority` breaking ties). A
+/// default-constructed class is "classless": tenant 0, priority 0, no
+/// deadline — its requests form and dispatch in arrival order.
 struct RequestClass {
   /// Tenant id, in [0, ServiceConfig::qos.num_classes). Indexes the
   /// admission bucket and the per-class stats slot.
@@ -89,9 +89,8 @@ struct RequestClass {
 };
 
 /// Per-request options of every NttService::submit() variant, so growing
-/// the submission surface never multiplies overloads again. The `qos`
-/// class (reserved fields until PR 8) is live: EDF wave forming,
-/// deadline-pressure dispatch and per-tenant admission all act on it.
+/// the submission surface never multiplies overloads again. Wave forming,
+/// dispatch and per-tenant admission all act on the `qos` class.
 struct SubmitOptions {
   /// Transform direction (transforms only; ignored by submit_multiply).
   bool inverse = false;

@@ -7,11 +7,8 @@
 
 namespace nttpim::service {
 
-ShardQueue::ShardQueue(std::size_t capacity_waves, std::size_t num_channels,
-                       bool deadline_ordered)
-    : capacity_(capacity_waves),
-      deadline_ordered_(deadline_ordered),
-      channels_(num_channels) {
+ShardQueue::ShardQueue(std::size_t capacity_waves, std::size_t num_channels)
+    : capacity_(capacity_waves), channels_(num_channels) {
   NTTPIM_EXPECT_MSG(capacity_waves >= 1,
                     "a shard queue must hold at least one wave per channel");
   NTTPIM_EXPECT_MSG(num_channels >= 1,
@@ -64,10 +61,6 @@ void ShardQueue::push(std::size_t channel, QueuedWave&& wave,
   // Dispatcher blocks on it, the closing one pushes past it to drain.
   Channel& c = chan(channel);
   c.queued_cycles += wave.estimated_cycles;
-  if (!deadline_ordered_) {
-    c.waves.push_back(std::move(wave));
-    return;
-  }
   // (deadline, arrival)-ordered lane: insert ahead of every strictly
   // less-urgent wave. upper_bound keeps equal keys in insertion order,
   // and deadline-less waves (key +inf, seq ascending) land at the back —

@@ -76,14 +76,13 @@ class ShardQueue {
   /// relies on over-capacity pushes to land the tail waves instead of
   /// blocking against workers that may already be gone.
   ///
-  /// `deadline_ordered` switches each channel's lane from append-order
-  /// (FIFO) to (deadline, arrival) order: push() inserts each wave ahead
-  /// of every less-urgent one, so index 0 — what both the owner and a
-  /// thief take — is always the most-deadline-urgent wave. Waves without
-  /// deadlines carry +inf and thus still drain FIFO among themselves.
+  /// Each channel's lane is kept in (deadline, arrival) order: push()
+  /// inserts each wave ahead of every less-urgent one, so index 0 — what
+  /// both the owner and a thief take — is always the most-deadline-urgent
+  /// wave. Waves without deadlines carry +inf and thus drain FIFO among
+  /// themselves.
   explicit ShardQueue(std::size_t capacity_waves,
-                      std::size_t num_channels = 1,
-                      bool deadline_ordered = false);
+                      std::size_t num_channels = 1);
 
   /// Channel count is fixed at construction and safe to read unlocked.
   std::size_t channels() const noexcept { return channels_.size(); }
@@ -115,9 +114,9 @@ class ShardQueue {
   }
   /// Estimated cycles queued on `channel` *ahead of* a wave with urgency
   /// key (deadline, seq) — i.e. the queued work a deadline-ordered lane
-  /// would execute first. The deadline-pressure half of assignment prices
-  /// an urgent wave's ETA against this instead of the whole-lane backlog,
-  /// because the lane lets the urgent wave jump the rest.
+  /// would execute first. Assignment prices a deadlined wave's ETA against
+  /// this instead of the whole-lane backlog, because the lane lets the
+  /// urgent wave jump the rest.
   std::uint64_t queued_cycles_before(std::size_t channel,
                                      ServiceClock::time_point deadline,
                                      std::uint64_t seq, sync::Mutex& mu) const
@@ -136,14 +135,13 @@ class ShardQueue {
     return c.queued_cycles + c.executing_cycles;
   }
 
-  /// Enqueue a priced wave on one channel (dispatcher side): appended in
-  /// FIFO mode, inserted in (deadline, arrival) order when the queue is
-  /// deadline_ordered.
+  /// Enqueue a priced wave on one channel (dispatcher side), in
+  /// (deadline, arrival) order.
   void push(std::size_t channel, QueuedWave&& wave, sync::Mutex& mu)
       NTTPIM_REQUIRES(mu);
 
-  /// Remove and return the front wave queued on `channel` — the oldest
-  /// (FIFO mode) or the most-deadline-urgent (deadline_ordered). Both the
+  /// Remove and return the front wave queued on `channel` — the most
+  /// deadline-urgent one, else the oldest. Both the
   /// owner and a thief take from this end: the owner for latency fairness,
   /// the thief because the front wave has waited longest (or is most at
   /// risk of missing its deadline) and is the least likely to still be
@@ -189,7 +187,6 @@ class ShardQueue {
   Channel& chan(std::size_t channel);
 
   std::size_t capacity_;
-  bool deadline_ordered_;
   std::vector<Channel> channels_;
 };
 

@@ -111,8 +111,12 @@ struct ClassStats {
   /// Completed requests whose delivery happened after their deadline.
   /// (Deadline-less requests can never miss.)
   std::uint64_t deadline_misses = 0;
-  LatencySummary queue_latency;    ///< submit -> wave starts executing
-  LatencySummary service_latency;  ///< submit -> result delivered
+  /// Former enqueue -> wave starts executing. Admission wait is not
+  /// included; it is stages.admission_wait_us.
+  LatencySummary queue_latency;
+  /// Former enqueue -> the wave's passes finish (admission wait excluded,
+  /// as above).
+  LatencySummary service_latency;
   /// Where this class's completed requests spent their time (means).
   StageBreakdown stages;
 };
@@ -179,8 +183,12 @@ struct ServiceStats {
   /// batch_items / engine_passes — the utilization figure of merit.
   double mean_wave_occupancy = 0;
 
-  LatencySummary queue_latency;    ///< submit -> wave starts executing
-  LatencySummary service_latency;  ///< submit -> result delivered
+  /// Former enqueue -> wave starts executing. Admission wait is not
+  /// included; see ClassStats::stages.admission_wait_us.
+  LatencySummary queue_latency;
+  /// Former enqueue -> the wave's passes finish (admission wait excluded,
+  /// as above).
+  LatencySummary service_latency;
 
   /// One entry per request class (ServiceConfig::qos.num_classes; always
   /// at least the classless entry 0), splitting the counters and latency

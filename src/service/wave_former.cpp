@@ -1,12 +1,25 @@
 #include "service/wave_former.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
 
 namespace nttpim::service {
+
+namespace {
+
+/// Cut order: earlier effective deadline, then higher priority, then
+/// earlier arrival.
+bool cuts_before(const Request& a, const Request& b) {
+  const auto da = a.qos.edf_deadline();
+  const auto db = b.qos.edf_deadline();
+  if (da != db) return da < db;
+  if (a.qos.priority != b.qos.priority) return a.qos.priority > b.qos.priority;
+  return a.seq < b.seq;
+}
+
+}  // namespace
 
 WaveFormer::WaveFormer(const Config& config)
     : cfg_(config), paused_(config.start_paused) {
@@ -43,7 +56,12 @@ WaveFormer::SubmitResult WaveFormer::submit(Request&& request,
     info->enqueued = request.enqueued;
   }
   pending_items_ += items;
-  queue_.push_back(std::move(request));
+  arrivals_.push_back({request.enqueued});
+  // The newest seq sorts after every equal key, so a classless request
+  // lands at the back.
+  const auto pos =
+      std::upper_bound(queue_.begin(), queue_.end(), request, cuts_before);
+  queue_.insert(pos, std::move(request));
   // notify_all: several consumers may be parked with different predicates
   // (waiting for any work vs. waiting for a full wave).
   ready_cv_.notify_all();
@@ -51,63 +69,31 @@ WaveFormer::SubmitResult WaveFormer::submit(Request&& request,
 }
 
 ServiceClock::time_point WaveFormer::flush_deadline() const {
-  // The window always measures against the *oldest* request; EDF tightens
-  // it to the earliest pending deadline, so a latency-critical request
-  // never waits out the coalescing window behind bulk traffic.
-  auto deadline = queue_.front().enqueued + cfg_.flush_window;
-  if (cfg_.edf) {
-    for (const Request& r : queue_)
-      if (r.qos.deadline && *r.qos.deadline < deadline)
-        deadline = *r.qos.deadline;
-  }
-  return deadline;
+  // The window always measures against the *oldest* request; the earliest
+  // pending deadline (the cut-order front's, +inf if none) tightens it, so
+  // a latency-critical request never waits out the coalescing window
+  // behind bulk traffic.
+  return std::min(arrivals_.front().enqueued + cfg_.flush_window,
+                  queue_.front().qos.edf_deadline());
 }
 
 std::vector<Request> WaveFormer::cut_wave() {
   std::vector<Request> wave;
   std::size_t taken = 0;
-  if (!cfg_.edf) {
-    while (!queue_.empty()) {
-      const std::size_t items = queue_.front().batch_items();
-      // Never split below one request per wave; otherwise respect the cap
-      // (a trailing multiply that would overflow waits for the next wave).
-      if (taken != 0 && taken + items > cfg_.max_wave_items) break;
-      taken += items;
-      wave.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      if (taken >= cfg_.max_wave_items) break;
-    }
-  } else {
-    // EDF cut: take requests by (effective deadline, priority desc,
-    // arrival) until the cap. The deque stays in arrival order — only the
-    // selection is ordered — so the FIFO path above and this one agree
-    // exactly whenever no request carries a deadline or priority.
-    std::vector<std::size_t> order(queue_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
-      const Request& ra = queue_[a];
-      const Request& rb = queue_[b];
-      const auto da = ra.qos.edf_deadline();
-      const auto db = rb.qos.edf_deadline();
-      if (da != db) return da < db;
-      if (ra.qos.priority != rb.qos.priority)
-        return ra.qos.priority > rb.qos.priority;
-      return ra.seq < rb.seq;
-    });
-    std::vector<std::size_t> picked;
-    for (const std::size_t idx : order) {
-      const std::size_t items = queue_[idx].batch_items();
-      if (taken != 0 && taken + items > cfg_.max_wave_items) break;
-      taken += items;
-      picked.push_back(idx);
-      if (taken >= cfg_.max_wave_items) break;
-    }
-    for (const std::size_t idx : picked)
-      wave.push_back(std::move(queue_[idx]));
-    // Erase the moved-from slots back-to-front so indices stay valid.
-    std::sort(picked.begin(), picked.end());
-    for (auto it = picked.rbegin(); it != picked.rend(); ++it)
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*it));
+  while (!queue_.empty()) {
+    const std::size_t items = queue_.front().batch_items();
+    // Never split below one request per wave; otherwise respect the cap
+    // (a trailing multiply that would overflow waits for the next wave).
+    if (taken != 0 && taken + items > cfg_.max_wave_items) break;
+    taken += items;
+    arrivals_[queue_.front().seq - arrivals_base_].cut = true;
+    wave.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+    if (taken >= cfg_.max_wave_items) break;
+  }
+  while (!arrivals_.empty() && arrivals_.front().cut) {
+    arrivals_.pop_front();
+    ++arrivals_base_;
   }
   pending_items_ -= taken;
   // Stamp the cut: one monotone wave id shared by every request of the
@@ -132,8 +118,8 @@ std::vector<Request> WaveFormer::next_wave() {
     }
 
     // Wave forming: flush when full or when the *oldest* request has been
-    // waiting flush_window (EDF tightens that to the earliest pending
-    // deadline — see flush_deadline()). close() flushes immediately (drain
+    // waiting flush_window (the earliest pending deadline tightens that —
+    // see flush_deadline()). close() flushes immediately (drain
     // fast); pause() re-gates a consumer even mid-forming, so a staged
     // backlog never leaks out as a partial wave while paused.
     //

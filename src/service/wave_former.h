@@ -13,15 +13,15 @@
 // the queue in parallel and the wave former doubles as the load balancer —
 // an idle shard simply grabs the next wave.
 //
-// QoS (Config::edf): with EDF forming on, a pending *deadline* tightens
-// the flush — the former flushes no later than the earliest pending
-// deadline, so a latency-critical request never sits out the coalescing
-// window behind bulk traffic — and waves are cut in EDF order (earliest
-// effective deadline first, then priority descending, then arrival) rather
-// than FIFO. Classless requests (no deadline, priority 0) carry an
-// effective deadline of +inf and identical priority, so their mutual order
-// degenerates to exact arrival order: a stream without QoS fields forms
-// bit-identical waves whether edf is on or off.
+// QoS: the pending queue is kept in cut order — earliest effective
+// deadline first, then priority descending, then arrival — and every wave
+// is a prefix of it, so deadlined and prioritized requests are cut ahead
+// of bulk that arrived earlier. A pending *deadline* also tightens the
+// flush: the former flushes no later than the earliest pending deadline,
+// so a latency-critical request never sits out the coalescing window
+// behind bulk traffic. Classless requests (no deadline, priority 0) carry
+// an effective deadline of +inf and identical priority, so each one
+// appends at the back and a classless stream cuts exact FIFO waves.
 //
 // Capacity is measured in *batch items* (a multiply counts 2), matching
 // what bounds device rows and engine-pass size. When full, submit() either
@@ -57,10 +57,6 @@ class WaveFormer {
     std::chrono::microseconds flush_window{200};  ///< flush deadline
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     bool start_paused = false;
-    /// EDF-within-flush-window forming (see the header comment). Off means
-    /// pure FIFO: deadlines and priorities are carried but ignored — the
-    /// num_classes = 1 service path and the QoS bench's FIFO baseline.
-    bool edf = false;
     /// Testing hook: when set, enqueue timestamps and flush-window
     /// deadlines are read through this function instead of
     /// ServiceClock::now(), and deadline waits become plain condition
@@ -110,20 +106,31 @@ class WaveFormer {
     return cfg_.clock ? cfg_.clock() : ServiceClock::now();
   }
 
-  /// Earliest flush instant of the current backlog: the front's
-  /// window expiry, tightened (under EDF) by the earliest pending
-  /// deadline. Caller holds mu_; queue_ must be non-empty.
+  /// Earliest flush instant of the current backlog: the oldest pending
+  /// request's window expiry, tightened by the earliest pending deadline.
+  /// Caller holds mu_; queue_ must be non-empty.
   ServiceClock::time_point flush_deadline() const NTTPIM_REQUIRES(mu_);
 
-  /// Cut one wave off the backlog (FIFO, or EDF order per Config::edf),
-  /// updating pending_items_. Caller holds mu_; queue_ must be non-empty.
+  /// Cut one wave — a prefix of queue_ — off the backlog, updating
+  /// pending_items_. Caller holds mu_; queue_ must be non-empty.
   std::vector<Request> cut_wave() NTTPIM_REQUIRES(mu_);
 
   const Config cfg_;
   mutable sync::Mutex mu_;
   sync::CondVar ready_cv_;  ///< consumers: work / flush / close
   sync::CondVar space_cv_;  ///< blocked producers
+  /// Pending requests in cut order (see the header comment).
   std::deque<Request> queue_ NTTPIM_GUARDED_BY(mu_);
+  /// Enqueue stamps from the oldest pending request on, indexed by
+  /// seq - arrivals_base_; `cut` marks requests already taken. queue_ is
+  /// in cut order, so this is what finds the oldest pending request — the
+  /// flush window's anchor.
+  struct Arrival {
+    ServiceClock::time_point enqueued;
+    bool cut = false;
+  };
+  std::deque<Arrival> arrivals_ NTTPIM_GUARDED_BY(mu_);
+  std::uint64_t arrivals_base_ NTTPIM_GUARDED_BY(mu_) = 0;
   std::size_t pending_items_ NTTPIM_GUARDED_BY(mu_) = 0;
   /// Arrival stamp (see Request::seq).
   std::uint64_t next_seq_ NTTPIM_GUARDED_BY(mu_) = 0;

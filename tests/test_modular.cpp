@@ -4,7 +4,6 @@
 
 #include "common/random.h"
 #include "ntt/barrett.h"
-#include "ntt/goldilocks.h"
 #include "ntt/montgomery.h"
 
 namespace nttpim::ntt {
@@ -198,52 +197,6 @@ TEST(Barrett, ReduceExactOverFullUint64Range) {
 TEST(Barrett, RejectsBadModuli) {
   EXPECT_THROW(Barrett32(1), std::invalid_argument);
   EXPECT_THROW(Barrett32(0x80000001u), std::invalid_argument);
-}
-
-// --------------------------------------------------------------- Goldilocks
-
-TEST(Goldilocks, PrimeIsPrime) {
-  // p = 2^64 - 2^32 + 1; also phi-friendly: 2^32 | p - 1.
-  EXPECT_EQ(kGoldilocksPrime, 0xffffffff00000001ULL);
-  EXPECT_EQ((kGoldilocksPrime - 1) % (1ULL << 32), 0u);
-}
-
-TEST(Goldilocks, ReduceMatchesWideModulo) {
-  Rng rng(0x901d);
-  for (int i = 0; i < 500; ++i) {
-    const unsigned __int128 x =
-        (static_cast<unsigned __int128>(rng.next_u64()) << 64) |
-        rng.next_u64();
-    EXPECT_EQ(goldilocks_reduce(x),
-              static_cast<std::uint64_t>(x % kGoldilocksPrime));
-  }
-}
-
-TEST(Goldilocks, ReduceEdgeCases) {
-  const auto p128 = static_cast<unsigned __int128>(kGoldilocksPrime);
-  EXPECT_EQ(goldilocks_reduce(0), 0u);
-  EXPECT_EQ(goldilocks_reduce(p128), 0u);
-  EXPECT_EQ(goldilocks_reduce(p128 - 1), kGoldilocksPrime - 1);
-  EXPECT_EQ(goldilocks_reduce(p128 + 1), 1u);
-  EXPECT_EQ(goldilocks_reduce((p128 - 1) * (p128 - 1)),
-            static_cast<std::uint64_t>((p128 - 1) * (p128 - 1) %
-                                       kGoldilocksPrime));
-  // All-ones upper word exercises the carry path.
-  EXPECT_EQ(goldilocks_reduce(~static_cast<unsigned __int128>(0)),
-            static_cast<std::uint64_t>(~static_cast<unsigned __int128>(0) %
-                                       kGoldilocksPrime));
-}
-
-TEST(Goldilocks, MulAddSubMatchReference) {
-  Rng rng(0x901e);
-  const std::uint64_t p = kGoldilocksPrime;
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t a = rng.next_below(p);
-    const std::uint64_t b = rng.next_below(p);
-    EXPECT_EQ(goldilocks_mul(a, b), mul_mod(a, b, p));
-    EXPECT_EQ(goldilocks_add(a, b), add_mod(a, b, p));
-    EXPECT_EQ(goldilocks_sub(a, b), sub_mod(a, b, p));
-  }
 }
 
 // Property sweep: the three reduction paths agree on random triples.

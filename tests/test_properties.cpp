@@ -8,8 +8,6 @@
 #include "mapping/act_model.h"
 #include "mapping/mapper.h"
 #include "mapping/trace.h"
-#include "ntt/montgomery64.h"
-#include "ntt/primes.h"
 #include "sim/runner.h"
 
 namespace nttpim {
@@ -122,40 +120,6 @@ TEST(PropertyFuzz, BusUtilizationIsSane) {
   EXPECT_LE(r.stats.bus_utilization(), 1.0);
   // Row-centric locality: dozens of column accesses per activation.
   EXPECT_GT(r.stats.column_accesses_per_activation(), 10.0);
-}
-
-TEST(PropertyFuzz, Montgomery64MatchesWideArithmetic) {
-  Rng rng(0x64);
-  for (const std::uint64_t q :
-       {1000000007ULL, 2305843009213693951ULL,
-        (1ULL << 62) - 57ULL, 4611686018427387847ULL}) {
-    if (!ntt::is_prime(q) || q % 2 == 0) continue;
-    const ntt::Montgomery64 mont(q);
-    for (int i = 0; i < 100; ++i) {
-      const std::uint64_t a = rng.next_below(q);
-      const std::uint64_t b = rng.next_below(q);
-      EXPECT_EQ(mont.from_mont(mont.mul(mont.to_mont(a), mont.to_mont(b))),
-                ntt::mul_mod(a, b, q))
-          << "q=" << q;
-    }
-    EXPECT_EQ(mont.from_mont(mont.one()), 1u);
-    // pow agrees with the scalar reference.
-    const std::uint64_t base = rng.next_below(q - 1) + 1;
-    EXPECT_EQ(mont.from_mont(mont.pow(mont.to_mont(base), 12345)),
-              ntt::pow_mod(base, 12345, q));
-  }
-}
-
-TEST(PropertyFuzz, Montgomery64RoundTripSweep) {
-  const std::uint64_t q = 2305843009213693951ULL;  // Mersenne M61
-  const ntt::Montgomery64 mont(q);
-  Rng rng(0x6464);
-  for (int i = 0; i < 500; ++i) {
-    const std::uint64_t a = rng.next_below(q);
-    EXPECT_EQ(mont.from_mont(mont.to_mont(a)), a);
-  }
-  EXPECT_THROW(ntt::Montgomery64(10), std::invalid_argument);   // even
-  EXPECT_THROW(ntt::Montgomery64(1), std::invalid_argument);
 }
 
 }  // namespace

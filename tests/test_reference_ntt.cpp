@@ -6,8 +6,6 @@
 #include "common/random.h"
 #include "ntt/modular.h"
 #include "ntt/negacyclic.h"
-#include "ntt/pease.h"
-#include "ntt/stockham.h"
 
 namespace nttpim::ntt {
 namespace {
@@ -41,14 +39,6 @@ TEST_P(AlgorithmAgreement, EveryAlgorithmMatchesNaiveDft) {
   }
   {  // recursive
     EXPECT_EQ(ntt_recursive(input, p), golden) << "recursive, n=" << n;
-  }
-  {  // Pease constant-geometry
-    auto a = ntt_pease_natural_to_bitrev(input, p);
-    bit_reverse_permute(a);
-    EXPECT_EQ(a, golden) << "Pease, n=" << n;
-  }
-  {  // Stockham autosort
-    EXPECT_EQ(ntt_stockham(input, p), golden) << "Stockham, n=" << n;
   }
   {  // convenience forward
     auto a = input;
@@ -168,17 +158,11 @@ TEST(MultiplePrimes, SameInputDifferentModuli) {
   }
 }
 
-TEST(Pease, ShufflePassCountIsLogN) {
-  const NttParams p = NttParams::create(1024);
-  EXPECT_EQ(pease_shuffle_passes(p), 10u);
-}
-
 TEST(InputValidation, SizeMismatchThrows) {
   const NttParams p = NttParams::create(16);
   std::vector<std::uint32_t> wrong(8, 0);
   EXPECT_THROW(ntt_dit_bitrev_to_natural(wrong, p), std::invalid_argument);
   EXPECT_THROW(naive_dft(wrong, p), std::invalid_argument);
-  EXPECT_THROW(ntt_stockham(wrong, p), std::invalid_argument);
 }
 
 }  // namespace

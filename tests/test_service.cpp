@@ -462,7 +462,6 @@ TEST(ServiceUnit, WaveFormerEdfCutsByDeadlineThenPriorityThenArrival) {
   cfg.capacity_items = 16;
   cfg.max_wave_items = 3;
   cfg.flush_window = std::chrono::microseconds(100);
-  cfg.edf = true;
   former_test::Harness h(cfg);
 
   // Arrival order 0..4; urgency says otherwise: 3 (earliest deadline),
@@ -503,7 +502,6 @@ TEST(ServiceUnit, WaveFormerEdfDeadlineTightensFlushWindow) {
   cfg.capacity_items = 16;
   cfg.max_wave_items = 16;  // never fills: only a flush can cut
   cfg.flush_window = std::chrono::microseconds(100);
-  cfg.edf = true;
   former_test::Harness h(cfg);
 
   auto f0 = h.submit(0);                        // bulk, window expires at 100
@@ -524,39 +522,120 @@ TEST(ServiceUnit, WaveFormerEdfDeadlineTightensFlushWindow) {
   EXPECT_EQ(waves[0], (std::vector<std::uint32_t>{1, 0}));
 }
 
-// Classless regression: with edf off (the num_classes = 1 configuration),
-// deadlines and priorities travel inert — cuts are exact FIFO and the
-// flush deadline is the front's window alone, deadlines notwithstanding.
-TEST(ServiceUnit, WaveFormerWithoutEdfIgnoresDeadlines) {
+// The flush window is anchored on the oldest pending request, not on the
+// front of the cut-ordered queue: a deadlined newcomer sorts ahead of an
+// older classless request, yet the older request's window still bounds
+// the flush. (The test completing at fake time 100 — before the
+// newcomer's own window (150) and deadline (1000) — is the assertion.)
+TEST(ServiceUnit, WaveFormerWindowAnchorsOnOldestPendingRequest) {
   service::WaveFormer::Config cfg;
   cfg.capacity_items = 16;
-  cfg.max_wave_items = 2;
+  cfg.max_wave_items = 16;  // never fills: only a flush can cut
   cfg.flush_window = std::chrono::microseconds(100);
-  cfg.edf = false;
   former_test::Harness h(cfg);
 
-  auto f0 = h.submit(0);
-  auto f1 = h.submit(1, /*deadline_us=*/40);  // would lead under EDF
-  auto f2 = h.submit(2, /*deadline_us=*/30, /*priority=*/9);
+  auto f0 = h.submit(0);  // classless, enqueued at t=0
+  h.fake_us.store(50, std::memory_order_relaxed);
+  auto f1 = h.submit(1, /*deadline_us=*/1000);  // cut first, enqueued at 50
 
   std::thread consumer;
   std::vector<std::vector<std::uint32_t>> waves;
   consumer = std::thread([&] { waves = h.run_consumer_to_close(); });
-  f0.get();
-  f1.get();
-  // The deadlined leftover must wait out the *window* (no EDF tightening):
-  // fake time 50 is past both deadlines but must not flush it.
-  h.fake_us.store(50, std::memory_order_relaxed);
-  h.former->tick();
   h.fake_us.store(100, std::memory_order_relaxed);
   h.former->tick();
-  f2.get();
+  f0.get();
+  f1.get();
 
   h.former->close();
   consumer.join();
-  ASSERT_EQ(waves.size(), 2u);
-  EXPECT_EQ(waves[0], (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(waves[1], (std::vector<std::uint32_t>{2}));
+  ASSERT_EQ(waves.size(), 1u);
+  EXPECT_EQ(waves[0], (std::vector<std::uint32_t>{1, 0}));
+}
+
+// Property: every wave the former cuts equals the selection of an oracle
+// that stable-sorts the pending requests by (effective deadline, priority
+// desc, arrival) and takes them until the next one would overflow the
+// wave. Seeded streams mix classless, deadlined and prioritized transforms
+// and multiplies, submitted in bursts between cuts; an all-classless
+// stream must cut exact FIFO waves.
+TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
+  struct Pending {
+    std::uint32_t tag;
+    std::size_t items;
+    service::RequestClass qos;
+    std::uint64_t seq;
+  };
+  auto oracle_cut = [](std::vector<Pending>& pending, std::size_t max_items) {
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const Pending& a, const Pending& b) {
+                       const auto da = a.qos.edf_deadline();
+                       const auto db = b.qos.edf_deadline();
+                       if (da != db) return da < db;
+                       if (a.qos.priority != b.qos.priority)
+                         return a.qos.priority > b.qos.priority;
+                       return a.seq < b.seq;
+                     });
+    std::vector<std::uint32_t> wave;
+    std::size_t taken = 0;
+    std::size_t k = 0;
+    while (k < pending.size()) {
+      if (taken != 0 && taken + pending[k].items > max_items) break;
+      taken += pending[k].items;
+      wave.push_back(pending[k].tag);
+      ++k;
+      if (taken >= max_items) break;
+    }
+    pending.erase(pending.begin(), pending.begin() + static_cast<long>(k));
+    return wave;
+  };
+
+  for (const bool classless : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed);
+      service::WaveFormer::Config cfg;
+      cfg.capacity_items = 1 << 12;
+      cfg.max_wave_items = 1 + rng.next_below(8);
+      cfg.flush_window = std::chrono::microseconds(0);  // every call cuts
+      cfg.clock = [] { return service::ServiceClock::time_point{}; };
+      service::WaveFormer former(cfg);
+
+      std::vector<Pending> pending;
+      std::uint32_t next_tag = 0;
+      std::uint64_t fifo_tag = 0;
+      auto cut_and_check = [&] {
+        auto wave = former.next_wave();
+        std::vector<std::uint32_t> tags;
+        for (const auto& r : wave) tags.push_back(r.a[0]);
+        EXPECT_EQ(tags, oracle_cut(pending, cfg.max_wave_items))
+            << "seed " << seed << " classless " << classless;
+        if (classless)
+          for (const std::uint32_t tag : tags) EXPECT_EQ(tag, fifo_tag++);
+      };
+      while (next_tag < 160) {
+        for (std::uint64_t b = 1 + rng.next_below(12); b > 0; --b) {
+          service::Request r;
+          r.a = {next_tag};
+          if (rng.next_below(10) < 3) r.kind = service::Request::Kind::kMultiply;
+          if (!classless) {
+            if (rng.next_below(3) == 0)
+              r.qos.deadline = service::ServiceClock::time_point(
+                  std::chrono::microseconds(1 + rng.next_below(40)));
+            if (rng.next_below(3) == 0)
+              r.qos.priority = static_cast<int>(rng.next_below(6)) - 2;
+          }
+          pending.push_back({next_tag, r.batch_items(), r.qos, next_tag});
+          ++next_tag;
+          ASSERT_EQ(former.submit(std::move(r)),
+                    service::WaveFormer::SubmitResult::kAccepted);
+        }
+        for (std::uint64_t c = rng.next_below(3); c > 0 && !pending.empty();
+             --c)
+          cut_and_check();
+      }
+      while (!pending.empty()) cut_and_check();
+      EXPECT_EQ(former.pending_items(), 0u);
+    }
+  }
 }
 
 // Token-bucket arithmetic to exact counts under a fake clock: a fresh
@@ -629,6 +708,16 @@ std::uint32_t tag_of(const std::vector<service::Request>& wave) {
   return wave.at(0).a.at(0);
 }
 
+/// One group pop of a single-channel shard: its only wave, or nullopt once
+/// the closed dispatcher has drained everything the shard could run.
+std::optional<service::Dispatcher::NextWave> pop(
+    service::Dispatcher& dispatcher, std::size_t shard) {
+  auto group = dispatcher.next_waves_for(shard);
+  if (group.empty()) return std::nullopt;
+  EXPECT_EQ(group.size(), 1u);
+  return std::move(group.front());
+}
+
 }  // namespace dispatch_test
 
 // An idle shard steals the *oldest* wave of the most-loaded peer; waves
@@ -638,8 +727,8 @@ TEST(ServiceUnit, DispatcherStealsOldestWaveFromLoadedPeer) {
   service::Dispatcher::Config cfg;
   cfg.shards.resize(2);
   cfg.queue_capacity_waves = 4;
-  cfg.cost_aware = false;  // round-robin: tags 0,2 -> shard 0; 1,3 -> shard 1
-  cfg.work_stealing = true;
+  // Equal prices alternate the shards (ties go to the first least-backlog
+  // pair): tags 0,2 -> shard 0; 1,3 -> shard 1.
   service::Dispatcher dispatcher(
       cfg, [](std::size_t, std::vector<service::Request>&) {
         return std::uint64_t{100};
@@ -655,7 +744,7 @@ TEST(ServiceUnit, DispatcherStealsOldestWaveFromLoadedPeer) {
   const std::uint32_t expected_tags[] = {0, 2, 1, 3};
   const bool expected_stolen[] = {false, false, true, true};
   for (int i = 0; i < 4; ++i) {
-    auto next = dispatcher.next_wave_for(0);
+    auto next = dispatch_test::pop(dispatcher, 0);
     ASSERT_TRUE(next.has_value());
     EXPECT_EQ(dispatch_test::tag_of(next->requests), expected_tags[i]);
     EXPECT_EQ(next->stolen, expected_stolen[i]);
@@ -665,18 +754,16 @@ TEST(ServiceUnit, DispatcherStealsOldestWaveFromLoadedPeer) {
   EXPECT_EQ(dispatcher.backlog_cycles(1), 0u);
 
   dispatcher.close();
-  EXPECT_FALSE(dispatcher.next_wave_for(0).has_value());
-  EXPECT_FALSE(dispatcher.next_wave_for(1).has_value());
+  EXPECT_FALSE(dispatch_test::pop(dispatcher, 0).has_value());
+  EXPECT_FALSE(dispatch_test::pop(dispatcher, 1).has_value());
 }
 
 // Cost-aware assignment sends each wave to the smallest estimated
 // backlog, so cheap waves pile onto the shard not stuck behind an
-// expensive one; after close(), a drain take from a peer is not a steal.
+// expensive one; once idle, that shard steals the expensive wave.
 TEST(ServiceUnit, DispatcherCostAwareAssignsLeastBacklog) {
   service::Dispatcher::Config cfg;
   cfg.shards.resize(2);
-  cfg.cost_aware = true;
-  cfg.work_stealing = false;
   service::Dispatcher dispatcher(
       cfg, [](std::size_t, std::vector<service::Request>& wave) {
         return dispatch_test::tag_of(wave) == 0 ? std::uint64_t{1000}
@@ -689,21 +776,20 @@ TEST(ServiceUnit, DispatcherCostAwareAssignsLeastBacklog) {
   EXPECT_EQ(dispatcher.backlog_cycles(0), 1000u);
   EXPECT_EQ(dispatcher.backlog_cycles(1), 200u);
 
-  auto first = dispatcher.next_wave_for(1);
+  auto first = dispatch_test::pop(dispatcher, 1);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(dispatch_test::tag_of(first->requests), 1u);
   EXPECT_FALSE(first->stolen);
-  auto second = dispatcher.next_wave_for(1);
+  auto second = dispatch_test::pop(dispatcher, 1);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(dispatch_test::tag_of(second->requests), 2u);
 
-  // Stealing is off, so shard 1 would block on shard 0's wave — but after
-  // close() it drains the leftover as a reassignment, not a steal.
+  // Shard 1 is now empty: it steals shard 0's queued expensive wave.
+  auto stolen = dispatch_test::pop(dispatcher, 1);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(dispatch_test::tag_of(stolen->requests), 0u);
+  EXPECT_TRUE(stolen->stolen);
   dispatcher.close();
-  auto drained = dispatcher.next_wave_for(1);
-  ASSERT_TRUE(drained.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(drained->requests), 0u);
-  EXPECT_FALSE(drained->stolen);
 }
 
 // close() must release a dispatch blocked on a full shard queue by
@@ -725,13 +811,13 @@ TEST(ServiceUnit, DispatcherCloseReleasesBlockedDispatch) {
   dispatcher.close();
   blocked.join();
 
-  auto first = dispatcher.next_wave_for(0);
-  auto second = dispatcher.next_wave_for(0);
+  auto first = dispatch_test::pop(dispatcher, 0);
+  auto second = dispatch_test::pop(dispatcher, 0);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(dispatch_test::tag_of(first->requests), 0u);
   EXPECT_EQ(dispatch_test::tag_of(second->requests), 1u);
-  EXPECT_FALSE(dispatcher.next_wave_for(0).has_value());
+  EXPECT_FALSE(dispatch_test::pop(dispatcher, 0).has_value());
 }
 
 // Regression: a shard's total and per-channel backlog gauges must come
@@ -742,8 +828,7 @@ TEST(ServiceUnit, DispatcherBacklogSnapshotTiles) {
   service::Dispatcher::Config cfg;
   cfg.shards.resize(1);
   cfg.shards[0].channels = 2;
-  cfg.queue_capacity_waves = 4;
-  cfg.cost_aware = true;  // least-backlogged channel: 100 -> ch0, 60 -> ch1
+  cfg.queue_capacity_waves = 4;  // least-backlogged: 100 -> ch0, 60 -> ch1
   service::Dispatcher dispatcher(
       cfg, [](std::size_t, std::vector<service::Request>& wave) {
         return std::uint64_t{dispatch_test::tag_of(wave) == 0 ? 100u : 60u};
@@ -785,8 +870,6 @@ TEST(ServiceUnit, DispatcherRoutesBulkToPimCheapToCpu) {
   service::Dispatcher::Config cfg;
   cfg.shards = {{service::BackendKind::kPim, 1.0},
                 {service::BackendKind::kCpu, 1.0}};
-  cfg.cost_aware = true;
-  cfg.work_stealing = false;
   // Tag 0 is a bulk RNS wave (bank-parallel PIM: 100; serial-ish CPU:
   // 800); tag 1 is a small wave where the backends are close (50 vs 60).
   service::Dispatcher dispatcher(
@@ -804,11 +887,11 @@ TEST(ServiceUnit, DispatcherRoutesBulkToPimCheapToCpu) {
   EXPECT_EQ(dispatcher.backlog_cycles(0), 100u);
   EXPECT_EQ(dispatcher.backlog_cycles(1), 60u);
 
-  auto pim_wave = dispatcher.next_wave_for(0);
+  auto pim_wave = dispatch_test::pop(dispatcher, 0);
   ASSERT_TRUE(pim_wave.has_value());
   EXPECT_EQ(dispatch_test::tag_of(pim_wave->requests), 0u);
   EXPECT_EQ(pim_wave->estimated_cycles, 100u);
-  auto cpu_wave = dispatcher.next_wave_for(1);
+  auto cpu_wave = dispatch_test::pop(dispatcher, 1);
   ASSERT_TRUE(cpu_wave.has_value());
   EXPECT_EQ(dispatch_test::tag_of(cpu_wave->requests), 1u);
   EXPECT_EQ(cpu_wave->estimated_cycles, 60u);
@@ -821,7 +904,6 @@ TEST(ServiceUnit, DispatcherAppliesCostScale) {
   service::Dispatcher::Config cfg;
   cfg.shards = {{service::BackendKind::kPim, 1.0},
                 {service::BackendKind::kPim, 0.5}};
-  cfg.cost_aware = true;
   service::Dispatcher dispatcher(
       cfg, [](std::size_t, std::vector<service::Request>&) {
         return std::uint64_t{100};
@@ -839,8 +921,6 @@ TEST(ServiceUnit, DispatcherStealRespectsBackendCompatibility) {
   service::Dispatcher::Config cfg;
   cfg.shards = {{service::BackendKind::kPim, 1.0},
                 {service::BackendKind::kCpu, 1.0}};
-  cfg.cost_aware = true;
-  cfg.work_stealing = true;
   // Shard 1 (CPU) cannot run tag-0 waves at all and prices everything
   // else at 1000 — expensive enough that dispatch assigns both waves to
   // shard 0 and only stealing ever moves one.
@@ -858,7 +938,7 @@ TEST(ServiceUnit, DispatcherStealRespectsBackendCompatibility) {
 
   // The thief must skip the older-but-incompatible tag 0 and take tag 1,
   // re-priced for its own backend.
-  auto stolen = dispatcher.next_wave_for(1);
+  auto stolen = dispatch_test::pop(dispatcher, 1);
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(dispatch_test::tag_of(stolen->requests), 1u);
   EXPECT_TRUE(stolen->stolen);
@@ -868,13 +948,13 @@ TEST(ServiceUnit, DispatcherStealRespectsBackendCompatibility) {
   // Only the CPU-incompatible wave remains. After close(), shard 1 exits
   // empty-handed (nothing it can run) and shard 0 drains its own wave.
   dispatcher.close();
-  EXPECT_FALSE(dispatcher.next_wave_for(1).has_value());
-  auto own = dispatcher.next_wave_for(0);
+  EXPECT_FALSE(dispatch_test::pop(dispatcher, 1).has_value());
+  auto own = dispatch_test::pop(dispatcher, 0);
   ASSERT_TRUE(own.has_value());
   EXPECT_EQ(dispatch_test::tag_of(own->requests), 0u);
   EXPECT_FALSE(own->stolen);
   dispatcher.complete(0, own->estimated_cycles);
-  EXPECT_FALSE(dispatcher.next_wave_for(0).has_value());
+  EXPECT_FALSE(dispatch_test::pop(dispatcher, 0).has_value());
 }
 
 // Hierarchical assignment: a multi-channel shard's waves land on the
@@ -884,8 +964,6 @@ TEST(ServiceUnit, DispatcherStealRespectsBackendCompatibility) {
 TEST(ServiceUnit, DispatcherAssignsLeastBackloggedChannel) {
   service::Dispatcher::Config cfg;
   cfg.shards = {{service::BackendKind::kPim, 1.0, /*channels=*/2}};
-  cfg.cost_aware = true;
-  cfg.work_stealing = false;  // local rebalance is policy-independent
   service::Dispatcher dispatcher(
       cfg, [](std::size_t, std::vector<service::Request>& wave) {
         switch (dispatch_test::tag_of(wave)) {
@@ -945,8 +1023,6 @@ TEST(ServiceUnit, DispatcherRebalancesLocallyBeforeStealing) {
   service::Dispatcher::Config cfg;
   cfg.shards = {{service::BackendKind::kPim, 1.0, /*channels=*/2},
                 {service::BackendKind::kPim, 1.0, /*channels=*/1}};
-  cfg.cost_aware = true;
-  cfg.work_stealing = true;
   // Tags 1-4 only fit shard 0 (same prices as above); tag 5 is cheap on
   // shard 1 and lands there.
   service::Dispatcher dispatcher(
@@ -1000,17 +1076,14 @@ TEST(ServiceUnit, DispatcherRebalancesLocallyBeforeStealing) {
   EXPECT_TRUE(dispatcher.next_waves_for(1).empty());
 }
 
-// Deadline pressure, assignment half: an urgent wave's ETA counts only
-// the queued work ahead of its (deadline, arrival) key — it jumps queued
-// bulk — so it lands by tie-break on shard 0 despite shard 0 holding the
-// larger bulk backlog (a deadline-less wave would go to shard 1), and the
+// Deadlines, assignment half: an urgent wave's ETA counts only the queued
+// work ahead of its (deadline, arrival) key — it jumps queued bulk — so it
+// lands by tie-break on shard 0 despite shard 0 holding the larger bulk
+// backlog (a deadline-less wave would go to shard 1), and the
 // deadline-ordered lane then pops it first, ahead of earlier-arrived bulk.
 TEST(ServiceUnit, DispatcherDeadlinePressureJumpsQueuedBulk) {
   service::Dispatcher::Config cfg;
   cfg.shards.resize(2);
-  cfg.cost_aware = true;
-  cfg.work_stealing = false;
-  cfg.deadline_pressure = true;
   service::Dispatcher dispatcher(
       cfg, [](std::size_t, std::vector<service::Request>&) {
         return std::uint64_t{100};
@@ -1033,7 +1106,7 @@ TEST(ServiceUnit, DispatcherDeadlinePressureJumpsQueuedBulk) {
   // bulk that arrived first.
   const std::uint32_t expected_tags[] = {3, 0, 2};
   for (const std::uint32_t tag : expected_tags) {
-    auto next = dispatcher.next_wave_for(0);
+    auto next = dispatch_test::pop(dispatcher, 0);
     ASSERT_TRUE(next.has_value());
     EXPECT_EQ(dispatch_test::tag_of(next->requests), tag);
     dispatcher.complete(0, next->estimated_cycles);
@@ -1041,20 +1114,20 @@ TEST(ServiceUnit, DispatcherDeadlinePressureJumpsQueuedBulk) {
   dispatcher.close();
 }
 
-// Deadline pressure, steal half: an idle shard takes the most-deadline-
-// urgent compatible wave anywhere — even off a lightly loaded victim —
-// and only falls back to the load-relief steal (oldest wave of the most-
-// loaded peer) once no deadlined wave is queued.
+// Deadlines, steal half: an idle shard takes the most-deadline-urgent
+// compatible wave anywhere — even off a lightly loaded victim — and only
+// falls back to the load-relief steal (oldest wave of the most-loaded
+// peer) once no deadlined wave is queued.
 TEST(ServiceUnit, DispatcherDeadlinePressureStealsMostUrgentWave) {
   service::Dispatcher::Config cfg;
   cfg.shards.resize(3);
   cfg.queue_capacity_waves = 4;
-  cfg.cost_aware = false;  // round-robin: tag % 3 names the shard
-  cfg.work_stealing = true;
-  cfg.deadline_pressure = true;
+  // Each wave is cheap on its home shard tag % 3 and dear elsewhere, so
+  // tag % 3 names the shard it lands on.
   service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>&) {
-        return std::uint64_t{100};
+      cfg, [](std::size_t shard, std::vector<service::Request>& wave) {
+        return dispatch_test::tag_of(wave) % 3 == shard ? std::uint64_t{100}
+                                                        : std::uint64_t{1000};
       });
 
   // Shard 0 carries the big bulk backlog {0, 3, 6}; shard 2 is lighter
@@ -1072,7 +1145,7 @@ TEST(ServiceUnit, DispatcherDeadlinePressureStealsMostUrgentWave) {
 
   // Drain shard 1's own FIFO lane.
   for (const std::uint32_t tag : {1u, 4u}) {
-    auto own = dispatcher.next_wave_for(1);
+    auto own = dispatch_test::pop(dispatcher, 1);
     ASSERT_TRUE(own.has_value());
     EXPECT_EQ(dispatch_test::tag_of(own->requests), tag);
     EXPECT_FALSE(own->stolen);
@@ -1081,7 +1154,7 @@ TEST(ServiceUnit, DispatcherDeadlinePressureStealsMostUrgentWave) {
 
   // First steal: the deadlined tag 5 off lightly-loaded shard 2, even
   // though the load-relief rule would have picked most-loaded shard 0.
-  auto urgent = dispatcher.next_wave_for(1);
+  auto urgent = dispatch_test::pop(dispatcher, 1);
   ASSERT_TRUE(urgent.has_value());
   EXPECT_EQ(dispatch_test::tag_of(urgent->requests), 5u);
   EXPECT_TRUE(urgent->stolen);
@@ -1089,7 +1162,7 @@ TEST(ServiceUnit, DispatcherDeadlinePressureStealsMostUrgentWave) {
 
   // No deadlines left: the fallback relieves the most-loaded peer (shard
   // 0), oldest wave first.
-  auto fallback = dispatcher.next_wave_for(1);
+  auto fallback = dispatch_test::pop(dispatcher, 1);
   ASSERT_TRUE(fallback.has_value());
   EXPECT_EQ(dispatch_test::tag_of(fallback->requests), 0u);
   EXPECT_TRUE(fallback->stolen);
@@ -1370,8 +1443,9 @@ TEST(ServiceProperty, HeteroStealingConservesRequests) {
   EXPECT_EQ(requests, kTotal);
 }
 
-// QoS class fields travel on a classless (num_classes = 1) service without
-// affecting execution: priority and deadline are carried but inert.
+// QoS class fields are accepted on a single-class (num_classes = 1)
+// service: priority and deadline order the request's forming and dispatch,
+// and the result is the same transform.
 TEST(ServiceUnit, SubmitOptionsQosFieldsAreAccepted) {
   const auto params = make_params(256);
   ServiceConfig cfg;
@@ -1388,6 +1462,35 @@ TEST(ServiceUnit, SubmitOptionsQosFieldsAreAccepted) {
   options.qos.priority = 7;
   options.qos.deadline = service::ServiceClock::now() + std::chrono::seconds(1);
   EXPECT_EQ(svc.submit(std::move(poly), params, options).get(), expected);
+}
+
+// Regression: admission is engaged whenever qos.admission is non-empty —
+// a single-class service with one bucket sheds past its burst instead of
+// silently ignoring the bucket.
+TEST(ServiceE2E, SingleClassServiceHonorsAdmissionBucket) {
+  const auto params = make_params(256);
+  ServiceConfig cfg;
+  cfg.backend.banks_per_shard = 4;
+  cfg.qos.admission = {{.rate_per_sec = 0.0, .burst = 2.0}};
+  NttService svc(cfg);
+
+  Rng rng(73);
+  std::vector<std::future<std::vector<std::uint32_t>>> futures;
+  for (int i = 0; i < 5; ++i)
+    futures.push_back(svc.submit(rng.residues(params->n(), params->q()),
+                                 params));
+  for (int i = 0; i < 5; ++i) {
+    if (i < 2)
+      EXPECT_NO_THROW(futures[i].get());
+    else
+      EXPECT_THROW(futures[i].get(), service::AdmissionShedError);
+  }
+  svc.drain();
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.shed, 3u);
+  EXPECT_EQ(stats.completed, 2u);
+  ASSERT_EQ(stats.classes.size(), 1u);
+  EXPECT_EQ(stats.classes[0].shed, 3u);
 }
 
 // End-to-end QoS: a flooding tenant with a hard admission cap (rate 0,

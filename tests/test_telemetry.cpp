@@ -356,11 +356,11 @@ TEST(DispatcherWaveId, CarriedThroughDispatchAndSteal) {
 
   // The other shard is idle and steals the queued wave.
   const std::size_t thief = placed.shard == 0 ? 1 : 0;
-  const auto next = dispatcher.next_wave_for(thief);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_TRUE(next->stolen);
-  EXPECT_EQ(next->wave_id, 7u);
-  dispatcher.complete(thief, next->estimated_cycles, next->channel);
+  const auto group = dispatcher.next_waves_for(thief);
+  ASSERT_EQ(group.size(), 1u);
+  EXPECT_TRUE(group[0].stolen);
+  EXPECT_EQ(group[0].wave_id, 7u);
+  dispatcher.complete(thief, group[0].estimated_cycles, group[0].channel);
   dispatcher.close();
 }
 
