@@ -18,8 +18,8 @@
 // cold one. Blind round-robin assignment would pin every hot wave to the
 // same shard — the cross-device imbalance the cost-aware dispatcher and
 // work stealing exist to fix. The "fifo" row is a deterministic modeled
-// replay of that round-robin placement; the "cost_aware_steal" row is the
-// live service. Each reports its busiest-shard share of the modeled
+// replay of that round-robin placement; the "live" row is the live
+// service. Each reports its busiest-shard share of the modeled
 // device cycles and its stolen-wave count.
 //
 // A third scenario prices the heterogeneous backend tier: the same staged
@@ -197,8 +197,6 @@ struct SkewedPoint {
   std::uint64_t busiest_shard_cycles = 0;
   std::uint64_t total_shard_cycles = 0;
   double busiest_share = 0;  ///< busiest / total modeled device cycles
-  /// Modeled replay (no live service, so no wall-clock fields).
-  bool replay = false;
   bool verified = false;
 };
 
@@ -247,7 +245,6 @@ SkewedPoint run_skewed_round_robin() {
 
   SkewedPoint p;
   p.mode = "fifo";
-  p.replay = true;
   p.requests = kSkewedWaves * kSkewedBanksPerShard;
   std::vector<std::uint64_t> cycles;
   for (const auto& b : shards) cycles.push_back(b->modeled_cycles());
@@ -271,8 +268,9 @@ SkewedPoint run_skewed() {
   cfg.backend.num_buffers = kNumBuffers;
   cfg.former.queue_capacity = 4096;
   cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
-  cfg.former.start_paused = true;                   // stage the whole skew, then go
-  cfg.dispatch.shard_queue_waves = 2;  // shallow queues: imbalance stalls dispatch
+  cfg.former.start_paused = true;  // stage the whole skew, then go
+  // Shallow queues: imbalance stalls dispatch.
+  cfg.dispatch.shard_queue_waves = 2;
   service::NttService svc(cfg);
 
   Rng rng(13);
@@ -300,7 +298,7 @@ SkewedPoint run_skewed() {
 
   const service::ServiceStats stats = svc.stats();
   SkewedPoint p;
-  p.mode = "cost_aware_steal";
+  p.mode = "live";
   p.requests = futures.size();
   p.seconds = seconds;
   p.requests_per_sec = static_cast<double>(p.requests) / seconds;
@@ -335,8 +333,7 @@ void write_skewed_section(bench::JsonWriter& json,
     json.field("n_hot", kSkewedHotN);
     json.field("n_cold", kSkewedColdN);
     json.field("requests", p.requests);
-    json.field("modeled_replay", p.replay);
-    if (!p.replay) {
+    if (p.requests_per_sec > 0) {  // the modeled replay has no wall clock
       json.field("host_wall_clock", true);
       json.field("host_cores", std::thread::hardware_concurrency());
       json.field("requests_per_sec", p.requests_per_sec);

@@ -146,8 +146,8 @@ std::optional<Dispatcher::NextWave> Dispatcher::try_steal_urgent_for(
   for (std::size_t s = 0; s < queues_.size(); ++s) {
     if (s == shard) continue;
     for (std::size_t c = 0; c < queues_[s].channels(); ++c) {
-      // Lanes are urgency-ordered, so the first
-      // compatible deadlined wave of each lane is that lane's candidate.
+      // Lanes are urgency-ordered, so the first compatible deadlined wave
+      // of each lane is that lane's candidate.
       for (std::size_t i = 0; i < queues_[s].size(c, mu_); ++i) {
         QueuedWave& w = queues_[s].wave_at(c, i, mu_);
         if (w.deadline == ServiceClock::time_point::max()) break;
@@ -170,8 +170,9 @@ std::optional<Dispatcher::NextWave> Dispatcher::try_steal_urgent_for(
 std::optional<Dispatcher::NextWave> Dispatcher::try_steal_for(
     std::size_t shard) {
   if (auto urgent = try_steal_urgent_for(shard)) return urgent;
-  // No deadlined wave anywhere: the load-relief steal. Victim order: queued cost, descending; within the victim, channels by
-  // queued cost descending (relieve the bus that is furthest behind).
+  // No deadlined wave anywhere: the load-relief steal. Victim order:
+  // queued cost, descending; within the victim, channels by queued cost
+  // descending (relieve the bus that is furthest behind).
   std::vector<std::size_t> victims;
   victims.reserve(queues_.size());
   for (std::size_t s = 0; s < queues_.size(); ++s)

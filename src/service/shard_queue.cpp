@@ -64,7 +64,11 @@ void ShardQueue::push(std::size_t channel, QueuedWave&& wave,
   // (deadline, arrival)-ordered lane: insert ahead of every strictly
   // less-urgent wave. upper_bound keeps equal keys in insertion order,
   // and deadline-less waves (key +inf, seq ascending) land at the back —
-  // exactly the FIFO append.
+  // exactly the FIFO append, taken without a search.
+  if (c.waves.empty() || !wave.more_urgent_than(c.waves.back())) {
+    c.waves.push_back(std::move(wave));
+    return;
+  }
   const auto pos = std::upper_bound(
       c.waves.begin(), c.waves.end(), wave,
       [](const QueuedWave& a, const QueuedWave& b) {

@@ -58,10 +58,14 @@ WaveFormer::SubmitResult WaveFormer::submit(Request&& request,
   pending_items_ += items;
   arrivals_.push_back({request.enqueued});
   // The newest seq sorts after every equal key, so a classless request
-  // lands at the back.
-  const auto pos =
-      std::upper_bound(queue_.begin(), queue_.end(), request, cuts_before);
-  queue_.insert(pos, std::move(request));
+  // lands at the back: check the back first and skip the search.
+  if (queue_.empty() || !cuts_before(request, queue_.back())) {
+    queue_.push_back(std::move(request));
+  } else {
+    const auto pos =
+        std::upper_bound(queue_.begin(), queue_.end(), request, cuts_before);
+    queue_.insert(pos, std::move(request));
+  }
   // notify_all: several consumers may be parked with different predicates
   // (waiting for any work vs. waiting for a full wave).
   ready_cv_.notify_all();

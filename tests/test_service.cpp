@@ -615,7 +615,8 @@ TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
         for (std::uint64_t b = 1 + rng.next_below(12); b > 0; --b) {
           service::Request r;
           r.a = {next_tag};
-          if (rng.next_below(10) < 3) r.kind = service::Request::Kind::kMultiply;
+          if (rng.next_below(10) < 3)
+            r.kind = service::Request::Kind::kMultiply;
           if (!classless) {
             if (rng.next_below(3) == 0)
               r.qos.deadline = service::ServiceClock::time_point(
