@@ -12,6 +12,7 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "dram/config.h"
 
@@ -213,14 +214,17 @@ inline void write_architecture(JsonWriter& json) {
 
 /// Splice `fragment` (one or more already-rendered depth-1 members, leading
 /// separator excluded) into the top-level JSON object held in `text`,
-/// first deleting an existing `section_key` member so re-runs are
+/// first deleting every existing `section_keys` member so re-runs are
 /// idempotent. Returns false when `text` is not an appendable object (no
 /// trailing '}', or a present section whose comma/bracketing cannot be
 /// matched) — the caller falls back to a standalone report.
-inline bool splice_json_section(std::string& text, std::string_view section_key,
-                                std::string fragment) {
-  const std::string quoted = '"' + std::string(section_key) + '"';
-  if (const std::size_t prev = text.find(quoted); prev != std::string::npos) {
+inline bool splice_json_sections(
+    std::string& text, const std::vector<std::string_view>& section_keys,
+    std::string fragment) {
+  for (const std::string_view key : section_keys) {
+    const std::string quoted = '"' + std::string(key) + '"';
+    const std::size_t prev = text.find(quoted);
+    if (prev == std::string::npos) continue;
     // Drop the previous section, ending at its value's *matching* close
     // bracket (a hand-merged file may have members after it).
     const std::size_t comma = text.rfind(',', prev);
@@ -254,17 +258,18 @@ inline bool splice_json_section(std::string& text, std::string_view section_key,
   return true;
 }
 
-/// Emit one bench section BENCH_host.json-style. `write_section` renders
-/// the section's depth-1 members into a JsonWriter positioned inside the
-/// top-level object. When `path` holds an existing JSON object (the file
-/// bench_bank_parallel --json wrote), the section is spliced in, replacing
-/// any previous run's; otherwise ("-" or absent/unappendable file) a
-/// standalone {schema, bench, architecture, section} report is written.
-/// Returns a process exit code.
-template <typename WriteSection>
-int write_host_section(const std::string& path, std::string_view bench_name,
-                       std::string_view section_key,
-                       WriteSection&& write_section) {
+/// Emit a bench's sections BENCH_host.json-style, as one JSON document.
+/// `write_sections` renders the depth-1 members named `section_keys` into
+/// a JsonWriter positioned inside the top-level object. When `path` holds
+/// an existing JSON object (the file bench_bank_parallel --json wrote),
+/// the members are spliced in, replacing any previous run's; otherwise
+/// ("-" or absent/unappendable file) a standalone {schema, bench,
+/// architecture, sections...} report is written. Returns a process exit
+/// code.
+template <typename WriteSections>
+int write_host_sections(const std::string& path, std::string_view bench_name,
+                       const std::vector<std::string_view>& section_keys,
+                       WriteSections&& write_sections) {
   if (path != "-") {
     std::string existing;
     if (std::ifstream in(path); in) {
@@ -276,14 +281,14 @@ int write_host_section(const std::string& path, std::string_view bench_name,
       std::ostringstream os;
       JsonWriter json(os);
       json.begin_object();
-      write_section(json);
+      write_sections(json);
       json.end_object();
       // Render to a fragment for splicing at depth 1.
       const std::string text = os.str();
       const std::size_t open = text.find('{');
       const std::size_t close = text.rfind('}');
       std::string fragment = text.substr(open + 1, close - open - 1);
-      if (splice_json_section(existing, section_key, std::move(fragment))) {
+      if (splice_json_sections(existing, section_keys, std::move(fragment))) {
         std::ofstream file(path);
         if (!(file << existing)) {
           std::cerr << "cannot write " << path << "\n";
@@ -291,9 +296,9 @@ int write_host_section(const std::string& path, std::string_view bench_name,
         }
         return 0;
       }
-      std::cerr << "warning: " << path << " has an unappendable \""
-                << section_key
-                << "\" section; writing a standalone report instead\n";
+      std::cerr << "warning: " << path << " has an unappendable "
+                << bench_name
+                << " section; writing a standalone report instead\n";
     }
   }
   std::ostringstream os;
@@ -302,7 +307,7 @@ int write_host_section(const std::string& path, std::string_view bench_name,
   json.field("schema", "nttpim-bench-host-v1");
   json.field("bench", bench_name);
   write_architecture(json);
-  write_section(json);
+  write_sections(json);
   json.end_object();
   if (path == "-") {
     std::cout << os.str();

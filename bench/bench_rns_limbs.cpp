@@ -127,8 +127,8 @@ int run_json(const std::string& path) {
   }
   // Append mode (shared with the other host benches): splice the section
   // into an existing BENCH_host.json-style object, or write standalone.
-  return bench::write_host_section(
-      path, "bench_rns_limbs", "rns_limb_scaling",
+  return bench::write_host_sections(
+      path, "bench_rns_limbs", {"rns_limb_scaling"},
       [&](bench::JsonWriter& json) { write_section(json, points); });
 }
 

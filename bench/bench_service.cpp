@@ -1,1168 +1,640 @@
-// Closed-loop load generator for the async NTT serving runtime.
+// Load generator for the async NTT serving runtime.
 //
-// Each client thread plays a synchronous caller: submit one forward
-// negacyclic NTT, block on the future, verify against the CPU reference,
-// repeat — the worst case for batch occupancy, since no client ever hands
-// the service a pre-formed batch. Everything the serving layer wins, it
-// wins by coalescing *independent* requests into mixed waves. The sweep
-// crosses client count x shard count x flush window and reports, per
-// point:
-//  - aggregate requests/sec (host wall-clock, per-machine snapshot);
-//  - mean wave occupancy (batch items per engine pass) — the utilization
-//    figure the wave-former exists to raise;
-//  - service-latency percentiles, i.e. what the coalescing window costs.
+// Every scenario is live: an NttService serves real requests, each result
+// is checked against the CPU reference, and the scenario reports rows of
+// one shape (named fields, in order). One table lists the scenarios, one
+// writer emits every section into one JSON document, and one renderer
+// prints every section as a text table:
+//  - service_throughput: closed-loop clients (submit one forward NTT,
+//    block on it, repeat: the worst case for batch occupancy, since no
+//    client ever hands the service a pre-formed batch) across client count
+//    x shard count x flush window. Reports requests/sec, mean wave
+//    occupancy, latency percentiles and the busiest shard's modeled cycles.
+//  - service_hetero_backends: a staged bulk (N = 1024) / small (N = 256)
+//    wave stream served by a lone PIM shard ("pim_only") and by the same
+//    shard next to a host-CPU pool ("mixed"): how many waves the CPU
+//    absorbs once the device backs up.
+//  - service_multi_channel: a staged bulk burst on one 16-bank, 4-channel
+//    shard, and how the (shard, channel) dispatcher spread its waves.
+//  - service_qos: a bulk tenant's backlog staged ahead of a critical
+//    tenant's requests, without the critical deadline and priority
+//    ("fifo"), with them ("qos"), and with a token bucket on the bulk
+//    tenant ("qos_overload": exactly half its requests shed).
+//  - service_telemetry: identical closed-loop runs with lifecycle tracing
+//    off and on, interleaved; CI holds the on/off throughput ratio >= 0.95.
 //
-// A second, skewed-load scenario exercises the dispatch layer: bursts of
-// expensive (N = 1024) and cheap (N = 256) requests are staged behind a
-// paused former so the wave stream alternates one hot size class with one
-// cold one. Blind round-robin assignment would pin every hot wave to the
-// same shard — the cross-device imbalance the cost-aware dispatcher and
-// work stealing exist to fix. The "fifo" row is a deterministic modeled
-// replay of that round-robin placement; the "live" row is the live
-// service. Each reports its busiest-shard share of the modeled
-// device cycles and its stolen-wave count.
-//
-// A third scenario prices the heterogeneous backend tier: the same staged
-// bulk/small wave stream is served by a lone PIM shard and then by the
-// PIM shard plus a host-CPU worker pool, comparing how many waves the CPU
-// absorbs and the busiest backend's modeled makespan (see run_hetero).
-//
-// A fourth scenario prices the channel hierarchy: the same 16-bank device
-// runs one bulk 16-item wave with its banks behind 1 vs 4 command buses
-// (a deterministic engine pass — splitting the shared bus shortens the
-// modeled makespan with bit-identical outputs), then a live 4-channel
-// shard serves a staged bulk burst and reports how the hierarchical
-// (shard, channel) dispatcher spread the waves per channel.
-//
-// A fifth scenario prices the multi-tenant QoS layers: a bulk tenant's
-// backlog staged *ahead of* a critical tenant's requests, run without the
-// critical deadline and priority ("fifo"), with them (the critical p99
-// collapses), and once more with a token bucket on the
-// bulk tenant (exactly half its requests shed) — see run_qos.
-//
-// `--json <path>` appends "service_throughput", "service_skewed_dispatch",
-// "service_hetero_backends", "service_multi_channel" and "service_qos"
-// sections to an existing BENCH_host.json-style object at <path> (or
-// writes standalone reports), exactly like bench_rns_limbs.
-// `--requests <k>` shrinks the per-client request count (CI smoke runs
-// use a small k).
+// The deterministic modeled comparisons (round-robin replay vs live
+// dispatch, the heterogeneous modeled-dispatch replay, a bulk pass on 1 vs
+// 4 command buses) are ctest properties: ServiceProperty.* in
+// tests/test_service.cpp.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/random.h"
-#include "dram/config.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "fhe/cpu_backend.h"
-#include "fhe/pim_backend.h"
-#include "fhe/ntt_backend.h"
 #include "ntt/params.h"
 #include "service/backend.h"
-#include "service/dispatcher.h"
 #include "service/ntt_service.h"
-#include "service/request.h"
 #include "telemetry/chrome_trace.h"
 
 namespace {
 
 using namespace nttpim;
 
-constexpr std::size_t kN = 256;
-constexpr std::size_t kBanksPerShard = 8;
-constexpr std::size_t kNumBuffers = 4;
-constexpr std::size_t kDefaultRequestsPerClient = 32;
+using Poly = std::vector<std::uint32_t>;
+using ParamsPtr = std::shared_ptr<const ntt::NttParams>;
 
-struct SweepPoint {
-  std::size_t clients = 0;
-  std::size_t shards = 0;
-  std::size_t window_us = 0;
-  std::size_t requests = 0;
-  double seconds = 0;
+constexpr std::size_t kN = 256;  ///< closed-loop transform size
+
+/// One report field: a JSON scalar or a list of counts.
+using Value = std::variant<std::uint64_t, double, bool, std::string,
+                           std::vector<std::uint64_t>>;
+struct Field {
+  std::string name;
+  Value value;
+};
+/// One report row: named fields in output order.
+using Row = std::vector<Field>;
+
+struct Options {
+  std::size_t requests_per_client = 32;
+  std::optional<std::string> trace_path;
+};
+
+ParamsPtr make_params(std::size_t n, unsigned bits) {
+  return std::make_shared<const ntt::NttParams>(
+      ntt::NttParams::create(n, bits));
+}
+
+/// Wall-clock rows carry the host's core count: shard scaling shows in
+/// requests/sec only with at least one idle core per shard.
+std::uint64_t host_cores() { return std::thread::hardware_concurrency(); }
+
+// ---------------------------------------------------------- closed loop
+
+struct ClosedLoop {
   double requests_per_sec = 0;
-  std::uint64_t waves = 0;
-  std::uint64_t engine_passes = 0;
-  double mean_wave_occupancy = 0;
-  double queue_p50_us = 0;
-  double service_p50_us = 0;
-  double service_p95_us = 0;
-  double service_p99_us = 0;
-  /// Device-time of the busiest shard (modeled cycles). Shards are
-  /// independent devices, so this is the modeled makespan of the point:
-  /// with 2 shards it falls toward half of the 1-shard figure on *any*
-  /// host, while requests_per_sec needs >= shards idle cores to show the
-  /// same scaling in wall-clock.
-  std::uint64_t modeled_max_shard_cycles = 0;
+  service::ServiceStats stats;
   bool verified = false;
 };
 
-/// One sweep point: `clients` closed-loop client threads, each issuing
-/// `requests_per_client` forward transforms one at a time and checking
-/// every result against the host CPU transform.
-SweepPoint run_point(const std::shared_ptr<const ntt::NttParams>& params,
-                     std::size_t clients, std::size_t shards,
-                     std::size_t window_us,
-                     std::size_t requests_per_client) {
-  service::ServiceConfig cfg;
-  cfg.backend.shards = shards;
-  cfg.backend.banks_per_shard = kBanksPerShard;
-  cfg.backend.num_buffers = kNumBuffers;
+/// `clients` threads, each submitting `requests_per_client` forward
+/// N = 256 transforms one at a time and comparing every result with its
+/// CPU reference, computed before the timer starts. Warm-up stays outside
+/// the timer too: a burst from this thread fills every shard's plan cache
+/// and touches the simulated DRAM pages, and each client's first request
+/// runs on the client's own thread, which registers its trace ring when
+/// tracing is on. The run prices steady-state serving, not boot.
+ClosedLoop run_closed_loop(service::ServiceConfig cfg, std::size_t clients,
+                           std::size_t requests_per_client,
+                           std::uint64_t seed) {
+  const ParamsPtr params = make_params(kN, 30);
   cfg.former.queue_capacity = 4096;
-  cfg.former.flush_window = std::chrono::microseconds(window_us);
   service::NttService svc(cfg);
-
-  // Warmup outside the timer: lets the shard threads finish building their
-  // 8-bank devices, fills every shard's plan cache, and touches the
-  // simulated DRAM pages. The sweep prices steady-state serving, not boot.
   {
     Rng rng(7);
-    std::vector<std::future<std::vector<std::uint32_t>>> warm;
-    for (std::size_t i = 0; i < 4 * shards * kBanksPerShard; ++i)
+    std::vector<std::future<Poly>> warm;
+    for (std::size_t i = 0; i < 4 * svc.shards() * cfg.backend.banks_per_shard;
+         ++i)
       warm.push_back(svc.submit(rng.residues(kN, params->q()), params));
     for (auto& f : warm) f.get();
-    // A future is fulfilled before the wave's counters land; drain() waits
-    // for the bookkeeping too, so the reset starts a clean epoch.
-    svc.drain();
-    svc.reset_stats();
   }
 
-  std::atomic<std::uint64_t> mismatch_count{0};
-  Stopwatch timer;
+  std::atomic<std::size_t> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<std::uint64_t> bad_results{0};
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      Rng rng(100 + c);
+      Rng rng(seed + c);
       fhe::CpuBackend cpu;
+      std::vector<Poly> inputs;
+      std::vector<Poly> expected;
       for (std::size_t r = 0; r < requests_per_client; ++r) {
-        auto poly = rng.residues(kN, params->q());
-        auto expected = poly;
-        cpu.forward(expected, *params);
-        auto future = svc.submit(std::move(poly), params);
-        if (future.get() != expected)
-          mismatch_count.fetch_add(1, std::memory_order_relaxed);
+        inputs.push_back(rng.residues(kN, params->q()));
+        expected.push_back(inputs.back());
+        cpu.forward(expected.back(), *params);
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = timer.elapsed_ns() / 1e9;
-  svc.drain();  // settle the last wave's counters before the snapshot
-  svc.shutdown();
-
-  const service::ServiceStats stats = svc.stats();
-  SweepPoint p;
-  p.clients = clients;
-  p.shards = shards;
-  p.window_us = window_us;
-  p.requests = clients * requests_per_client;
-  p.seconds = seconds;
-  p.requests_per_sec = static_cast<double>(p.requests) / seconds;
-  p.waves = stats.waves;
-  p.engine_passes = stats.engine_passes;
-  p.mean_wave_occupancy = stats.mean_wave_occupancy;
-  p.queue_p50_us = stats.queue_latency.p50_us;
-  p.service_p50_us = stats.service_latency.p50_us;
-  p.service_p95_us = stats.service_latency.p95_us;
-  p.service_p99_us = stats.service_latency.p99_us;
-  for (const auto& shard : stats.shards)
-    p.modeled_max_shard_cycles =
-        std::max(p.modeled_max_shard_cycles, shard.modeled_cycles);
-  p.verified = mismatch_count.load(std::memory_order_relaxed) == 0 &&
-               stats.completed == p.requests && stats.failed == 0;
-  return p;
-}
-
-// ------------------------------------------------------- skewed dispatch
-
-constexpr std::size_t kSkewedBanksPerShard = 4;
-constexpr std::size_t kSkewedWaves = 24;  // alternating hot / cold classes
-constexpr std::size_t kSkewedHotN = 1024;
-constexpr std::size_t kSkewedColdN = 256;
-
-struct SkewedPoint {
-  const char* mode = "";
-  std::size_t requests = 0;
-  double seconds = 0;
-  double requests_per_sec = 0;
-  std::uint64_t stolen_waves = 0;
-  std::uint64_t busiest_shard_cycles = 0;
-  std::uint64_t total_shard_cycles = 0;
-  double busiest_share = 0;  ///< busiest / total modeled device cycles
-  bool verified = false;
-};
-
-void set_shares(SkewedPoint& p, const std::vector<std::uint64_t>& cycles) {
-  for (const std::uint64_t c : cycles) {
-    p.busiest_shard_cycles = std::max(p.busiest_shard_cycles, c);
-    p.total_shard_cycles += c;
-  }
-  p.busiest_share = p.total_shard_cycles
-                        ? static_cast<double>(p.busiest_shard_cycles) /
-                              static_cast<double>(p.total_shard_cycles)
-                        : 0;
-}
-
-/// Blind round-robin baseline of the skewed stream as a deterministic
-/// modeled replay: wave w executes on shard w % 2, each shard a private
-/// backend built from the service's own PIM descriptor, so every wave
-/// costs exactly the modeled cycles a live round-robin service would
-/// charge. The alternation resonates with the rotation — every hot wave
-/// lands on shard 0.
-SkewedPoint run_skewed_round_robin() {
-  const ntt::NttParams hot = ntt::NttParams::create(kSkewedHotN, 29);
-  const ntt::NttParams cold = ntt::NttParams::create(kSkewedColdN, 30);
-  const service::BackendDescriptor d =
-      service::make_pim_descriptor(kSkewedBanksPerShard, kNumBuffers);
-  std::vector<std::unique_ptr<fhe::NttBackend>> shards;
-  for (int s = 0; s < 2; ++s) shards.push_back(d.factory());
-
-  Rng rng(13);
-  fhe::CpuBackend cpu;
-  std::size_t mismatches = 0;
-  for (std::size_t w = 0; w < kSkewedWaves; ++w) {
-    const ntt::NttParams& params = (w % 2 == 0) ? hot : cold;
-    std::vector<std::vector<std::uint32_t>> polys;
-    for (std::size_t i = 0; i < kSkewedBanksPerShard; ++i)
-      polys.push_back(rng.residues(params.n(), params.q()));
-    std::vector<std::vector<std::uint32_t>> expected = polys;
-    std::vector<fhe::BatchItem> items;
-    for (std::size_t i = 0; i < polys.size(); ++i) {
-      cpu.forward(expected[i], params);
-      items.push_back({&polys[i], &params, false});
-    }
-    shards[w % 2]->transform_batch_mixed(items);
-    if (polys != expected) ++mismatches;
-  }
-
-  SkewedPoint p;
-  p.mode = "fifo";
-  p.requests = kSkewedWaves * kSkewedBanksPerShard;
-  std::vector<std::uint64_t> cycles;
-  for (const auto& b : shards) cycles.push_back(b->modeled_cycles());
-  set_shares(p, cycles);
-  p.verified = mismatches == 0;
-  return p;
-}
-
-/// The live skewed-load run: 24 four-item waves staged behind a paused
-/// former, alternating N=1024 (hot) and N=256 (cold), released at once
-/// onto 2 shards under cost-aware dispatch with stealing.
-SkewedPoint run_skewed() {
-  const auto hot = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kSkewedHotN, 29));
-  const auto cold = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kSkewedColdN, 30));
-
-  service::ServiceConfig cfg;
-  cfg.backend.shards = 2;
-  cfg.backend.banks_per_shard = kSkewedBanksPerShard;
-  cfg.backend.num_buffers = kNumBuffers;
-  cfg.former.queue_capacity = 4096;
-  cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
-  cfg.former.start_paused = true;  // stage the whole skew, then go
-  // Shallow queues: imbalance stalls dispatch.
-  cfg.dispatch.shard_queue_waves = 2;
-  service::NttService svc(cfg);
-
-  Rng rng(13);
-  fhe::CpuBackend cpu;
-  std::vector<std::future<std::vector<std::uint32_t>>> futures;
-  std::vector<std::vector<std::uint32_t>> expected;
-  for (std::size_t w = 0; w < kSkewedWaves; ++w) {
-    const auto& params = (w % 2 == 0) ? hot : cold;
-    for (std::size_t i = 0; i < kSkewedBanksPerShard; ++i) {
-      auto poly = rng.residues(params->n(), params->q());
-      expected.push_back(poly);
-      cpu.forward(expected.back(), *params);
-      futures.push_back(svc.submit(std::move(poly), params));
-    }
-  }
-
-  Stopwatch timer;
-  svc.resume();
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i)
-    if (futures[i].get() != expected[i]) ++mismatches;
-  const double seconds = timer.elapsed_ns() / 1e9;
-  svc.drain();  // settle the last wave's counters before the snapshot
-  svc.shutdown();
-
-  const service::ServiceStats stats = svc.stats();
-  SkewedPoint p;
-  p.mode = "live";
-  p.requests = futures.size();
-  p.seconds = seconds;
-  p.requests_per_sec = static_cast<double>(p.requests) / seconds;
-  std::vector<std::uint64_t> cycles;
-  for (const auto& shard : stats.shards) {
-    p.stolen_waves += shard.stolen_waves;
-    cycles.push_back(shard.modeled_cycles);
-  }
-  set_shares(p, cycles);
-  p.verified = mismatches == 0 && stats.completed == p.requests &&
-               stats.failed == 0;
-  return p;
-}
-
-std::vector<SkewedPoint> skewed_sweep(bool& all_verified) {
-  std::vector<SkewedPoint> points;
-  points.push_back(run_skewed_round_robin());
-  points.push_back(run_skewed());
-  for (const auto& p : points) all_verified = all_verified && p.verified;
-  return points;
-}
-
-void write_skewed_section(bench::JsonWriter& json,
-                          const std::vector<SkewedPoint>& points) {
-  json.begin_array("service_skewed_dispatch");
-  for (const auto& p : points) {
-    json.begin_object();
-    json.field("mode", p.mode);
-    json.field("shards", 2);
-    json.field("banks_per_shard", kSkewedBanksPerShard);
-    json.field("waves", kSkewedWaves);
-    json.field("n_hot", kSkewedHotN);
-    json.field("n_cold", kSkewedColdN);
-    json.field("requests", p.requests);
-    if (p.requests_per_sec > 0) {  // the modeled replay has no wall clock
-      json.field("host_wall_clock", true);
-      json.field("host_cores", std::thread::hardware_concurrency());
-      json.field("requests_per_sec", p.requests_per_sec);
-    }
-    json.field("stolen_waves", p.stolen_waves);
-    json.field("busiest_shard_cycles", p.busiest_shard_cycles);
-    json.field("total_shard_cycles", p.total_shard_cycles);
-    json.field("busiest_share", p.busiest_share);
-    json.field("verified", p.verified);
-    json.end_object();
-  }
-  json.end_array();
-}
-
-// --------------------------------------------------- heterogeneous tier
-
-constexpr std::size_t kHeteroBanks = 4;
-constexpr std::size_t kHeteroWaves = 24;  // alternating bulk / small
-constexpr std::size_t kHeteroCpuLanes = 4;
-constexpr std::size_t kHeteroBulkN = 1024;
-constexpr std::size_t kHeteroSmallN = 256;
-
-struct HeteroPoint {
-  const char* mode = "";
-  std::size_t requests = 0;
-  double seconds = 0;
-  double requests_per_sec = 0;
-  std::uint64_t cpu_waves = 0;
-  std::uint64_t pim_waves = 0;
-  std::uint64_t cpu_requests = 0;
-  /// Live-run accounting: max over shards of estimated_executed_cycles
-  /// (the dispatcher's price for every wave the shard finished). Under
-  /// load the host CPU races the cycle *simulator*, so the live split is
-  /// wall-clock-shaped; the modeled_* fields below are the clean
-  /// modeled-makespan comparison.
-  std::uint64_t busiest_backend_est_cycles = 0;
-  std::uint64_t total_est_cycles = 0;
-  /// Modeled-dispatch replay (see run_hetero_replay): the same wave
-  /// stream greedily assigned on modeled backlogs alone — deterministic,
-  /// no execution racing — and the busiest backend's modeled serial
-  /// finish time. This is the makespan figure CI compares across modes.
-  std::uint64_t modeled_makespan_cycles = 0;
-  std::uint64_t modeled_pim_waves = 0;
-  std::uint64_t modeled_cpu_waves = 0;
-  bool verified = false;
-};
-
-/// Deterministic modeled-makespan replay of the hetero wave stream: build
-/// the backends directly from the same descriptors, warm the PIM plan
-/// cache with one wave of each size class (so prices are measured, not
-/// the conservative default), then feed every wave through a Dispatcher
-/// no worker ever pops. Assignment is then pure greedy on modeled
-/// backlogs — wall-clock never races the cycle simulator — and each
-/// shard's final backlog_cycles() is the modeled serial finish time of
-/// the waves routed to it. With measured prices the split lands exactly
-/// where the paper's deployment model wants it: bulk waves stay on the
-/// PIM (cheap in device cycles), small waves spill to the host CPU.
-struct HeteroReplay {
-  std::uint64_t makespan_cycles = 0;  ///< busiest backend's backlog
-  std::uint64_t pim_waves = 0;
-  std::uint64_t cpu_waves = 0;
-};
-
-HeteroReplay run_hetero_replay(
-    bool add_cpu, const std::shared_ptr<const ntt::NttParams>& bulk,
-    const std::shared_ptr<const ntt::NttParams>& small) {
-  std::vector<service::BackendDescriptor> descriptors = {
-      service::make_pim_descriptor(kHeteroBanks, kNumBuffers)};
-  if (add_cpu)
-    descriptors.push_back(service::make_cpu_descriptor(kHeteroCpuLanes));
-  std::vector<std::unique_ptr<fhe::NttBackend>> backends;
-  for (const auto& d : descriptors) backends.push_back(d.factory());
-
-  // Warm the PIM's plan cache so estimates come from measured traces.
-  {
-    Rng rng(31);
-    for (const auto& params : {bulk, small}) {
-      std::vector<std::vector<std::uint32_t>> polys;
-      std::vector<fhe::BatchItem> items;
-      for (std::size_t i = 0; i < kHeteroBanks; ++i)
-        polys.push_back(rng.residues(params->n(), params->q()));
-      for (auto& p : polys) items.push_back({&p, params.get(), false});
-      backends.front()->transform_batch_mixed(items);
-    }
-  }
-
-  service::Dispatcher::Config cfg;
-  cfg.shards.clear();
-  for (const auto& d : descriptors)
-    cfg.shards.push_back({d.kind, d.cost_scale});
-  cfg.queue_capacity_waves = kHeteroWaves;  // nothing pops: never block
-  service::Dispatcher dispatcher(
-      cfg, [&](std::size_t shard, std::vector<service::Request>& wave) {
-        std::vector<fhe::BatchItem> items;
-        items.reserve(wave.size());
-        for (auto& r : wave)
-          items.push_back({&r.a, r.params.get(), r.inverse});
-        return backends[shard]->estimate_wave_cycles(items);
-      });
-
-  Rng rng(29);
-  std::vector<std::uint64_t> backlog(descriptors.size(), 0);
-  std::vector<std::uint64_t> assigned(descriptors.size(), 0);
-  for (std::size_t w = 0; w < kHeteroWaves; ++w) {
-    const auto& params = (w % 2 == 0) ? bulk : small;
-    std::vector<service::Request> wave(kHeteroBanks);
-    for (auto& r : wave) {
-      r.a = rng.residues(params->n(), params->q());
-      r.params = params;
-    }
-    dispatcher.dispatch(std::move(wave));
-    // The shard whose backlog grew is the assignee (prices are > 0).
-    for (std::size_t s = 0; s < descriptors.size(); ++s) {
-      const std::uint64_t b = dispatcher.backlog_cycles(s);
-      if (b != backlog[s]) {
-        backlog[s] = b;
-        ++assigned[s];
-      }
-    }
-  }
-
-  HeteroReplay r;
-  for (std::size_t s = 0; s < descriptors.size(); ++s) {
-    r.makespan_cycles = std::max(r.makespan_cycles, backlog[s]);
-    if (descriptors[s].kind == service::BackendKind::kCpu)
-      r.cpu_waves += assigned[s];
-    else
-      r.pim_waves += assigned[s];
-  }
-  return r;
-}
-
-/// One heterogeneous-tier run: the bulk/small wave stream staged behind a
-/// paused former, released onto a single 4-bank PIM shard ("pim_only") or
-/// the same shard next to a host-CPU worker pool ("mixed"). Shallow
-/// dispatch queues make the simulated device back up immediately — the
-/// overflow traffic the CPU tier exists to absorb: cost-aware dispatch
-/// spills waves to the CPU whenever its price-plus-backlog beats the
-/// queued-up PIM's, and an idle shard steals. Steals trigger on wall-clock
-/// idleness (the host CPU races a cycle *simulator*), so the modeled
-/// makespans this scenario compares come from the worker-less replay
-/// (run_hetero_replay), not from the live run.
-HeteroPoint run_hetero(const char* mode, bool add_cpu) {
-  const auto bulk = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kHeteroBulkN, 29));
-  const auto small = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kHeteroSmallN, 30));
-
-  service::ServiceConfig cfg;
-  cfg.backend.descriptors = {
-      service::make_pim_descriptor(kHeteroBanks, kNumBuffers)};
-  if (add_cpu)
-    cfg.backend.descriptors.push_back(
-        service::make_cpu_descriptor(kHeteroCpuLanes));
-  cfg.backend.banks_per_shard = kHeteroBanks;
-  cfg.former.queue_capacity = 4096;
-  cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
-  cfg.former.start_paused = true;  // stage the whole burst, then go
-  cfg.dispatch.shard_queue_waves = 2;  // shallow: overflow reaches dispatch
-  service::NttService svc(cfg);
-
-  Rng rng(29);
-  fhe::CpuBackend cpu;
-  std::vector<std::future<std::vector<std::uint32_t>>> futures;
-  std::vector<std::vector<std::uint32_t>> expected;
-  for (std::size_t w = 0; w < kHeteroWaves; ++w) {
-    const auto& params = (w % 2 == 0) ? bulk : small;
-    for (std::size_t i = 0; i < kHeteroBanks; ++i) {
-      auto poly = rng.residues(params->n(), params->q());
-      expected.push_back(poly);
-      cpu.forward(expected.back(), *params);
-      futures.push_back(svc.submit(std::move(poly), params));
-    }
-  }
-
-  Stopwatch timer;
-  svc.resume();
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i)
-    if (futures[i].get() != expected[i]) ++mismatches;
-  const double seconds = timer.elapsed_ns() / 1e9;
-  svc.drain();  // settle the last wave's counters before the snapshot
-  svc.shutdown();
-
-  const service::ServiceStats stats = svc.stats();
-  HeteroPoint p;
-  p.mode = mode;
-  p.requests = futures.size();
-  p.seconds = seconds;
-  p.requests_per_sec = static_cast<double>(p.requests) / seconds;
-  for (const auto& shard : stats.shards) {
-    if (shard.kind == service::BackendKind::kCpu) {
-      p.cpu_waves += shard.waves;
-      p.cpu_requests += shard.requests;
-    } else {
-      p.pim_waves += shard.waves;
-    }
-    p.busiest_backend_est_cycles =
-        std::max(p.busiest_backend_est_cycles, shard.estimated_executed_cycles);
-    p.total_est_cycles += shard.estimated_executed_cycles;
-  }
-  p.verified = mismatches == 0 && stats.completed == p.requests &&
-               stats.failed == 0;
-
-  const HeteroReplay replay = run_hetero_replay(add_cpu, bulk, small);
-  p.modeled_makespan_cycles = replay.makespan_cycles;
-  p.modeled_pim_waves = replay.pim_waves;
-  p.modeled_cpu_waves = replay.cpu_waves;
-  return p;
-}
-
-std::vector<HeteroPoint> hetero_sweep(bool& all_verified) {
-  std::vector<HeteroPoint> points;
-  points.push_back(run_hetero("pim_only", false));
-  points.push_back(run_hetero("mixed", true));
-  for (const auto& p : points) all_verified = all_verified && p.verified;
-  return points;
-}
-
-void write_hetero_section(bench::JsonWriter& json,
-                          const std::vector<HeteroPoint>& points) {
-  json.begin_array("service_hetero_backends");
-  for (const auto& p : points) {
-    json.begin_object();
-    json.field("mode", p.mode);
-    json.field("pim_banks", kHeteroBanks);
-    json.field("cpu_lanes", kHeteroCpuLanes);
-    json.field("waves", kHeteroWaves);
-    json.field("n_bulk", kHeteroBulkN);
-    json.field("n_small", kHeteroSmallN);
-    json.field("requests", p.requests);
-    json.field("host_wall_clock", true);
-    json.field("host_cores", std::thread::hardware_concurrency());
-    json.field("requests_per_sec", p.requests_per_sec);
-    json.field("cpu_waves", p.cpu_waves);
-    json.field("pim_waves", p.pim_waves);
-    json.field("cpu_requests", p.cpu_requests);
-    json.field("busiest_backend_est_cycles", p.busiest_backend_est_cycles);
-    json.field("total_est_cycles", p.total_est_cycles);
-    json.field("modeled_makespan_cycles", p.modeled_makespan_cycles);
-    json.field("modeled_pim_waves", p.modeled_pim_waves);
-    json.field("modeled_cpu_waves", p.modeled_cpu_waves);
-    json.field("verified", p.verified);
-    json.end_object();
-  }
-  json.end_array();
-}
-
-// ----------------------------------------------------- channel hierarchy
-
-constexpr std::size_t kChannelBanks = 16;
-constexpr std::size_t kChannelChannels = 4;
-constexpr std::size_t kChannelBulkN = 1024;
-constexpr std::size_t kChannelServiceRequests = 32;
-
-struct ChannelPoint {
-  const char* mode = "";
-  std::size_t channels = 0;
-  std::size_t requests = 0;
-  /// engine_pass mode: the pass's engine cycles (deterministic, the
-  /// modeled makespan of the bulk wave on this bus layout).
-  std::uint64_t modeled_makespan_cycles = 0;
-  /// service mode: host wall-clock throughput plus the per-channel wave
-  /// split the hierarchical dispatcher produced.
-  double requests_per_sec = 0;
-  std::uint64_t waves = 0;
-  std::vector<std::uint64_t> channel_waves;
-  bool verified = false;
-};
-
-/// Deterministic engine-pass point: one bulk 16-item N=1024 wave filling a
-/// 16-bank device whose banks sit behind `channels` command buses. Bulk
-/// waves are bus-bound — every bank's trace fights for command slots — so
-/// partitioning the banks across private per-channel buses shortens the
-/// pass's makespan while the outputs stay bit-identical. No wall clock
-/// anywhere: the cycles are the simulator's and reproduce on any host.
-ChannelPoint run_channel_pass(std::size_t channels) {
-  const ntt::NttParams params = ntt::NttParams::create(kChannelBulkN, 29);
-  fhe::PimBackend pim(kNumBuffers, 1200.0,
-                      dram::hbm2e_geometry(kChannelBanks, channels));
-
-  Rng rng(43);
-  fhe::CpuBackend cpu;
-  std::vector<std::vector<std::uint32_t>> polys(kChannelBanks);
-  std::vector<std::vector<std::uint32_t>> expected(kChannelBanks);
-  for (std::size_t i = 0; i < kChannelBanks; ++i) {
-    polys[i] = rng.residues(kChannelBulkN, params.q());
-    expected[i] = polys[i];
-    cpu.forward(expected[i], params);
-  }
-  std::vector<fhe::BatchItem> items;
-  items.reserve(kChannelBanks);
-  for (auto& poly : polys) items.push_back({&poly, &params, false});
-  pim.transform_batch_mixed(items);
-
-  ChannelPoint p;
-  p.mode = "engine_pass";
-  p.channels = channels;
-  p.requests = kChannelBanks;
-  p.modeled_makespan_cycles = pim.total_cycles();
-  p.verified = polys == expected;
-  return p;
-}
-
-/// Live multi-channel shard: a staged burst of bulk transforms released
-/// onto one 16-bank, 4-channel shard. The former sizes waves to one
-/// channel's bank set (4 items), so the burst forms 8 waves and the
-/// (shard, channel) dispatcher spreads them across the four channel
-/// queues; the worker then merges one wave per channel into a single
-/// engine pass, overlapping the channels' buses.
-ChannelPoint run_channel_service() {
-  const auto params = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kChannelBulkN, 29));
-
-  service::ServiceConfig cfg;
-  cfg.backend.shards = 1;
-  cfg.backend.banks_per_shard = kChannelBanks;
-  cfg.backend.channels_per_shard = kChannelChannels;
-  cfg.backend.num_buffers = kNumBuffers;
-  cfg.former.queue_capacity = 4096;
-  cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
-  cfg.former.start_paused = true;  // stage the whole burst, then go
-  cfg.dispatch.shard_queue_waves = 8;  // deep: the burst queues up
-  service::NttService svc(cfg);
-
-  Rng rng(47);
-  fhe::CpuBackend cpu;
-  std::vector<std::future<std::vector<std::uint32_t>>> futures;
-  std::vector<std::vector<std::uint32_t>> expected;
-  for (std::size_t i = 0; i < kChannelServiceRequests; ++i) {
-    auto poly = rng.residues(kChannelBulkN, params->q());
-    expected.push_back(poly);
-    cpu.forward(expected.back(), *params);
-    futures.push_back(svc.submit(std::move(poly), params));
-  }
-
-  Stopwatch timer;
-  svc.resume();
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i)
-    if (futures[i].get() != expected[i]) ++mismatches;
-  const double seconds = timer.elapsed_ns() / 1e9;
-  svc.drain();  // settle the last wave's counters before the snapshot
-  svc.shutdown();
-
-  const service::ServiceStats stats = svc.stats();
-  ChannelPoint p;
-  p.mode = "service";
-  p.channels = kChannelChannels;
-  p.requests = futures.size();
-  p.requests_per_sec = static_cast<double>(p.requests) / seconds;
-  const service::ShardStats& shard = stats.shards.front();
-  p.waves = shard.waves;
-  for (const auto& cs : shard.channels) p.channel_waves.push_back(cs.waves);
-  p.verified = mismatches == 0 && stats.completed == p.requests &&
-               stats.failed == 0;
-  return p;
-}
-
-std::vector<ChannelPoint> channel_sweep(bool& all_verified) {
-  std::vector<ChannelPoint> points;
-  points.push_back(run_channel_pass(1));
-  points.push_back(run_channel_pass(kChannelChannels));
-  points.push_back(run_channel_service());
-  for (const auto& p : points) all_verified = all_verified && p.verified;
-  return points;
-}
-
-void write_channel_section(bench::JsonWriter& json,
-                           const std::vector<ChannelPoint>& points) {
-  json.begin_array("service_multi_channel");
-  for (const auto& p : points) {
-    json.begin_object();
-    json.field("mode", p.mode);
-    json.field("banks", kChannelBanks);
-    json.field("channels", p.channels);
-    json.field("n", kChannelBulkN);
-    json.field("requests", p.requests);
-    if (p.channel_waves.empty()) {  // engine_pass: simulator cycles only
-      json.field("modeled_makespan_cycles", p.modeled_makespan_cycles);
-    } else {  // service: wall-clock point with the per-channel wave split
-      json.field("host_wall_clock", true);
-      json.field("host_cores", std::thread::hardware_concurrency());
-      json.field("requests_per_sec", p.requests_per_sec);
-      json.field("waves", p.waves);
-      json.begin_array("channel_waves");
-      for (const std::uint64_t w : p.channel_waves) json.field("", w);
-      json.end_array();
-    }
-    json.field("verified", p.verified);
-    json.end_object();
-  }
-  json.end_array();
-}
-
-// ------------------------------------------------------ multi-tenant QoS
-
-constexpr std::size_t kQosBanksPerShard = 4;
-constexpr std::size_t kQosBulkRequests = 64;   // tenant 0, N=1024, staged first
-constexpr std::size_t kQosCriticalRequests = 8;  // tenant 1, deadlined
-constexpr std::size_t kQosBulkN = 1024;
-constexpr std::size_t kQosCriticalN = 256;
-constexpr double kQosOverloadBurst = 32;  // of 64 bulk submits -> 32 shed
-
-struct QosPoint {
-  const char* mode = "";
-  std::size_t requests = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t critical_deadline_misses = 0;
-  double background_p50_us = 0;
-  double background_p99_us = 0;
-  double critical_p50_us = 0;
-  double critical_p99_us = 0;
-  bool verified = false;
-};
-
-/// One QoS run: 64 bulk N=1024 transforms (tenant 0) staged behind a
-/// paused former *ahead of* 8 deadlined critical N=256 transforms (tenant
-/// 1), then released at once onto a single 4-bank shard — the worst
-/// ordering for the latecomer. In the "fifo" mode the critical requests
-/// carry no deadline or priority, so they wait out the whole bulk backlog
-/// (their p99 ~ the makespan); with them set, the former cuts the critical
-/// requests into the first waves and the deadline-ordered lanes keep them
-/// ahead, so the critical p99 collapses while the bulk p99 barely moves
-/// (the bulk backlog is device-bound either way). The overload mode adds a hard
-/// token bucket on the bulk tenant: exactly 32 of its 64 requests shed
-/// with AdmissionShedError, deterministically.
-/// When `trace_path` is set, lifecycle tracing is enabled for the run and
-/// the resulting Chrome trace-event JSON is written there after shutdown
-/// (load it in Perfetto / chrome://tracing: one track per service thread,
-/// flow arrows stitching each request submit -> cut -> execute ->
-/// complete). A failed write fails the point's `verified`.
-QosPoint run_qos(const char* mode, bool deadlined, bool overload,
-                 const std::optional<std::string>& trace_path = std::nullopt) {
-  const auto bulk_params = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kQosBulkN, 29));
-  const auto critical_params = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kQosCriticalN, 30));
-
-  service::ServiceConfig cfg;
-  cfg.backend.shards = 1;
-  cfg.backend.banks_per_shard = kQosBanksPerShard;
-  cfg.backend.num_buffers = kNumBuffers;
-  cfg.former.queue_capacity = 4096;
-  cfg.former.flush_window = std::chrono::hours(1);  // only size flushes
-  cfg.former.start_paused = true;  // stage bulk-then-critical, then go
-  cfg.qos.num_classes = 2;         // per-class stats in every mode
-  if (overload)
-    cfg.qos.admission = {{.rate_per_sec = 0.0, .burst = kQosOverloadBurst}};
-  cfg.telemetry.enabled = trace_path.has_value();
-  service::NttService svc(cfg);
-
-  Rng rng(53);
-  fhe::CpuBackend cpu;
-  std::vector<std::future<std::vector<std::uint32_t>>> futures;
-  std::vector<std::vector<std::uint32_t>> expected;
-  service::SubmitOptions bulk;
-  bulk.qos.tenant = 0;
-  for (std::size_t i = 0; i < kQosBulkRequests; ++i) {
-    auto poly = rng.residues(bulk_params->n(), bulk_params->q());
-    expected.push_back(poly);
-    cpu.forward(expected.back(), *bulk_params);
-    futures.push_back(svc.submit(std::move(poly), bulk_params, bulk));
-  }
-  service::SubmitOptions critical;
-  critical.qos.tenant = 1;
-  if (deadlined) {
-    critical.qos.priority = 10;
-    critical.qos.deadline =
-        service::ServiceClock::now() + std::chrono::milliseconds(1);
-  }
-  for (std::size_t i = 0; i < kQosCriticalRequests; ++i) {
-    auto poly = rng.residues(critical_params->n(), critical_params->q());
-    expected.push_back(poly);
-    cpu.forward(expected.back(), *critical_params);
-    futures.push_back(svc.submit(std::move(poly), critical_params, critical));
-  }
-
-  svc.resume();
-  std::size_t mismatches = 0;
-  std::size_t sheds = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    try {
-      if (futures[i].get() != expected[i]) ++mismatches;
-    } catch (const service::AdmissionShedError&) {
-      // Deterministic under rate 0: exactly the bulk submits past the
-      // burst (the staging loop is single-threaded).
-      if (i < static_cast<std::size_t>(kQosOverloadBurst) ||
-          i >= kQosBulkRequests)
-        ++mismatches;
-      ++sheds;
-    }
-  }
-  svc.drain();  // settle the last wave's counters before the snapshot
-  svc.shutdown();
-
-  bool trace_written = true;
-  if (trace_path) {
-    std::ofstream out(*trace_path);
-    telemetry::write_chrome_trace(out, svc.trace_collector().drain());
-    trace_written = out.good();
-    if (!trace_written)
-      std::cerr << "cannot write trace to " << *trace_path << "\n";
-  }
-
-  const service::ServiceStats stats = svc.stats();
-  QosPoint p;
-  p.mode = mode;
-  p.requests = futures.size();
-  p.shed = stats.shed;
-  p.critical_deadline_misses = stats.classes.at(1).deadline_misses;
-  p.background_p50_us = stats.classes.at(0).service_latency.p50_us;
-  p.background_p99_us = stats.classes.at(0).service_latency.p99_us;
-  p.critical_p50_us = stats.classes.at(1).service_latency.p50_us;
-  p.critical_p99_us = stats.classes.at(1).service_latency.p99_us;
-  const std::uint64_t expected_shed =
-      overload ? kQosBulkRequests -
-                     static_cast<std::uint64_t>(kQosOverloadBurst)
-               : 0;
-  p.verified = mismatches == 0 && sheds == expected_shed &&
-               stats.shed == expected_shed && stats.failed == 0 &&
-               stats.completed == p.requests - expected_shed && trace_written;
-  return p;
-}
-
-/// The exported trace (--trace) covers the "qos" run — the most eventful
-/// scenario: two tenants, EDF cuts, deadline pressure, 72 full lifecycles.
-std::vector<QosPoint> qos_sweep(bool& all_verified,
-                                const std::optional<std::string>& trace_path) {
-  std::vector<QosPoint> points;
-  points.push_back(run_qos("fifo", false, false));
-  points.push_back(run_qos("qos", true, false, trace_path));
-  points.push_back(run_qos("qos_overload", true, true));
-  for (const auto& p : points) all_verified = all_verified && p.verified;
-  return points;
-}
-
-void write_qos_section(bench::JsonWriter& json,
-                       const std::vector<QosPoint>& points) {
-  json.begin_array("service_qos");
-  for (const auto& p : points) {
-    json.begin_object();
-    json.field("mode", p.mode);
-    json.field("shards", 1);
-    json.field("banks_per_shard", kQosBanksPerShard);
-    json.field("bulk_requests", kQosBulkRequests);
-    json.field("critical_requests", kQosCriticalRequests);
-    json.field("n_bulk", kQosBulkN);
-    json.field("n_critical", kQosCriticalN);
-    json.field("host_wall_clock", true);
-    json.field("host_cores", std::thread::hardware_concurrency());
-    json.field("shed_requests", p.shed);
-    json.field("critical_deadline_misses", p.critical_deadline_misses);
-    json.field("background_p50_us", p.background_p50_us);
-    json.field("background_p99_us", p.background_p99_us);
-    json.field("critical_p50_us", p.critical_p50_us);
-    json.field("critical_p99_us", p.critical_p99_us);
-    json.field("verified", p.verified);
-    json.end_object();
-  }
-  json.end_array();
-}
-
-// ------------------------------------------------------ telemetry overhead
-
-constexpr std::size_t kTelemetryClients = 16;
-
-struct TelemetryPoint {
-  std::size_t requests = 0;  ///< per run (off and on each serve this many)
-  double requests_per_sec_off = 0;  ///< best of the interleaved repeats
-  double requests_per_sec_on = 0;
-  double on_off_ratio = 0;  ///< tracing-on / tracing-off throughput
-  std::uint64_t trace_events = 0;  ///< recorded by the best tracing-on run
-  std::uint64_t trace_dropped_events = 0;
-  double stage_total_us = 0;  ///< mean submit->delivered, from the stages
-  bool verified = false;
-};
-
-struct TelemetryRun {
-  double requests_per_sec = 0;
-  service::ServiceStats stats;
-};
-
-/// One overhead run: 16 closed-loop clients hammering a single shard with
-/// no CPU cross-check (the check would dominate the client loop and mask
-/// any tracing cost — correctness is the throughput sweep's job). The only
-/// difference between the off and on runs is ServiceConfig::telemetry.
-TelemetryRun run_telemetry_once(
-    const std::shared_ptr<const ntt::NttParams>& params, bool tracing,
-    std::size_t requests_per_client) {
-  service::ServiceConfig cfg;
-  cfg.backend.shards = 1;
-  cfg.backend.banks_per_shard = kBanksPerShard;
-  cfg.backend.num_buffers = kNumBuffers;
-  cfg.former.queue_capacity = 4096;
-  cfg.former.flush_window = std::chrono::microseconds(500);
-  cfg.telemetry.enabled = tracing;
-  service::NttService svc(cfg);
-
-  // Steady-state measurement: every client thread runs a short warmup on
-  // its *own* thread before the timer starts — that is what registers the
-  // thread's trace ring (the first emit allocates and faults it in),
-  // fills the shard's plan cache and touches the simulated DRAM pages.
-  // First-touch costs are boot, not the tracing hot path being priced.
-  std::atomic<std::size_t> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kTelemetryClients);
-  for (std::size_t c = 0; c < kTelemetryClients; ++c) {
-    threads.emplace_back([&, c] {
-      Rng rng(200 + c);
-      for (std::size_t r = 0; r < 2; ++r)
-        svc.submit(rng.residues(kN, params->q()), params).get();
+      svc.submit(rng.residues(kN, params->q()), params).get();
       ready.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::size_t r = 0; r < requests_per_client; ++r)
-        svc.submit(rng.residues(kN, params->q()), params).get();
+        if (svc.submit(std::move(inputs[r]), params).get() != expected[r])
+          bad_results.fetch_add(1, std::memory_order_relaxed);
     });
   }
-  while (ready.load(std::memory_order_acquire) < kTelemetryClients)
+  while (ready.load(std::memory_order_acquire) < clients)
     std::this_thread::yield();
-  // Warmup futures are fulfilled, but drain() also waits for the waves'
-  // bookkeeping, so the reset below starts a clean epoch.
+  // A future resolves before its wave's counters land; drain() waits for
+  // the bookkeeping too, so the reset starts a clean epoch.
   svc.drain();
   svc.reset_stats();
   Stopwatch timer;
   go.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
   const double seconds = timer.elapsed_ns() / 1e9;
-  svc.drain();
+  svc.drain();  // settle the last wave's counters before the snapshot
   svc.shutdown();
 
-  TelemetryRun run;
-  run.requests_per_sec =
-      static_cast<double>(kTelemetryClients * requests_per_client) / seconds;
+  ClosedLoop run;
+  const std::size_t requests = clients * requests_per_client;
+  run.requests_per_sec = static_cast<double>(requests) / seconds;
   run.stats = svc.stats();
+  run.verified = bad_results.load(std::memory_order_relaxed) == 0 &&
+                 run.stats.completed == requests && run.stats.failed == 0;
   return run;
 }
 
+std::vector<Row> throughput(const Options& opt) {
+  std::vector<Row> rows;
+  const auto point = [&](std::size_t clients, std::size_t shards,
+                         std::size_t window_us) {
+    service::ServiceConfig cfg;
+    cfg.backend.shards = shards;
+    cfg.former.flush_window = std::chrono::microseconds(window_us);
+    const ClosedLoop run =
+        run_closed_loop(cfg, clients, opt.requests_per_client, 100);
+    const service::ServiceStats& s = run.stats;
+    // Shards are independent devices, so the busiest one's modeled cycles
+    // are the point's modeled makespan: with 2 shards it falls toward half
+    // the 1-shard figure on any host.
+    std::uint64_t busiest = 0;
+    for (const auto& shard : s.shards)
+      busiest = std::max(busiest, shard.modeled_cycles);
+    rows.push_back({{"clients", clients},
+                    {"shards", shards},
+                    {"banks_per_shard", cfg.backend.banks_per_shard},
+                    {"n", kN},
+                    {"num_buffers", cfg.backend.num_buffers},
+                    {"flush_window_us", window_us},
+                    {"requests", clients * opt.requests_per_client},
+                    {"host_wall_clock", true},
+                    {"host_cores", host_cores()},
+                    {"requests_per_sec", run.requests_per_sec},
+                    {"modeled_max_shard_cycles", busiest},
+                    {"waves", s.waves},
+                    {"engine_passes", s.engine_passes},
+                    {"mean_wave_occupancy", s.mean_wave_occupancy},
+                    {"queue_p50_us", s.queue_latency.p50_us},
+                    {"service_p50_us", s.service_latency.p50_us},
+                    {"service_p95_us", s.service_latency.p95_us},
+                    {"service_p99_us", s.service_latency.p99_us},
+                    {"verified", run.verified}});
+  };
+  // Shard scaling under a fixed coalescing window: does a second simulated
+  // device buy aggregate throughput once enough independent clients keep
+  // the queue non-empty?
+  for (const std::size_t shards : {1u, 2u})
+    for (const std::size_t clients : {1u, 4u, 8u, 16u, 32u})
+      point(clients, shards, 500);
+  // Window sweep at a fixed load: occupancy (and with it modeled
+  // efficiency) bought with queueing latency.
+  for (const std::size_t window_us : {0u, 100u, 2000u}) point(16, 1, window_us);
+  return rows;
+}
+
 /// Prices the tracing hot path: identical closed-loop runs with telemetry
-/// off and on, interleaved (off, on, off, on, ...) so host noise hits
-/// both alike, best-of each. CI asserts on_off_ratio >= 0.95 — the "tracing is
-/// cheap enough to leave on" contract. `verified` additionally cross-
-/// checks the stage breakdown against the latency recorders (the stages
-/// must tile the recorded means) and that the off runs recorded nothing.
-TelemetryPoint run_telemetry(std::size_t requests_per_client) {
+/// off and on, interleaved (off, on, off, on, ...) so host noise hits both
+/// alike, best-of each. `verified` also checks that the off runs recorded
+/// nothing and that the per-class stages tile the latency recorders:
+/// former + shard queue = the queue-latency mean, plus execute = the
+/// service-latency mean.
+std::vector<Row> telemetry(const Options& opt) {
+  constexpr std::size_t kClients = 16;
   // CI asserts a 5% bound on this comparison, so the runs must be long
   // enough to average scheduler noise even when --requests shrinks the
   // rest of the bench to smoke size: floor the per-client count.
-  requests_per_client = std::max<std::size_t>(requests_per_client, 48);
-  const auto params = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kN, 30));
-  TelemetryPoint p;
-  p.requests = kTelemetryClients * requests_per_client;
+  const std::size_t per_client =
+      std::max<std::size_t>(opt.requests_per_client, 48);
+  const std::size_t requests = kClients * per_client;
+  service::ServiceConfig cfg;
+  cfg.former.flush_window = std::chrono::microseconds(500);
 
   bool ok = true;
-  service::ServiceStats on_stats;
+  double off_rps = 0;
+  double on_rps = 0;
+  service::ServiceStats on;
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const TelemetryRun off =
-        run_telemetry_once(params, false, requests_per_client);
-    const TelemetryRun on =
-        run_telemetry_once(params, true, requests_per_client);
-    ok = ok && off.stats.completed == p.requests && off.stats.failed == 0 &&
-         on.stats.completed == p.requests && on.stats.failed == 0 &&
-         off.stats.trace_events == 0 && off.stats.trace_dropped_events == 0 &&
-         on.stats.trace_events > 0;
-    p.requests_per_sec_off =
-        std::max(p.requests_per_sec_off, off.requests_per_sec);
-    if (on.requests_per_sec > p.requests_per_sec_on) {
-      p.requests_per_sec_on = on.requests_per_sec;
-      on_stats = on.stats;
+    for (const bool tracing : {false, true}) {
+      cfg.telemetry.enabled = tracing;
+      const ClosedLoop run = run_closed_loop(cfg, kClients, per_client, 200);
+      ok = ok && run.verified &&
+           (tracing ? run.stats.trace_events > 0
+                    : run.stats.trace_events == 0 &&
+                          run.stats.trace_dropped_events == 0);
+      if (!tracing) {
+        off_rps = std::max(off_rps, run.requests_per_sec);
+      } else if (run.requests_per_sec > on_rps) {
+        on_rps = run.requests_per_sec;
+        on = run.stats;
+      }
     }
   }
-  p.on_off_ratio = p.requests_per_sec_off > 0
-                       ? p.requests_per_sec_on / p.requests_per_sec_off
-                       : 0;
-  p.trace_events = on_stats.trace_events;
-  p.trace_dropped_events = on_stats.trace_dropped_events;
-
-  const service::ClassStats& cls = on_stats.classes.at(0);
+  const service::ClassStats& cls = on.classes.at(0);
   const service::StageBreakdown& sb = cls.stages;
-  p.stage_total_us = sb.total_us;
   const double tol = 1e-3 + 1e-6 * cls.service_latency.mean_us;
-  ok = ok && sb.count == p.requests &&
+  ok = ok && sb.count == requests &&
        std::abs(sb.former_residency_us + sb.shard_queue_wait_us -
                 cls.queue_latency.mean_us) <= tol &&
        std::abs(sb.former_residency_us + sb.shard_queue_wait_us +
                 sb.execute_us - cls.service_latency.mean_us) <= tol;
-  p.verified = ok;
-  return p;
+  return {Row{{"clients", kClients},
+              {"shards", cfg.backend.shards},
+              {"banks_per_shard", cfg.backend.banks_per_shard},
+              {"n", kN},
+              {"requests", requests},
+              {"host_wall_clock", true},
+              {"host_cores", host_cores()},
+              {"requests_per_sec_off", off_rps},
+              {"requests_per_sec_on", on_rps},
+              {"on_off_ratio", off_rps > 0 ? on_rps / off_rps : 0},
+              {"trace_events", on.trace_events},
+              {"trace_dropped_events", on.trace_dropped_events},
+              {"stage_total_us", sb.total_us},
+              {"verified", ok}}};
 }
 
-void write_telemetry_section(bench::JsonWriter& json,
-                             const TelemetryPoint& p) {
-  json.begin_object("service_telemetry");
-  json.field("clients", kTelemetryClients);
-  json.field("shards", 1);
-  json.field("banks_per_shard", kBanksPerShard);
-  json.field("n", kN);
-  json.field("requests", p.requests);
-  json.field("host_wall_clock", true);
-  json.field("host_cores", std::thread::hardware_concurrency());
-  json.field("requests_per_sec_off", p.requests_per_sec_off);
-  json.field("requests_per_sec_on", p.requests_per_sec_on);
-  json.field("on_off_ratio", p.on_off_ratio);
-  json.field("trace_events", p.trace_events);
-  json.field("trace_dropped_events", p.trace_dropped_events);
-  json.field("stage_total_us", p.stage_total_us);
-  json.field("verified", p.verified);
-  json.end_object();
-}
+// --------------------------------------------------------- staged burst
 
-std::vector<SweepPoint> sweep(std::size_t requests_per_client,
-                              bool& all_verified) {
-  const auto params = std::make_shared<const ntt::NttParams>(
-      ntt::NttParams::create(kN, 30));
-  std::vector<SweepPoint> points;
-  // Shard scaling under a fixed coalescing window: does a second simulated
-  // device buy aggregate throughput once enough independent clients keep
-  // the queue non-empty?
-  for (const std::size_t shards : {1, 2}) {
-    for (const std::size_t clients : {1, 4, 8, 16, 32}) {
-      points.push_back(
-          run_point(params, clients, shards, 500, requests_per_client));
-      all_verified = all_verified && points.back().verified;
+/// Submits one request of a staged stream: a fresh random polynomial under
+/// `params`, with `options`.
+using Submit =
+    std::function<void(const ParamsPtr&, const service::SubmitOptions&)>;
+
+struct Burst {
+  std::size_t requests = 0;
+  double requests_per_sec = 0;  ///< from resume() to the last result
+  std::size_t mismatches = 0;   ///< results that differ from the CPU
+  std::vector<std::size_t> shed;  ///< stream indices shed at admission
+  bool trace_written = true;
+  service::ServiceStats stats;
+
+  /// Every delivered result matched its CPU reference, nothing failed,
+  /// and exactly the stream indices `expect_shed` were shed.
+  bool verified(const std::vector<std::size_t>& expect_shed = {}) const {
+    return mismatches == 0 && trace_written && shed == expect_shed &&
+           stats.failed == 0 && stats.shed == shed.size() &&
+           stats.completed + shed.size() == requests;
+  }
+};
+
+/// Staged burst: `stage` submits the whole stream behind a paused former,
+/// each request with its CPU-reference expectation; then the former opens
+/// at once and only size flushes cut waves. Returns after every future
+/// resolved and the service drained and shut down. With `trace_path` set,
+/// lifecycle tracing is on and the Chrome trace-event JSON is written
+/// there after shutdown (one track per service thread, flow arrows
+/// stitching each request's submit -> cut -> execute -> complete; open it
+/// in Perfetto / chrome://tracing). A failed write fails the run.
+Burst run_burst(service::ServiceConfig cfg, std::uint64_t seed,
+                const std::function<void(const Submit&)>& stage,
+                const std::optional<std::string>& trace_path = {}) {
+  cfg.former.queue_capacity = 4096;
+  cfg.former.flush_window = std::chrono::hours(1);
+  cfg.former.start_paused = true;
+  cfg.telemetry.enabled = trace_path.has_value();
+  service::NttService svc(cfg);
+
+  Rng rng(seed);
+  fhe::CpuBackend cpu;
+  std::vector<std::future<Poly>> futures;
+  std::vector<Poly> expected;
+  stage([&](const ParamsPtr& params, const service::SubmitOptions& options) {
+    auto poly = rng.residues(params->n(), params->q());
+    expected.push_back(poly);
+    cpu.forward(expected.back(), *params);
+    futures.push_back(svc.submit(std::move(poly), params, options));
+  });
+
+  Burst b;
+  Stopwatch timer;
+  svc.resume();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    try {
+      if (futures[i].get() != expected[i]) ++b.mismatches;
+    } catch (const service::AdmissionShedError&) {
+      b.shed.push_back(i);
     }
   }
-  // Window sweep at a fixed load: occupancy (and with it modeled
-  // efficiency) bought with queueing latency.
-  for (const std::size_t window_us : {0, 100, 2000}) {
-    points.push_back(
-        run_point(params, 16, 1, window_us, requests_per_client));
-    all_verified = all_verified && points.back().verified;
+  const double seconds = timer.elapsed_ns() / 1e9;
+  svc.drain();  // settle the last wave's counters before the snapshot
+  svc.shutdown();
+
+  if (trace_path) {
+    std::ofstream out(*trace_path);
+    telemetry::write_chrome_trace(out, svc.trace_collector().drain());
+    b.trace_written = out.good();
+    if (!b.trace_written)
+      std::cerr << "cannot write trace to " << *trace_path << "\n";
   }
-  return points;
+  b.requests = futures.size();
+  b.requests_per_sec = static_cast<double>(b.requests) / seconds;
+  b.stats = svc.stats();
+  return b;
 }
 
-void write_section(bench::JsonWriter& json,
-                   const std::vector<SweepPoint>& points) {
-  json.begin_array("service_throughput");
-  for (const auto& p : points) {
+/// 24 alternating bulk / small waves of 4 staged onto a single 4-bank PIM
+/// shard ("pim_only") or the same shard next to a 4-lane host-CPU pool
+/// ("mixed"). Shallow dispatch queues make the simulated device back up
+/// at once: the overflow the CPU tier exists to absorb. Cost-aware
+/// dispatch spills a wave to the CPU whenever its price-plus-backlog beats
+/// the queued-up PIM's, and an idle shard steals. Steals trigger on
+/// wall-clock idleness (the host CPU races a cycle *simulator*), so the
+/// modeled makespans are compared by the worker-less dispatch replay in
+/// ServiceProperty.HeteroReplayMixedTierBeatsPimOnly, not here.
+std::vector<Row> hetero(const Options&) {
+  constexpr std::size_t kBanks = 4;
+  constexpr std::size_t kWaves = 24;
+  constexpr std::size_t kCpuLanes = 4;
+  const ParamsPtr bulk = make_params(1024, 29);
+  const ParamsPtr small = make_params(256, 30);
+  std::vector<Row> rows;
+  for (const bool add_cpu : {false, true}) {
+    service::ServiceConfig cfg;
+    cfg.backend.descriptors = {service::make_pim_descriptor(kBanks)};
+    if (add_cpu)
+      cfg.backend.descriptors.push_back(
+          service::make_cpu_descriptor(kCpuLanes));
+    cfg.backend.banks_per_shard = kBanks;
+    cfg.dispatch.shard_queue_waves = 2;
+    const Burst b = run_burst(cfg, 29, [&](const Submit& submit) {
+      for (std::size_t w = 0; w < kWaves; ++w)
+        for (std::size_t i = 0; i < kBanks; ++i)
+          submit(w % 2 == 0 ? bulk : small, {});
+    });
+    // The dispatcher's price for every wave a shard finished: under load
+    // the live split is wall-clock-shaped.
+    std::uint64_t cpu_waves = 0, pim_waves = 0, cpu_requests = 0;
+    std::uint64_t busiest = 0, total = 0;
+    for (const auto& shard : b.stats.shards) {
+      const bool cpu = shard.kind == service::BackendKind::kCpu;
+      (cpu ? cpu_waves : pim_waves) += shard.waves;
+      if (cpu) cpu_requests += shard.requests;
+      busiest = std::max(busiest, shard.estimated_executed_cycles);
+      total += shard.estimated_executed_cycles;
+    }
+    rows.push_back({{"mode", add_cpu ? "mixed" : "pim_only"},
+                    {"pim_banks", kBanks},
+                    {"cpu_lanes", kCpuLanes},
+                    {"waves", kWaves},
+                    {"n_bulk", bulk->n()},
+                    {"n_small", small->n()},
+                    {"requests", b.requests},
+                    {"host_wall_clock", true},
+                    {"host_cores", host_cores()},
+                    {"requests_per_sec", b.requests_per_sec},
+                    {"cpu_waves", cpu_waves},
+                    {"pim_waves", pim_waves},
+                    {"cpu_requests", cpu_requests},
+                    {"busiest_backend_est_cycles", busiest},
+                    {"total_est_cycles", total},
+                    {"verified", b.verified()}});
+  }
+  return rows;
+}
+
+/// 32 bulk transforms staged onto one 16-bank, 4-channel shard. The former
+/// sizes waves to one channel's bank set (4 items), so the burst forms 8
+/// waves; the (shard, channel) dispatcher spreads them across the four
+/// channel queues, and the worker merges one wave per channel into a
+/// single engine pass that overlaps the channels' buses.
+std::vector<Row> channel(const Options&) {
+  constexpr std::size_t kRequests = 32;
+  const ParamsPtr params = make_params(1024, 29);
+  service::ServiceConfig cfg;
+  cfg.backend.banks_per_shard = 16;
+  cfg.backend.channels_per_shard = 4;
+  cfg.dispatch.shard_queue_waves = 8;  // deep: the burst queues up
+  const Burst b = run_burst(cfg, 47, [&](const Submit& submit) {
+    for (std::size_t i = 0; i < kRequests; ++i) submit(params, {});
+  });
+  const service::ShardStats& shard = b.stats.shards.front();
+  std::vector<std::uint64_t> channel_waves;
+  for (const auto& cs : shard.channels) channel_waves.push_back(cs.waves);
+  return {Row{{"mode", "service"},
+              {"banks", cfg.backend.banks_per_shard},
+              {"channels", cfg.backend.channels_per_shard},
+              {"n", params->n()},
+              {"requests", b.requests},
+              {"host_wall_clock", true},
+              {"host_cores", host_cores()},
+              {"requests_per_sec", b.requests_per_sec},
+              {"waves", shard.waves},
+              {"channel_waves", channel_waves},
+              {"verified", b.verified()}}};
+}
+
+/// 64 bulk N = 1024 transforms (tenant 0) staged *ahead of* 8 critical
+/// N = 256 transforms (tenant 1) on a single 4-bank shard: the worst
+/// ordering for the latecomer. In "fifo" the critical requests carry no
+/// deadline or priority, so they wait out the whole bulk backlog (their
+/// p99 ~ the makespan). In "qos" the former cuts them into the first waves
+/// and the deadline-ordered lanes keep them ahead, so the critical p99
+/// collapses while the device-bound bulk p99 barely moves.
+/// "qos_overload" adds a hard token bucket on the bulk tenant: under rate
+/// 0 exactly the 32 bulk submits past its burst shed with
+/// AdmissionShedError (the staging loop is single-threaded). The exported
+/// trace (--trace) covers the "qos" run, the most eventful one: two
+/// tenants, EDF cuts, deadline pressure, 72 full lifecycles.
+std::vector<Row> qos(const Options& opt) {
+  constexpr std::size_t kBanks = 4;
+  constexpr std::size_t kBulkRequests = 64;
+  constexpr std::size_t kCriticalRequests = 8;
+  constexpr std::size_t kOverloadBurst = 32;
+  const ParamsPtr bulk_params = make_params(1024, 29);
+  const ParamsPtr critical_params = make_params(256, 30);
+  struct Mode {
+    const char* name;
+    bool deadlined;
+    bool overload;
+  };
+  std::vector<Row> rows;
+  for (const Mode& m : {Mode{"fifo", false, false}, Mode{"qos", true, false},
+                        Mode{"qos_overload", true, true}}) {
+    service::ServiceConfig cfg;
+    cfg.backend.banks_per_shard = kBanks;
+    cfg.qos.num_classes = 2;  // per-class stats in every mode
+    std::vector<std::size_t> expect_shed;
+    if (m.overload) {
+      cfg.qos.admission = {
+          {.rate_per_sec = 0.0, .burst = static_cast<double>(kOverloadBurst)}};
+      for (std::size_t i = kOverloadBurst; i < kBulkRequests; ++i)
+        expect_shed.push_back(i);
+    }
+    const bool traced = m.deadlined && !m.overload;
+    const Burst b = run_burst(
+        cfg, 53,
+        [&](const Submit& submit) {
+          service::SubmitOptions bulk;
+          bulk.qos.tenant = 0;
+          for (std::size_t i = 0; i < kBulkRequests; ++i)
+            submit(bulk_params, bulk);
+          service::SubmitOptions critical;
+          critical.qos.tenant = 1;
+          if (m.deadlined) {
+            critical.qos.priority = 10;
+            critical.qos.deadline =
+                service::ServiceClock::now() + std::chrono::milliseconds(1);
+          }
+          for (std::size_t i = 0; i < kCriticalRequests; ++i)
+            submit(critical_params, critical);
+        },
+        traced ? opt.trace_path : std::nullopt);
+    const service::ClassStats& background = b.stats.classes.at(0);
+    const service::ClassStats& critical = b.stats.classes.at(1);
+    rows.push_back(
+        {{"mode", m.name},
+         {"shards", cfg.backend.shards},
+         {"banks_per_shard", kBanks},
+         {"bulk_requests", kBulkRequests},
+         {"critical_requests", kCriticalRequests},
+         {"n_bulk", bulk_params->n()},
+         {"n_critical", critical_params->n()},
+         {"host_wall_clock", true},
+         {"host_cores", host_cores()},
+         {"shed_requests", b.stats.shed},
+         {"critical_deadline_misses", critical.deadline_misses},
+         {"background_p50_us", background.service_latency.p50_us},
+         {"background_p99_us", background.service_latency.p99_us},
+         {"critical_p50_us", critical.service_latency.p50_us},
+         {"critical_p99_us", critical.service_latency.p99_us},
+         {"verified", b.verified(expect_shed)}});
+  }
+  return rows;
+}
+
+// ------------------------------------------------------ scenario table
+
+struct Scenario {
+  const char* key;    ///< JSON section
+  const char* title;  ///< text-table heading
+  bool one_object;    ///< written as one object, not an array of rows
+  std::vector<Row> (*run)(const Options&);
+};
+
+constexpr Scenario kScenarios[] = {
+    {"service_throughput",
+     "Closed-loop throughput (N = 256, waves of 8 banks)", false, throughput},
+    {"service_hetero_backends",
+     "Heterogeneous tier (PIM-only vs PIM + CPU pool)", false, hetero},
+    {"service_multi_channel", "Channel hierarchy (16 banks, 4 buses)", false,
+     channel},
+    {"service_qos", "Multi-tenant QoS (bulk staged ahead of critical)", false,
+     qos},
+    {"service_telemetry", "Telemetry overhead (tracing off vs on)", true,
+     telemetry},
+};
+
+bool verified(const Row& row) {
+  for (const Field& f : row)
+    if (f.name == "verified") return std::get<bool>(f.value);
+  return false;
+}
+
+void write_row(bench::JsonWriter& json, const Row& row) {
+  for (const Field& f : row) {
+    std::visit(
+        [&](const auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+            json.begin_array(f.name);
+            for (const std::uint64_t x : v) json.field("", x);
+            json.end_array();
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            json.field(f.name, std::string_view(v));
+          } else {
+            json.field(f.name, v);
+          }
+        },
+        f.value);
+  }
+}
+
+void write_section(bench::JsonWriter& json, const Scenario& s,
+                   const std::vector<Row>& rows) {
+  if (s.one_object) {
+    json.begin_object(s.key);
+    write_row(json, rows.front());
+    json.end_object();
+    return;
+  }
+  json.begin_array(s.key);
+  for (const Row& row : rows) {
     json.begin_object();
-    json.field("clients", p.clients);
-    json.field("shards", p.shards);
-    json.field("banks_per_shard", kBanksPerShard);
-    json.field("n", kN);
-    json.field("num_buffers", kNumBuffers);
-    json.field("flush_window_us", p.window_us);
-    json.field("requests", p.requests);
-    json.field("host_wall_clock", true);
-    json.field("host_cores", std::thread::hardware_concurrency());
-    json.field("requests_per_sec", p.requests_per_sec);
-    json.field("modeled_max_shard_cycles", p.modeled_max_shard_cycles);
-    json.field("waves", p.waves);
-    json.field("engine_passes", p.engine_passes);
-    json.field("mean_wave_occupancy", p.mean_wave_occupancy);
-    json.field("queue_p50_us", p.queue_p50_us);
-    json.field("service_p50_us", p.service_p50_us);
-    json.field("service_p95_us", p.service_p95_us);
-    json.field("service_p99_us", p.service_p99_us);
-    json.field("verified", p.verified);
+    write_row(json, row);
     json.end_object();
   }
   json.end_array();
 }
 
-int run_json(const std::string& path, std::size_t requests_per_client,
-             const std::optional<std::string>& trace_path) {
-  bool all_verified = true;
-  const auto points = sweep(requests_per_client, all_verified);
-  const auto skewed = skewed_sweep(all_verified);
-  const auto hetero = hetero_sweep(all_verified);
-  const auto channel = channel_sweep(all_verified);
-  const auto qos = qos_sweep(all_verified, trace_path);
-  const auto telemetry = run_telemetry(requests_per_client);
-  all_verified = all_verified && telemetry.verified;
-  if (!all_verified) {
-    std::cerr << "bench aborted: a served transform failed verification "
-                 "against the CPU backend\n";
-    return 1;
+std::string cell(const Value& value) {
+  return std::visit(
+      [](const auto& v) -> std::string {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return v;
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return v ? "YES" : "NO";
+        } else if constexpr (std::is_same_v<T, double>) {
+          return TablePrinter::num(v);
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+          return std::to_string(v);
+        } else {
+          std::string joined;
+          for (const std::uint64_t x : v)
+            joined += (joined.empty() ? "" : "/") + std::to_string(x);
+          return joined;
+        }
+      },
+      value);
+}
+
+/// Renders a section transposed: one line per field, one column per row,
+/// headed by each row's first field (mode, or client count).
+void print_section(const Scenario& s, const std::vector<Row>& rows) {
+  std::cout << "\n==== " << s.title << " ====\n";
+  std::vector<std::string> headers = {rows.front().front().name};
+  for (const Row& row : rows) headers.push_back(cell(row.front().value));
+  TablePrinter table(std::move(headers));
+  for (std::size_t f = 1; f < rows.front().size(); ++f) {
+    std::vector<std::string> cells = {rows.front()[f].name};
+    for (const Row& row : rows) cells.push_back(cell(row[f].value));
+    table.add_row(std::move(cells));
   }
-  int rc = bench::write_host_section(
-      path, "bench_service", "service_throughput",
-      [&](bench::JsonWriter& json) { write_section(json, points); });
-  if (rc != 0) return rc;
-  rc = bench::write_host_section(
-      path, "bench_service", "service_skewed_dispatch",
-      [&](bench::JsonWriter& json) { write_skewed_section(json, skewed); });
-  if (rc != 0) return rc;
-  rc = bench::write_host_section(
-      path, "bench_service", "service_hetero_backends",
-      [&](bench::JsonWriter& json) { write_hetero_section(json, hetero); });
-  if (rc != 0) return rc;
-  rc = bench::write_host_section(
-      path, "bench_service", "service_multi_channel",
-      [&](bench::JsonWriter& json) { write_channel_section(json, channel); });
-  if (rc != 0) return rc;
-  rc = bench::write_host_section(
-      path, "bench_service", "service_qos",
-      [&](bench::JsonWriter& json) { write_qos_section(json, qos); });
-  if (rc != 0) return rc;
-  return bench::write_host_section(
-      path, "bench_service", "service_telemetry",
-      [&](bench::JsonWriter& json) { write_telemetry_section(json, telemetry); });
+  table.print(std::cout);
 }
 
 constexpr const char* kUsage =
     "usage: bench_service [--json [path]] [--requests <per-client>]\n"
     "                     [--trace <path>]\n"
-    "  Closed-loop load generator for the async NTT serving runtime:\n"
-    "  client count x shard count x flush window sweep reporting aggregate\n"
-    "  requests/sec, mean wave occupancy and latency percentiles, plus a\n"
-    "  skewed-load dispatch comparison (round-robin replay vs live\n"
-    "  cost-aware dispatch with stealing),\n"
-    "  a heterogeneous-tier comparison (PIM-only vs PIM + CPU pool), a\n"
-    "  channel-hierarchy comparison (16 banks behind 1 vs 4 command buses\n"
-    "  plus a live 4-channel shard), a multi-tenant QoS comparison\n"
-    "  (bulk-ahead-of-critical staging without vs with critical deadlines\n"
-    "  vs added token-bucket overload shedding) and a telemetry\n"
-    "  overhead comparison (identical runs with lifecycle tracing off vs\n"
-    "  on; CI holds the on/off throughput ratio above 0.95).\n"
-    "  --json [path]       append service_throughput,\n"
-    "                      service_skewed_dispatch,\n"
+    "  Live scenarios of the async NTT serving runtime: a closed-loop\n"
+    "  client x shard x flush-window throughput sweep, a heterogeneous\n"
+    "  tier (PIM-only vs PIM + CPU pool), a 4-channel shard, multi-tenant\n"
+    "  QoS (bulk staged ahead of critical, without vs with deadlines vs\n"
+    "  added token-bucket shedding) and tracing off vs on. Every result is\n"
+    "  checked against the CPU reference.\n"
+    "  --json [path]       write service_throughput,\n"
     "                      service_hetero_backends,\n"
     "                      service_multi_channel, service_qos and\n"
-    "                      service_telemetry sections to the\n"
-    "                      BENCH_host.json-style object at path (or\n"
-    "                      write a standalone report; \"-\"/no path = "
-    "stdout)\n"
+    "                      service_telemetry into the BENCH_host.json-style\n"
+    "                      object at path (or write one standalone report;\n"
+    "                      \"-\"/no path = stdout)\n"
     "  --requests <count>  requests per client (default 32)\n"
     "  --trace <path>      write a Chrome trace-event JSON of the QoS\n"
     "                      scenario's \"qos\" run to <path> (open it in\n"
@@ -1172,8 +644,8 @@ constexpr const char* kUsage =
 
 int main(int argc, char** argv) {
   const auto json_path = bench::consume_json_flag(argc, argv);
-  const auto trace_path = bench::consume_trace_flag(argc, argv);
-  std::size_t requests_per_client = kDefaultRequestsPerClient;
+  Options opt;
+  opt.trace_path = bench::consume_trace_flag(argc, argv);
   if (const auto requests = bench::consume_value_flag(argc, argv,
                                                       "--requests")) {
     const long parsed = std::strtol(requests->c_str(), nullptr, 10);
@@ -1181,157 +653,35 @@ int main(int argc, char** argv) {
       std::cerr << "--requests needs a positive count\n" << kUsage;
       return 2;
     }
-    requests_per_client = static_cast<std::size_t>(parsed);
+    opt.requests_per_client = static_cast<std::size_t>(parsed);
   }
   bench::finish_flags(argc, argv, kUsage);
-  if (json_path) return run_json(*json_path, requests_per_client, trace_path);
 
-  bench::print_table1_header(
-      "Async serving runtime (N = 256, closed-loop clients, waves of "
-      "banks = 8)");
-
+  if (!json_path) bench::print_table1_header("Async serving runtime");
   bool all_verified = true;
-  const auto points = sweep(requests_per_client, all_verified);
-  TablePrinter table({"clients", "shards", "window (us)", "requests/s",
-                      "occupancy", "p50 (us)", "p95 (us)",
-                      "busiest shard (cyc)", "verified"});
-  for (const auto& p : points)
-    table.add_row({std::to_string(p.clients), std::to_string(p.shards),
-                   std::to_string(p.window_us),
-                   TablePrinter::num(p.requests_per_sec, 1),
-                   TablePrinter::num(p.mean_wave_occupancy),
-                   TablePrinter::num(p.service_p50_us, 1),
-                   TablePrinter::num(p.service_p95_us, 1),
-                   std::to_string(p.modeled_max_shard_cycles),
-                   p.verified ? "YES" : "NO"});
-  table.print(std::cout);
-  std::cout << "\nOccupancy (batch items per engine pass) is what the "
-               "wave-former buys: independent synchronous clients end up "
-               "sharing bank-parallel engine passes. The window sweep "
-               "prices it — a longer flush window raises occupancy and "
-               "p50 latency together. Sharding halves the busiest device's "
-               "modeled cycles on any host; seeing the same x2 in "
-               "requests/sec additionally needs >= shards free host cores "
-               "(this host: "
-            << std::thread::hardware_concurrency() << ").\n";
-
-  const auto skewed = skewed_sweep(all_verified);
-  std::cout << "\n==== Skewed dispatch (2 shards, alternating N="
-            << kSkewedHotN << " / N=" << kSkewedColdN << " waves) ====\n";
-  TablePrinter skew_table({"mode", "requests/s", "stolen waves",
-                           "busiest shard (cyc)", "busiest share",
-                           "verified"});
-  for (const auto& p : skewed)
-    skew_table.add_row({p.mode, TablePrinter::num(p.requests_per_sec, 1),
-                        std::to_string(p.stolen_waves),
-                        std::to_string(p.busiest_shard_cycles),
-                        TablePrinter::num(p.busiest_share),
-                        p.verified ? "YES" : "NO"});
-  skew_table.print(std::cout);
-  std::cout << "\nThe round-robin replay resonates with the alternating "
-               "size classes — every expensive wave lands on shard 0 "
-               "(busiest share ~ its cost share). Cost-aware assignment "
-               "avoids most of the imbalance before it forms, and stealing "
-               "lets the idle shard take the oldest queued wave of the "
-               "loaded one.\n";
-
-  const auto hetero = hetero_sweep(all_verified);
-  std::cout << "\n==== Heterogeneous tier (bulk N=" << kHeteroBulkN
-            << " / small N=" << kHeteroSmallN
-            << " waves, PIM-only vs PIM + CPU pool) ====\n";
-  TablePrinter hetero_table({"mode", "requests/s", "pim waves", "cpu waves",
-                             "modeled makespan (cyc)", "modeled pim/cpu",
-                             "verified"});
-  for (const auto& p : hetero)
-    hetero_table.add_row(
-        {p.mode, TablePrinter::num(p.requests_per_sec, 1),
-         std::to_string(p.pim_waves), std::to_string(p.cpu_waves),
-         std::to_string(p.modeled_makespan_cycles),
-         std::to_string(p.modeled_pim_waves) + "/" +
-             std::to_string(p.modeled_cpu_waves),
-         p.verified ? "YES" : "NO"});
-  hetero_table.print(std::cout);
-  std::cout << "\nLive run: a host-CPU pool next to the PIM shard absorbs "
-               "the overflow the moment the device backs up (cpu waves, "
-               "requests/s). Modeled replay: greedy dispatch on modeled "
-               "backlogs alone keeps bulk waves on the PIM, spills small "
-               "waves to the CPU, and cuts the busiest backend's modeled "
-               "makespan versus queueing every wave on one device.\n";
-
-  const auto channel = channel_sweep(all_verified);
-  std::cout << "\n==== Channel hierarchy (" << kChannelBanks
-            << " banks, bulk N=" << kChannelBulkN
-            << " waves, 1 vs " << kChannelChannels
-            << " command buses) ====\n";
-  TablePrinter chan_table({"mode", "channels", "makespan (cyc)",
-                           "requests/s", "channel waves", "verified"});
-  for (const auto& p : channel) {
-    std::string split;
-    for (std::size_t i = 0; i < p.channel_waves.size(); ++i)
-      split += (i ? "/" : "") + std::to_string(p.channel_waves[i]);
-    chan_table.add_row(
-        {p.mode, std::to_string(p.channels),
-         p.modeled_makespan_cycles
-             ? std::to_string(p.modeled_makespan_cycles)
-             : "-",
-         p.requests_per_sec ? TablePrinter::num(p.requests_per_sec, 1) : "-",
-         split.empty() ? "-" : split, p.verified ? "YES" : "NO"});
+  std::vector<std::vector<Row>> results;
+  for (const Scenario& s : kScenarios) {
+    results.push_back(s.run(opt));
+    for (const Row& row : results.back())
+      all_verified = all_verified && verified(row);
+    if (!json_path) print_section(s, results.back());
   }
-  chan_table.print(std::cout);
-  std::cout << "\nA bulk wave filling every bank is bus-bound: one shared "
-               "command bus serializes all 16 bank traces. Splitting the "
-               "banks across per-channel buses removes the cross-channel "
-               "serialization (the engine_pass rows are deterministic "
-               "simulator cycles, identical on any host). The service row "
-               "shows the hierarchical dispatcher spreading the formed "
-               "waves across the shard's channel queues so the worker can "
-               "merge one wave per channel into each engine pass.\n";
-
-  const auto qos = qos_sweep(all_verified, trace_path);
-  std::cout << "\n==== Multi-tenant QoS (" << kQosBulkRequests
-            << " bulk N=" << kQosBulkN << " staged ahead of "
-            << kQosCriticalRequests << " deadlined critical N="
-            << kQosCriticalN << ") ====\n";
-  TablePrinter qos_table({"mode", "shed", "crit misses", "crit p50 (us)",
-                          "crit p99 (us)", "bulk p99 (us)", "verified"});
-  for (const auto& p : qos)
-    qos_table.add_row({p.mode, std::to_string(p.shed),
-                       std::to_string(p.critical_deadline_misses),
-                       TablePrinter::num(p.critical_p50_us, 1),
-                       TablePrinter::num(p.critical_p99_us, 1),
-                       TablePrinter::num(p.background_p99_us, 1),
-                       p.verified ? "YES" : "NO"});
-  qos_table.print(std::cout);
-  std::cout << "\nWithout a deadline the latecomer critical tenant waits "
-               "out the entire staged bulk backlog (crit p99 ~ the run's "
-               "makespan). With one, forming and dispatch order cut "
-               "the deadlined requests into the first waves, collapsing "
-               "the critical p99 while the device-bound bulk p99 barely "
-               "moves; the overload mode's token bucket sheds exactly the "
-               "bulk requests past its burst before they cost anything.\n";
-  if (trace_path)
-    std::cout << "\nWrote Chrome trace of the \"qos\" run to " << *trace_path
-              << " (open it in Perfetto / chrome://tracing).\n";
-
-  const auto telemetry = run_telemetry(requests_per_client);
-  all_verified = all_verified && telemetry.verified;
-  std::cout << "\n==== Telemetry overhead (" << kTelemetryClients
-            << " clients, 1 shard, lifecycle tracing off vs on) ====\n";
-  TablePrinter tel_table({"requests/s off", "requests/s on", "on/off",
-                          "events", "dropped", "verified"});
-  tel_table.add_row({TablePrinter::num(telemetry.requests_per_sec_off, 1),
-                     TablePrinter::num(telemetry.requests_per_sec_on, 1),
-                     TablePrinter::num(telemetry.on_off_ratio),
-                     std::to_string(telemetry.trace_events),
-                     std::to_string(telemetry.trace_dropped_events),
-                     telemetry.verified ? "YES" : "NO"});
-  tel_table.print(std::cout);
-  std::cout << "\nThe tracing hot path is one relaxed atomic load when "
-               "disabled and a lock-free push into a per-thread ring when "
-               "enabled, so the on/off throughput ratio stays near 1 (CI "
-               "holds it above 0.95). `verified` also cross-checks the "
-               "per-class stage breakdown against the latency recorders: "
-               "former + shard-queue must equal the queue-latency mean, "
-               "plus execute the service-latency mean.\n";
-  return all_verified ? EXIT_SUCCESS : EXIT_FAILURE;
+  if (!json_path) {
+    if (opt.trace_path)
+      std::cout << "\nWrote Chrome trace of the \"qos\" run to "
+                << *opt.trace_path << "\n";
+    return all_verified ? EXIT_SUCCESS : EXIT_FAILURE;
+  }
+  if (!all_verified) {
+    std::cerr << "bench aborted: a served transform failed verification "
+                 "against the CPU backend\n";
+    return 1;
+  }
+  std::vector<std::string_view> keys;
+  for (const Scenario& s : kScenarios) keys.push_back(s.key);
+  return bench::write_host_sections(
+      *json_path, "bench_service", keys, [&](bench::JsonWriter& json) {
+        for (std::size_t i = 0; i < keys.size(); ++i)
+          write_section(json, kScenarios[i], results[i]);
+      });
 }

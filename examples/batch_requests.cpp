@@ -1,9 +1,10 @@
 // Batched NTT requests, two ways:
-//  1. Through the memory-controller front end (Fig. 1): several
-//     polynomials with *different moduli* resident in one bank, each
-//     transformed by its own queued request — the PARAM prologues
-//     re-parameterize the CU between calls (the flexibility
-//     MeNTT/CryptoPIM lack, Sec. VI.E).
+//  1. Mixed moduli in one bank: three polynomials with *different sizes
+//     and moduli* go to a 1-bank device as one heterogeneous wave
+//     (PimBackend::transform_batch_mixed). The backend stacks them at
+//     disjoint base rows and runs them back-to-back in a single engine
+//     pass; each item's PARAM prologue re-parameterizes the CU between
+//     calls (the flexibility MeNTT/CryptoPIM lack, Sec. VI.E).
 //  2. Through the throughput-shaped FHE backend: PimBackend::transform_batch
 //     shards a pile of same-parameter polynomials across a multi-bank
 //     device, one cached plan replicated per bank, one engine pass per
@@ -14,12 +15,7 @@
 #include "common/random.h"
 #include "common/table.h"
 #include "fhe/pim_backend.h"
-#include "mapping/controller.h"
 #include "ntt/negacyclic.h"
-#include "ntt/primes.h"
-#include "ntt/reference.h"
-#include "pim/host.h"
-#include "sim/engine.h"
 
 namespace {
 
@@ -58,57 +54,41 @@ int run_backend_batch() {
 int main() {
   using namespace nttpim;
 
-  const dram::DramGeometry geometry = dram::hbm2e_geometry();
-  pim::PimDevice device(geometry, /*num_buffers=*/4);
-  mapping::MemoryController controller(geometry,
-                                       {.num_buffers = 4});
-
-  // Three requests: different sizes, different moduli, disjoint rows.
-  struct Job {
-    std::size_t n;
-    unsigned bits;
-    std::uint32_t base_row;
-  };
-  const Job jobs[] = {{512, 31, 0}, {1024, 30, 8}, {256, 29, 16}};
+  // Part 1: three items, different sizes and moduli, one bank, one pass.
+  fhe::PimBackend backend(/*num_buffers=*/4, 1200.0, dram::hbm2e_geometry(1));
+  const ntt::NttParams params[] = {ntt::NttParams::create(512, 31),
+                                   ntt::NttParams::create(1024, 30),
+                                   ntt::NttParams::create(256, 29)};
 
   Rng rng(7);
-  std::vector<std::vector<std::uint32_t>> inputs;
-  std::vector<ntt::NttParams> params;
-  for (const auto& job : jobs) {
-    const std::uint32_t q = ntt::find_ntt_prime(job.n, job.bits);
-    params.emplace_back(job.n, q);
-    inputs.push_back(rng.residues(job.n, q));
-    pim::load_polynomial(device.bank(0), job.base_row, inputs.back());
-    controller.submit(
-        {.bank = 0, .base_row = job.base_row, .n = job.n, .q = q});
+  std::vector<std::vector<std::uint32_t>> polys;
+  std::vector<std::vector<std::uint32_t>> expected;
+  for (const auto& p : params) {
+    polys.push_back(rng.residues(p.n(), p.q()));
+    expected.push_back(polys.back());
+    ntt::forward_negacyclic_ntt(expected.back(), p);
   }
+  std::vector<fhe::BatchItem> items;
+  for (std::size_t i = 0; i < polys.size(); ++i)
+    items.push_back({&polys[i], &params[i], false});
+  backend.transform_batch_mixed(items);
 
-  const sim::Engine engine{sim::EngineConfig{}};
-  const auto stats = engine.run(device, controller.pending_trace());
-
-  TablePrinter table({"N", "q", "base row", "commands", "verified"});
+  TablePrinter table({"N", "q", "base row", "verified"});
   bool all_ok = true;
-  for (std::size_t i = 0; i < std::size(jobs); ++i) {
-    auto expected = inputs[i];
-    ntt::forward_ntt(expected, params[i]);
-    const auto& response = controller.responses()[i];
-    const bool ok = pim::read_result(device.bank(0),
-                                     response.result_base_row,
-                                     jobs[i].n) == expected;
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    const bool ok = polys[i] == expected[i];
     all_ok = all_ok && ok;
-    table.add_row({std::to_string(jobs[i].n),
+    table.add_row({std::to_string(params[i].n()),
                    std::to_string(params[i].q()),
-                   std::to_string(jobs[i].base_row),
-                   std::to_string(response.command_count),
+                   std::to_string(backend.last_wave()[i].base_row),
                    ok ? "YES" : "NO"});
   }
 
-  std::cout << "Batched NTT requests on one bank (one engine run):\n\n";
+  std::cout << "Batched NTT requests on one bank (one engine pass):\n\n";
   table.print(std::cout);
-  std::cout << "\nTotal: " << stats.commands << " commands, " << stats.cycles
-            << " cycles (" << stats.us() << " us), bus utilization "
-            << TablePrinter::num(stats.bus_utilization() * 100, 1)
-            << "%\n";
+  std::cout << "\nTotal: " << backend.engine_passes() << " engine pass, "
+            << backend.total_cycles() << " cycles (" << backend.total_us()
+            << " us)\n";
   if (!all_ok) return EXIT_FAILURE;
   return run_backend_batch();
 }

@@ -1,11 +1,10 @@
-// Host-side interface (paper Sec. IV.A, Fig. 1).
+// Host-side data placement (paper Sec. IV.A, Fig. 1).
 //
-// From software's perspective the NTT function is invoked as a *write
-// request* whose "write data" carries the NTT parameters; the input
-// polynomial is already resident in memory and only its address is passed.
-// The host is also responsible for the bit-reversal permutation (a common
-// assumption shared with MeNTT/CryptoPIM), which load_polynomial performs
-// while placing data.
+// The input polynomial is already resident in memory when the NTT is
+// invoked. The host is responsible for the bit-reversal permutation (a
+// common assumption shared with MeNTT/CryptoPIM), which load_polynomial
+// performs while placing data; read_result reads the natural-order output
+// back.
 #pragma once
 
 #include <cstdint>
@@ -17,16 +16,6 @@
 #include "pim/device.h"
 
 namespace nttpim::pim {
-
-/// The NTT invocation request: everything the MC needs to emit commands.
-struct NttRequest {
-  std::uint16_t bank = 0;
-  std::uint32_t base_row = 0;  ///< row-aligned address of the polynomial
-  std::size_t n = 0;           ///< polynomial length (power of two)
-  std::uint32_t q = 0;         ///< modulus
-  std::uint32_t omega = 0;     ///< primitive n-th root of unity
-  bool inverse = false;        ///< run the inverse transform
-};
 
 /// Place a natural-order polynomial into the bank starting at `base_row`,
 /// applying the host-side bit-reversal permutation.

@@ -26,9 +26,8 @@ class NttBackend;
 
 namespace nttpim::service {
 
-/// What executes a shard's waves. The dispatcher uses the kind for
-/// compatibility bookkeeping and stats/bench reporting; execution itself
-/// only ever sees the NttBackend interface.
+/// What executes a shard's waves. Stats and bench reporting use the kind;
+/// dispatch and execution only ever see the NttBackend interface.
 enum class BackendKind {
   kPim,  ///< simulated NTT-PIM device (fhe::PimBackend)
   kCpu,  ///< host-CPU worker pool (fhe::CpuBackend)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -27,16 +28,13 @@ Dispatcher::Dispatcher(const Config& config, Estimator estimator)
 
 std::uint64_t Dispatcher::priced_for(std::size_t shard,
                                      std::vector<Request>& wave) const {
-  const std::uint64_t raw = estimate_(shard, wave);
-  if (raw == kIncompatibleCycles) return kIncompatibleCycles;
-  const double scaled =
-      std::ceil(static_cast<double>(raw) * cfg_.shards[shard].cost_scale);
-  // Clamp below the sentinel so a huge scaled price stays "very expensive"
-  // instead of becoming "incompatible".
-  const auto max_price =
-      static_cast<double>(kIncompatibleCycles - 1);
-  return scaled >= max_price ? kIncompatibleCycles - 1
-                             : static_cast<std::uint64_t>(scaled);
+  const double scaled = std::ceil(static_cast<double>(estimate_(shard, wave)) *
+                                  cfg_.shards[shard].cost_scale);
+  // Saturate: converting a double past the uint64 range is undefined.
+  constexpr auto kMaxPrice = std::numeric_limits<std::uint64_t>::max();
+  return scaled >= static_cast<double>(kMaxPrice)
+             ? kMaxPrice
+             : static_cast<std::uint64_t>(scaled);
 }
 
 Dispatcher::Assignment Dispatcher::dispatch(std::vector<Request>&& wave) {
@@ -58,27 +56,22 @@ Dispatcher::Assignment Dispatcher::dispatch(std::vector<Request>&& wave) {
   const bool urgent = wave_deadline != ServiceClock::time_point::max();
   // Price the wave once per shard (heterogeneous backends price the same
   // wave differently; a shard's channels are identical buses and share its
-  // price); incompatible shards drop out here.
+  // price).
   std::vector<std::uint64_t> price(queues_.size());
-  bool any_compatible = false;
-  for (std::size_t s = 0; s < queues_.size(); ++s) {
+  for (std::size_t s = 0; s < queues_.size(); ++s)
     price[s] = priced_for(s, wave);
-    any_compatible |= price[s] != kIncompatibleCycles;
-  }
-  NTTPIM_CHECK_MSG(any_compatible, "no shard can execute the wave");
   for (;;) {
     // Pick the target first, then wait for space *there*, re-picking after
     // every wake (backlogs moved while we slept). Smallest completion
-    // estimate (channel backlog + this wave's price) among compatible
-    // (shard, channel) pairs with space; when every compatible channel is
-    // full, smallest overall (and the wait below applies). Ties resolve
-    // to the first pair in shard-major order.
+    // estimate (channel backlog + this wave's price) among (shard, channel)
+    // pairs with space; when every channel is full, smallest overall (and
+    // the wait below applies). Ties resolve to the first pair in
+    // shard-major order.
     std::size_t target_s = queues_.size();
     std::size_t target_c = 0;
     auto best = std::numeric_limits<std::uint64_t>::max();
     bool target_has_space = false;
     for (std::size_t s = 0; s < queues_.size(); ++s) {
-      if (price[s] == kIncompatibleCycles) continue;
       for (std::size_t c = 0; c < queues_[s].channels(); ++c) {
         const bool space = !queues_[s].full(c, mu_);
         // A deadlined wave jumps the less-urgent queued waves of whatever
@@ -118,15 +111,16 @@ Dispatcher::Assignment Dispatcher::dispatch(std::vector<Request>&& wave) {
 
 Dispatcher::NextWave Dispatcher::land_steal(std::size_t shard,
                                             std::size_t victim,
-                                            std::size_t vc, std::size_t i,
-                                            std::uint64_t cycles) {
+                                            std::size_t vc) {
+  const std::uint64_t cycles =
+      priced_for(shard, queues_[victim].front(vc, mu_).requests);
   // Land the loot on the thief's least-backlogged channel.
   std::size_t tc = 0;
   for (std::size_t c = 1; c < queues_[shard].channels(); ++c)
     if (queues_[shard].backlog_cycles(c, mu_) <
         queues_[shard].backlog_cycles(tc, mu_))
       tc = c;
-  QueuedWave wave = queues_[victim].take_at(vc, i, mu_);
+  QueuedWave wave = queues_[victim].take_oldest(vc, mu_);
   queues_[shard].begin_wave(tc, cycles, mu_);
   space_cv_.notify_all();
   return NextWave{std::move(wave.requests), wave.wave_id, cycles, tc,
@@ -135,69 +129,52 @@ Dispatcher::NextWave Dispatcher::land_steal(std::size_t shard,
 
 std::optional<Dispatcher::NextWave> Dispatcher::try_steal_urgent_for(
     std::size_t shard) {
-  // Deadline-pressure target selection: of every compatible peer wave
-  // that carries a *real* deadline, take the one with the earliest
-  // (deadline, arrival) key — an idle shard is the fastest path to
-  // execution, so it should relieve the wave closest to missing, not the
-  // merely largest backlog.
-  std::size_t best_victim = 0, best_vc = 0, best_i = 0;
-  std::uint64_t best_cycles = 0;
+  // Deadline-pressure target selection: of every peer wave that carries a
+  // *real* deadline, take the one with the earliest (deadline, arrival)
+  // key — an idle shard is the fastest path to execution, so it should
+  // relieve the wave closest to missing, not the merely largest backlog.
+  // Lanes are urgency-ordered, so each lane's front is its candidate.
+  std::size_t best_victim = 0, best_vc = 0;
   const QueuedWave* best = nullptr;
   for (std::size_t s = 0; s < queues_.size(); ++s) {
     if (s == shard) continue;
     for (std::size_t c = 0; c < queues_[s].channels(); ++c) {
-      // Lanes are urgency-ordered, so the first compatible deadlined wave
-      // of each lane is that lane's candidate.
-      for (std::size_t i = 0; i < queues_[s].size(c, mu_); ++i) {
-        QueuedWave& w = queues_[s].wave_at(c, i, mu_);
-        if (w.deadline == ServiceClock::time_point::max()) break;
-        if (best && !w.more_urgent_than(*best)) break;
-        const std::uint64_t cycles = priced_for(shard, w.requests);
-        if (cycles == kIncompatibleCycles) continue;
-        best = &w;
-        best_victim = s;
-        best_vc = c;
-        best_i = i;
-        best_cycles = cycles;
-        break;
-      }
+      if (queues_[s].empty(c, mu_)) continue;
+      const QueuedWave& w = queues_[s].front(c, mu_);
+      if (w.deadline == ServiceClock::time_point::max()) continue;
+      if (best && !w.more_urgent_than(*best)) continue;
+      best = &w;
+      best_victim = s;
+      best_vc = c;
     }
   }
   if (!best) return std::nullopt;
-  return land_steal(shard, best_victim, best_vc, best_i, best_cycles);
+  return land_steal(shard, best_victim, best_vc);
 }
 
 std::optional<Dispatcher::NextWave> Dispatcher::try_steal_for(
     std::size_t shard) {
   if (auto urgent = try_steal_urgent_for(shard)) return urgent;
-  // No deadlined wave anywhere: the load-relief steal. Victim order:
-  // queued cost, descending; within the victim, channels by queued cost
-  // descending (relieve the bus that is furthest behind).
-  std::vector<std::size_t> victims;
-  victims.reserve(queues_.size());
-  for (std::size_t s = 0; s < queues_.size(); ++s)
-    if (s != shard && !queues_[s].empty(mu_)) victims.push_back(s);
-  std::sort(victims.begin(), victims.end(), [&](auto a, auto b) {
-    return queues_[a].queued_cycles(mu_) > queues_[b].queued_cycles(mu_);
-  });
-  for (const std::size_t victim : victims) {
-    std::vector<std::size_t> vchans;
-    for (std::size_t c = 0; c < queues_[victim].channels(); ++c)
-      if (!queues_[victim].empty(c, mu_)) vchans.push_back(c);
-    std::sort(vchans.begin(), vchans.end(), [&](auto a, auto b) {
-      return queues_[victim].queued_cycles(a, mu_) >
-             queues_[victim].queued_cycles(b, mu_);
-    });
-    for (const std::size_t vc : vchans) {
-      for (std::size_t i = 0; i < queues_[victim].size(vc, mu_); ++i) {
-        const std::uint64_t cycles =
-            priced_for(shard, queues_[victim].wave_at(vc, i, mu_).requests);
-        if (cycles == kIncompatibleCycles) continue;
-        return land_steal(shard, victim, vc, i, cycles);
-      }
-    }
+  // No deadlined wave anywhere: the load-relief steal relieves the peer
+  // with the most queued cost, on its most-loaded channel (the bus that is
+  // furthest behind). Ties go to the lowest index.
+  std::size_t victim = queues_.size();
+  for (std::size_t s = 0; s < queues_.size(); ++s) {
+    if (s == shard || queues_[s].empty(mu_)) continue;
+    if (victim == queues_.size() ||
+        queues_[s].queued_cycles(mu_) > queues_[victim].queued_cycles(mu_))
+      victim = s;
   }
-  return std::nullopt;
+  if (victim == queues_.size()) return std::nullopt;
+  const ShardQueue& q = queues_[victim];
+  std::size_t vc = q.channels();
+  for (std::size_t c = 0; c < q.channels(); ++c) {
+    if (q.empty(c, mu_)) continue;
+    if (vc == q.channels() ||
+        q.queued_cycles(c, mu_) > q.queued_cycles(vc, mu_))
+      vc = c;
+  }
+  return land_steal(shard, victim, vc);
 }
 
 std::vector<Dispatcher::NextWave> Dispatcher::next_waves_for(
@@ -207,10 +184,9 @@ std::vector<Dispatcher::NextWave> Dispatcher::next_waves_for(
   for (;;) {
     ShardQueue& own = queues_[shard];
     if (!own.empty(mu_)) {
-      // Own waves are compatible by construction (dispatch() only assigns
-      // compatible shards) and already priced for this backend. One wave
-      // per channel; channels left empty-handed rebalance from the
-      // most-loaded sibling so the merged pass keeps every bus busy.
+      // Own waves are already priced for this backend. One wave per
+      // channel; channels left empty-handed rebalance from the most-loaded
+      // sibling so the merged pass keeps every bus busy.
       std::vector<NextWave> group;
       std::vector<std::size_t> starved;
       for (std::size_t c = 0; c < own.channels(); ++c) {
@@ -267,17 +243,6 @@ void Dispatcher::close() {
   }
   ready_cv_.notify_all();
   space_cv_.notify_all();
-}
-
-std::uint64_t Dispatcher::backlog_cycles(std::size_t shard) const {
-  const sync::MutexLock lk(mu_);
-  return queues_[shard].backlog_cycles(mu_);
-}
-
-std::uint64_t Dispatcher::backlog_cycles(std::size_t shard,
-                                         std::size_t channel) const {
-  const sync::MutexLock lk(mu_);
-  return queues_[shard].backlog_cycles(channel, mu_);
 }
 
 Dispatcher::ShardBacklog Dispatcher::backlog_snapshot(

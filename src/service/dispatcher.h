@@ -29,10 +29,6 @@
 //    waves across buses so the worker can merge one wave per channel into
 //    a single channel-overlapped engine pass. Ties go to the first
 //    least-backlog pair in shard-major order.
-//  - Compatibility: an Estimator may return kIncompatibleCycles to mark a
-//    (shard, wave) pair unrunnable; assignment and stealing both skip such
-//    pairs. (Every current backend runs every wave — the sentinel is the
-//    general mechanism for restricted future backends, and for tests.)
 //  - Local rebalance: when a worker group-pops one wave per channel
 //    (next_waves_for) and some channels come up empty while siblings still
 //    hold queued waves, the empty channels take the oldest wave of the
@@ -41,21 +37,20 @@
 //    `rebalanced`, not `stolen`.
 //  - Stealing: only when its *whole* shard is empty does a worker cross
 //    shards — local rebalance strictly precedes remote stealing. It takes
-//    the oldest compatible wave from the most-loaded peer (channels of the
-//    victim probed most-loaded first), re-priced for the thief's backend
-//    and landed on the thief's least-backlogged channel. Steals move whole
-//    waves, so the thread-confined backend / plan-cache contract is
-//    untouched — a wave executes entirely on whichever shard took it, and
-//    only the dispatch bookkeeping crosses threads (under the Dispatcher's
-//    one mutex).
+//    the oldest wave of the most-loaded peer's most-loaded channel,
+//    re-priced for the thief's backend and landed on the thief's
+//    least-backlogged channel. Steals move whole waves, so the
+//    thread-confined backend / plan-cache contract is untouched — a wave
+//    executes entirely on whichever shard took it, and only the dispatch
+//    bookkeeping crosses threads (under the Dispatcher's one mutex).
 //  - Deadlines: lanes hold waves in (earliest deadline, arrival) order, so
 //    the wave a worker pops next is always the most urgent one and a
 //    deadlined wave jumps queued bulk; assignment prices a deadlined wave
 //    against only the queued work ahead of it in lane order; and an idle
-//    shard steals the most-deadline-urgent compatible wave anywhere before
-//    relieving the most-loaded peer. Deadline-less waves carry +inf, so
-//    classless traffic gets FIFO lanes, whole-lane pricing and the
-//    load-relief steal.
+//    shard steals the most-deadline-urgent wave anywhere before relieving
+//    the most-loaded peer. Deadline-less waves carry +inf, so classless
+//    traffic gets FIFO lanes, whole-lane pricing and the load-relief
+//    steal.
 //  - Backpressure: per-channel queues are bounded in waves; dispatch()
 //    blocks while its target channel is full, which stops the wave-former
 //    from being drained, which backpressures submitters through the
@@ -70,11 +65,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <vector>
 
-#include "service/backend.h"
 #include "service/shard_queue.h"
 #include "sync/mutex.h"
 
@@ -84,7 +77,6 @@ class Dispatcher {
  public:
   /// Dispatch-relevant slice of one shard's BackendDescriptor.
   struct Shard {
-    BackendKind kind = BackendKind::kPim;
     /// Multiplies this shard's raw estimates before any comparison or
     /// accounting (see BackendDescriptor::cost_scale).
     double cost_scale = 1.0;
@@ -99,20 +91,14 @@ class Dispatcher {
     std::size_t queue_capacity_waves = 4;  ///< per-channel bound, in waves
   };
 
-  /// Estimator return value marking a (shard, wave) pair the shard's
-  /// backend cannot execute: assignment skips the shard, thieves skip the
-  /// wave.
-  static constexpr std::uint64_t kIncompatibleCycles =
-      std::numeric_limits<std::uint64_t>::max();
-
   /// Prices `wave` for `shard`, in the backend's *raw* modeled device
-  /// cycles (the dispatcher applies the shard's cost_scale), or
-  /// kIncompatibleCycles. Called with the dispatcher's mutex held, on the
-  /// dispatching thread and on stealing workers, while other shards
-  /// execute — so it must only use share-readable state
-  /// (NttBackend::estimate_wave_cycles qualifies) and must not call back
-  /// into the Dispatcher. The wave is passed mutably because BatchItems
-  /// reference its buffers; the estimator must not actually modify it.
+  /// cycles (the dispatcher applies the shard's cost_scale). Called with
+  /// the dispatcher's mutex held, on the dispatching thread and on
+  /// stealing workers, while other shards execute — so it must only use
+  /// share-readable state (NttBackend::estimate_wave_cycles qualifies) and
+  /// must not call back into the Dispatcher. The wave is passed mutably
+  /// because BatchItems reference its buffers; the estimator must not
+  /// actually modify it.
   using Estimator =
       std::function<std::uint64_t(std::size_t shard,
                                   std::vector<Request>& wave)>;
@@ -131,11 +117,10 @@ class Dispatcher {
   };
 
   /// Price one formed wave per shard and enqueue it on the chosen
-  /// compatible (shard, channel) queue, blocking while that channel is
-  /// full. After close() the capacity bound is waived instead of blocking
-  /// forever (drain semantics: whatever the former already accepted must
-  /// still reach a queue). Throws std::logic_error if no shard can run the
-  /// wave.
+  /// (shard, channel) queue, blocking while that channel is full. After
+  /// close() the capacity bound is waived instead of blocking forever
+  /// (drain semantics: whatever the former already accepted must still
+  /// reach a queue).
   Assignment dispatch(std::vector<Request>&& wave);
 
   struct NextWave {
@@ -159,15 +144,12 @@ class Dispatcher {
   /// pass. Own channels pop their oldest wave; channels left empty-handed
   /// take the oldest wave of the most-loaded sibling channel
   /// (`rebalanced`). Only when the whole shard is empty does the worker
-  /// steal remotely: the most-deadline-urgent compatible peer wave, else
-  /// the oldest compatible wave of the most-loaded peer, re-priced, onto
-  /// this shard's least-backlogged channel (a group of one). Returns an
-  /// empty vector only when the dispatcher is closed and every wave this
-  /// shard could run has drained (a closed dispatcher strands nothing: an
-  /// incompatible leftover is, by construction, compatible with the shard
-  /// it was assigned to). Each returned wave's cost is already accounted
-  /// as executing on (shard, its channel); pass each back through
-  /// complete() when done.
+  /// steal remotely: the most-deadline-urgent peer wave, else the oldest
+  /// wave of the most-loaded peer, re-priced, onto this shard's
+  /// least-backlogged channel (a group of one). Returns an empty vector
+  /// only when the dispatcher is closed and every queue has drained. Each
+  /// returned wave's cost is already accounted as executing on (shard, its
+  /// channel); pass each back through complete() when done.
   std::vector<NextWave> next_waves_for(std::size_t shard);
 
   /// Account the end of a wave next_waves_for(shard) handed out, on the
@@ -178,17 +160,10 @@ class Dispatcher {
   /// Stop intake and let workers drain; idempotent.
   void close();
 
-  /// Estimated outstanding cost (queued + executing) of one shard summed
-  /// over its channels, for stats snapshots. Safe from any thread.
-  std::uint64_t backlog_cycles(std::size_t shard) const;
-  /// One channel's share of the same.
-  std::uint64_t backlog_cycles(std::size_t shard, std::size_t channel) const;
-
-  /// Coherent backlog snapshot of one shard: the total and every channel's
-  /// share read under a single lock acquisition, so the channel figures
-  /// always tile the total exactly. Stats paths that report both must use
-  /// this instead of separate backlog_cycles() calls, between which waves
-  /// can be pushed, popped, or stolen.
+  /// Estimated outstanding cost (queued + executing) of one shard: the
+  /// total and every channel's share, read under a single lock acquisition
+  /// so the channel figures always tile the total exactly. Safe from any
+  /// thread.
   struct ShardBacklog {
     std::uint64_t total_cycles = 0;
     std::vector<std::uint64_t> channel_cycles;  ///< one entry per channel
@@ -201,33 +176,29 @@ class Dispatcher {
   }
 
  private:
-  /// estimate_(shard, wave) with the shard's cost_scale applied
-  /// (kIncompatibleCycles passes through unscaled). Caller holds mu_.
+  /// estimate_(shard, wave) with the shard's cost_scale applied. Caller
+  /// holds mu_.
   std::uint64_t priced_for(std::size_t shard, std::vector<Request>& wave) const
       NTTPIM_REQUIRES(mu_);
 
-  /// Remote-steal step of next_waves_for: the most-deadline-urgent
-  /// compatible wave across all peers (when any peer wave has a real
-  /// deadline); otherwise
-  /// the oldest compatible wave of the most-loaded peer. Either way the
-  /// loot is re-priced and accounted as executing on this shard's
-  /// least-backlogged channel. Caller holds mu_; returns nullopt when no
-  /// peer has a compatible wave.
+  /// Remote-steal step of next_waves_for: the most-deadline-urgent wave
+  /// across all peers (when any peer wave has a real deadline); otherwise
+  /// the oldest wave of the most-loaded peer. Either way the loot is
+  /// re-priced and accounted as executing on this shard's least-backlogged
+  /// channel. Caller holds mu_; returns nullopt when every peer is empty.
   std::optional<NextWave> try_steal_for(std::size_t shard)
       NTTPIM_REQUIRES(mu_);
 
-  /// Deadline-pressure steal: the single compatible peer wave with the
-  /// earliest (deadline, arrival) key, considering only waves that carry a
-  /// real deadline. Caller holds mu_; nullopt when no deadlined
-  /// compatible wave is queued anywhere (the caller then falls back to
-  /// the load-relief steal).
+  /// Deadline-pressure steal: the single peer wave with the earliest
+  /// (deadline, arrival) key, considering only waves that carry a real
+  /// deadline. Caller holds mu_; nullopt when no deadlined wave is queued
+  /// anywhere (the caller then falls back to the load-relief steal).
   std::optional<NextWave> try_steal_urgent_for(std::size_t shard)
       NTTPIM_REQUIRES(mu_);
 
-  /// Land a wave taken from (victim, vc, index i) on `shard`'s
-  /// least-backlogged channel at price `cycles`. Caller holds mu_.
-  NextWave land_steal(std::size_t shard, std::size_t victim, std::size_t vc,
-                      std::size_t i, std::uint64_t cycles)
+  /// Take the front wave of (victim, vc), re-priced for `shard`, and land
+  /// it on `shard`'s least-backlogged channel. Caller holds mu_.
+  NextWave land_steal(std::size_t shard, std::size_t victim, std::size_t vc)
       NTTPIM_REQUIRES(mu_);
 
   const Config cfg_;

@@ -51,7 +51,7 @@ Dispatcher::Config dispatcher_config(
   dc.shards.clear();
   dc.shards.reserve(resolved.size());
   for (const BackendDescriptor& d : resolved)
-    dc.shards.push_back({d.kind, d.cost_scale, d.channels});
+    dc.shards.push_back({d.cost_scale, d.channels});
   dc.queue_capacity_waves = cfg.dispatch.shard_queue_waves;
   return dc;
 }
@@ -328,7 +328,7 @@ void NttService::worker(std::size_t shard) {
 
 void NttService::dispatch_loop() {
   // Sole consumer of the wave-former: pull each formed wave, price it,
-  // hand it to the best compatible shard's queue (Dispatcher blocks when
+  // hand it to the best shard's queue (Dispatcher blocks when
   // that queue is full, which stalls forming and backpressures
   // submitters). An empty wave means the former is closed and drained --
   // close the dispatcher so the workers drain their queues and exit.

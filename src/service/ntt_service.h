@@ -43,7 +43,7 @@
 // worker group-pops one wave per channel of its shard and merges them,
 // channel-pinned, into a single bus-overlapped engine pass; channels left
 // empty rebalance from loaded siblings, and only a fully idle shard
-// steals the oldest compatible queued wave of the most-loaded peer —
+// steals the oldest queued wave of the most-loaded peer —
 // whole-wave steals, so every wave still executes entirely on one
 // thread-confined backend.
 //

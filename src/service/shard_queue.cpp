@@ -32,13 +32,6 @@ bool ShardQueue::empty(sync::Mutex& mu) const noexcept {
   return true;
 }
 
-std::size_t ShardQueue::size(sync::Mutex& mu) const noexcept {
-  (void)mu;
-  std::size_t total = 0;
-  for (const Channel& c : channels_) total += c.waves.size();
-  return total;
-}
-
 std::uint64_t ShardQueue::queued_cycles(sync::Mutex& mu) const noexcept {
   (void)mu;
   std::uint64_t total = 0;
@@ -92,29 +85,17 @@ std::uint64_t ShardQueue::queued_cycles_before(
   return cycles;
 }
 
-const QueuedWave& ShardQueue::wave_at(std::size_t channel, std::size_t i,
-                                      sync::Mutex& mu) const {
-  (void)mu;
-  const Channel& c = chan(channel);
-  NTTPIM_EXPECT_MSG(i < c.waves.size(), "wave index out of range");
-  return c.waves[i];
-}
-
-QueuedWave& ShardQueue::wave_at(std::size_t channel, std::size_t i,
-                                sync::Mutex& mu) {
+QueuedWave& ShardQueue::front(std::size_t channel, sync::Mutex& mu) {
   (void)mu;
   Channel& c = chan(channel);
-  NTTPIM_EXPECT_MSG(i < c.waves.size(), "wave index out of range");
-  return c.waves[i];
+  NTTPIM_EXPECT_MSG(!c.waves.empty(), "front of an empty channel");
+  return c.waves.front();
 }
 
-QueuedWave ShardQueue::take_at(std::size_t channel, std::size_t i,
-                               sync::Mutex& mu) {
-  (void)mu;
+QueuedWave ShardQueue::take_oldest(std::size_t channel, sync::Mutex& mu) {
+  QueuedWave wave = std::move(front(channel, mu));
   Channel& c = chan(channel);
-  NTTPIM_EXPECT_MSG(i < c.waves.size(), "take index out of range");
-  QueuedWave wave = std::move(c.waves[i]);
-  c.waves.erase(c.waves.begin() + static_cast<std::ptrdiff_t>(i));
+  c.waves.pop_front();
   c.queued_cycles -= wave.estimated_cycles;
   return wave;
 }

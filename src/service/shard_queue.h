@@ -97,13 +97,6 @@ class ShardQueue {
     (void)mu;
     return chan(channel).waves.size() >= capacity_;
   }
-  /// Queued waves across channels.
-  std::size_t size(sync::Mutex& mu) const noexcept NTTPIM_REQUIRES(mu);
-  std::size_t size(std::size_t channel, sync::Mutex& mu) const
-      NTTPIM_REQUIRES(mu) {
-    (void)mu;
-    return chan(channel).waves.size();
-  }
 
   std::uint64_t queued_cycles(sync::Mutex& mu) const noexcept
       NTTPIM_REQUIRES(mu);
@@ -140,30 +133,19 @@ class ShardQueue {
   void push(std::size_t channel, QueuedWave&& wave, sync::Mutex& mu)
       NTTPIM_REQUIRES(mu);
 
-  /// Remove and return the front wave queued on `channel` — the most
-  /// deadline-urgent one, else the oldest. Both the
-  /// owner and a thief take from this end: the owner for latency fairness,
-  /// the thief because the front wave has waited longest (or is most at
-  /// risk of missing its deadline) and is the least likely to still be
-  /// wanted by a busy owner.
+  /// The front wave queued on `channel` — the most deadline-urgent one,
+  /// else the oldest — without removing it: how a thief picks and prices
+  /// its loot before committing to a steal. The channel must be non-empty.
+  /// (Mutable because the Estimator signature takes the request vector
+  /// mutably; estimators must not actually modify it.)
+  QueuedWave& front(std::size_t channel, sync::Mutex& mu) NTTPIM_REQUIRES(mu);
+
+  /// Remove and return the front wave queued on `channel`. Both the owner
+  /// and a thief take from this end: the owner for latency fairness, the
+  /// thief because the front wave has waited longest (or is most at risk of
+  /// missing its deadline) and is the least likely to still be wanted by a
+  /// busy owner.
   QueuedWave take_oldest(std::size_t channel, sync::Mutex& mu)
-      NTTPIM_REQUIRES(mu) {
-    return take_at(channel, 0, mu);
-  }
-
-  /// Inspect the i-th wave of one channel (0 = oldest) without removing it
-  /// — how a thief checks backend compatibility before committing to a
-  /// steal. (Mutable overload because the Estimator signature takes the
-  /// request vector mutably; estimators must not actually modify it.)
-  const QueuedWave& wave_at(std::size_t channel, std::size_t i,
-                            sync::Mutex& mu) const NTTPIM_REQUIRES(mu);
-  QueuedWave& wave_at(std::size_t channel, std::size_t i, sync::Mutex& mu)
-      NTTPIM_REQUIRES(mu);
-
-  /// Remove and return the i-th wave of one channel (0 = oldest):
-  /// take_oldest() generalized so a thief can skip waves its backend
-  /// cannot run.
-  QueuedWave take_at(std::size_t channel, std::size_t i, sync::Mutex& mu)
       NTTPIM_REQUIRES(mu);
 
   /// Account a wave this shard's worker started / finished executing on

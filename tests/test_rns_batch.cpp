@@ -89,26 +89,36 @@ TEST(MixedWave, MatchesSequentialSingleBankAndBeatsItsCycles) {
   EXPECT_EQ(moduli.size(), 4u);
 }
 
-// Waves may also mix transform *sizes*.
+// Waves may also mix transform *sizes* and moduli: one item per bank, or
+// stacked at disjoint base rows of a single bank, where each item's PARAM
+// prologue re-parameterizes the CU between the back-to-back transforms.
 TEST(MixedWave, HeterogeneousSizesMatchSequential) {
   const ntt::NttParams small = ntt::NttParams::create(128, 29);
   const ntt::NttParams large = ntt::NttParams::create(256, 30);
-  Rng rng(32);
-  std::vector<std::uint32_t> a = rng.residues(128, small.q());
-  std::vector<std::uint32_t> b = rng.residues(256, large.q());
-  auto ea = a;
-  auto eb = b;
+  for (const std::size_t banks : {2u, 1u}) {
+    Rng rng(32);
+    std::vector<std::uint32_t> a = rng.residues(128, small.q());
+    std::vector<std::uint32_t> b = rng.residues(256, large.q());
+    auto ea = a;
+    auto eb = b;
 
-  CpuBackend cpu;
-  cpu.forward(ea, small);
-  cpu.inverse(eb, large);
+    CpuBackend cpu;
+    cpu.forward(ea, small);
+    cpu.inverse(eb, large);
 
-  PimBackend pim(4, 1200.0, dram::hbm2e_geometry(2));
-  const BatchItem items[] = {{&a, &small, false}, {&b, &large, true}};
-  pim.transform_batch_mixed(items);
-  EXPECT_EQ(a, ea);
-  EXPECT_EQ(b, eb);
-  EXPECT_EQ(pim.engine_passes(), 1u);
+    PimBackend pim(4, 1200.0, dram::hbm2e_geometry(banks));
+    const BatchItem items[] = {{&a, &small, false}, {&b, &large, true}};
+    pim.transform_batch_mixed(items);
+    EXPECT_EQ(a, ea) << banks << " bank(s)";
+    EXPECT_EQ(b, eb) << banks << " bank(s)";
+    EXPECT_EQ(pim.engine_passes(), 1u);
+    const auto& slots = pim.last_wave();
+    ASSERT_EQ(slots.size(), 2u);
+    if (banks == 1) {
+      EXPECT_EQ(slots[1].bank, slots[0].bank);
+      EXPECT_NE(slots[1].base_row, slots[0].base_row);
+    }
+  }
 }
 
 // The CPU backend's default sequential implementation must agree too.
