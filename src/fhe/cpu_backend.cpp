@@ -19,9 +19,6 @@ CpuBackend::CpuBackend(const Config& config)
   NTTPIM_EXPECT_MSG(cfg_.freq_mhz > 0, "the modeled clock must be positive");
   NTTPIM_EXPECT_MSG(cfg_.cycles_per_point_stage > 0,
                     "the fitted cost constant must be positive");
-  NTTPIM_EXPECT_MSG(
-      cfg_.calibration_alpha >= 0 && cfg_.calibration_alpha <= 1,
-      "calibration_alpha must be in [0, 1]");
   pool_.reserve(lanes_ - 1);
   for (std::size_t lane = 1; lane < lanes_; ++lane)
     pool_.emplace_back([this, lane] { pool_main(lane); });
@@ -93,9 +90,7 @@ void CpuBackend::pool_main(std::size_t lane) {
 void CpuBackend::transform_batch_mixed(std::span<const BatchItem> items) {
   validate_batch_items(items);
   if (items.empty()) return;
-  const bool calibrate = cfg_.calibration_alpha > 0;
-  const auto t0 = calibrate ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point{};
+  const auto t0 = std::chrono::steady_clock::now();
   if (lanes_ == 1 || items.size() == 1) {
     // Serial tight loop; let a single item's error propagate directly.
     for (const auto& item : items) {
@@ -123,11 +118,9 @@ void CpuBackend::transform_batch_mixed(std::span<const BatchItem> items) {
     }
     if (error) std::rethrow_exception(error);
   }
-  if (calibrate) {
-    const auto t1 = std::chrono::steady_clock::now();
-    feed_calibration(
-        items, std::chrono::duration<double, std::nano>(t1 - t0).count());
-  }
+  const auto t1 = std::chrono::steady_clock::now();
+  feed_calibration(items,
+                   std::chrono::duration<double, std::nano>(t1 - t0).count());
 }
 
 void CpuBackend::feed_calibration(std::span<const BatchItem> items,
@@ -149,12 +142,11 @@ void CpuBackend::feed_calibration(std::span<const BatchItem> items,
 }
 
 void CpuBackend::record_calibration_sample(double cycles_per_point_stage) {
-  if (cfg_.calibration_alpha <= 0) return;
   // A glitched sample must never drive the constant to zero or below.
   const double sample = std::max(cycles_per_point_stage, 1e-3);
   const double prev = calibrated_.load(std::memory_order_relaxed);
   calibrated_.store(
-      (1.0 - cfg_.calibration_alpha) * prev + cfg_.calibration_alpha * sample,
+      (1.0 - kCalibrationAlpha) * prev + kCalibrationAlpha * sample,
       std::memory_order_relaxed);
 }
 

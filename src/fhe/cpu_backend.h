@@ -23,7 +23,7 @@
 //    fit of the reference kernel (or a measure_cycles_per_point_stage()
 //    boot measurement) and then *tightens with traffic*: every executed
 //    wave's measured wall time feeds a rolling EWMA
-//    (Config::calibration_alpha), so routing estimates converge on the
+//    (kCalibrationAlpha), so routing estimates converge on the
 //    deployment host's real speed instead of trusting a boot-time
 //    constant. A wave's price replays the pool's lane placement and
 //    returns the busiest lane's total, mirroring how PimBackend prices
@@ -64,13 +64,12 @@ class CpuBackend final : public NttBackend {
     /// ns/(n log2 n) * freq); calibrate on the deployment host with
     /// measure_cycles_per_point_stage() for a tighter starting point.
     double cycles_per_point_stage = 6.0;
-    /// EWMA weight of each executed wave's measured calibration sample:
-    /// after a wave, calibrated <- (1 - alpha) * calibrated + alpha *
-    /// measured cycles-per-point-stage of that wave's busiest lane. 0
-    /// disables the feedback (estimates stick to the boot constant);
-    /// must be in [0, 1].
-    double calibration_alpha = 0.25;
   };
+
+  /// EWMA weight of each executed wave's measured calibration sample:
+  /// after a wave, calibrated <- (1 - alpha) * calibrated + alpha *
+  /// measured cycles-per-point-stage of that wave's busiest lane.
+  static constexpr double kCalibrationAlpha = 0.25;
 
   CpuBackend() : CpuBackend(Config{}) {}
   explicit CpuBackend(const Config& config);
@@ -113,7 +112,7 @@ class CpuBackend final : public NttBackend {
     return calibrated_.load(std::memory_order_relaxed);
   }
   /// Fold one measured cycles-per-point-stage sample into the rolling
-  /// constant with weight Config::calibration_alpha (no-op at alpha 0).
+  /// constant with weight kCalibrationAlpha.
   /// Called internally after each executed wave; public so tests and
   /// operators can inject deterministic samples. Single-driver like the
   /// transform methods.

@@ -60,6 +60,11 @@ double elapsed_us(ServiceClock::time_point from, ServiceClock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+/// Requests of `c` not yet booked into a terminal state.
+std::uint64_t unsettled(const ClassStats& c) {
+  return c.submitted - c.completed - c.failed - c.rejected - c.shed;
+}
+
 /// Batch items of a wave's engine passes: pass 1 runs every transform in
 /// its requested direction plus both operands of every multiply forward;
 /// pass 2 runs the multiplies' inverse transforms. Items reference the
@@ -98,11 +103,8 @@ NttService::NttService(const ServiceConfig& config)
                     return estimate_wave(shard, wave);
                   }),
       backends_(resolved_.size()),  // value-initialized: all null
-      shard_stats_(resolved_.size()),
-      class_counters_(std::max<std::size_t>(cfg_.qos.num_classes, 1)),
-      stage_totals_(class_counters_.size()),
-      class_queue_latency_(class_counters_.size()),
-      class_service_latency_(class_counters_.size()) {
+      ledgers_(std::max<std::size_t>(cfg_.qos.num_classes, 1)),
+      shard_stats_(resolved_.size()) {
   NTTPIM_EXPECT_MSG(cfg_.qos.num_classes >= 1,
                     "the service needs at least one request class");
   NTTPIM_EXPECT_MSG(
@@ -187,7 +189,6 @@ void NttService::submit(std::vector<std::uint32_t> poly,
   r.inverse = options.inverse;
   r.qos = options.qos;
   r.callback = std::move(done);
-  r.use_callback = true;
   enqueue(std::move(r));
 }
 
@@ -217,9 +218,8 @@ void NttService::enqueue(Request&& request) {
       admission_->admit(cls) == AdmissionController::Decision::kShed) {
     {
       const sync::MutexLock lk(stats_mu_);
-      ++submitted_;
-      ++class_counters_[cls].submitted;
-      ++class_counters_[cls].shed;
+      ++ledgers_[cls].totals.submitted;
+      ++ledgers_[cls].totals.shed;
     }
     if (collector_.enabled()) {
       // A shed request never received a seq; its Submit/Shed pair is
@@ -237,56 +237,45 @@ void NttService::enqueue(Request&& request) {
     return;
   }
   {
-    // Count the request as accepted *before* the queue sees it, so drain()
-    // can never observe completed == accepted while a worker is finishing a
-    // request whose submit() hasn't returned yet. Undone on rejection.
+    // Count the submission *before* the queue sees it, so drain() can
+    // never observe a settled backlog while a worker is finishing a
+    // request whose submit() hasn't returned yet.
     const sync::MutexLock lk(stats_mu_);
-    ++submitted_;
-    ++class_counters_[cls].submitted;
-    ++accepted_;
+    ++ledgers_[cls].totals.submitted;
   }
   WaveFormer::SubmitInfo info;
-  switch (former_.submit(std::move(request), &info)) {
-    case WaveFormer::SubmitResult::kAccepted:
-      if (collector_.enabled()) {
-        // The former stamped seq/enqueued after the move, so the client
-        // thread emits its lifecycle events backdated from SubmitInfo.
-        telemetry::TraceEvent e{};
-        e.seq = info.seq;
-        e.tenant = cls;
-        e.kind = telemetry::EventKind::kSubmit;
-        e.ts_ns = collector_.to_ns(submitted);
-        collector_.emit(e);
-        if (admission_) {
-          // The admission verdict falls synchronously at submit entry.
-          e.kind = telemetry::EventKind::kAdmit;
-          collector_.emit(e);
-        }
-        e.kind = telemetry::EventKind::kFormerEnqueue;
-        e.ts_ns = collector_.to_ns(info.enqueued);
+  const WaveFormer::SubmitResult result =
+      former_.submit(std::move(request), &info);
+  if (result == WaveFormer::SubmitResult::kAccepted) {
+    if (collector_.enabled()) {
+      // The former stamped seq/enqueued after the move, so the client
+      // thread emits its lifecycle events backdated from SubmitInfo.
+      telemetry::TraceEvent e{};
+      e.seq = info.seq;
+      e.tenant = cls;
+      e.kind = telemetry::EventKind::kSubmit;
+      e.ts_ns = collector_.to_ns(submitted);
+      collector_.emit(e);
+      if (admission_) {
+        // The admission verdict falls synchronously at submit entry.
+        e.kind = telemetry::EventKind::kAdmit;
         collector_.emit(e);
       }
-      return;
-    case WaveFormer::SubmitResult::kRejected:
-      {
-        const sync::MutexLock lk(stats_mu_);
-        --accepted_;
-        ++rejected_;
-      }
-      idle_cv_.notify_all();
-      // Only moved from on kAccepted -- the request is still whole here.
-      request.fail(std::make_exception_ptr(QueueFullError()));
-      return;
-    case WaveFormer::SubmitResult::kClosed:
-      {
-        const sync::MutexLock lk(stats_mu_);
-        --accepted_;
-        ++rejected_;
-      }
-      idle_cv_.notify_all();
-      request.fail(std::make_exception_ptr(ServiceStoppedError()));
-      return;
+      e.kind = telemetry::EventKind::kFormerEnqueue;
+      e.ts_ns = collector_.to_ns(info.enqueued);
+      collector_.emit(e);
+    }
+    return;
   }
+  {
+    const sync::MutexLock lk(stats_mu_);
+    ++ledgers_[cls].totals.rejected;
+  }
+  idle_cv_.notify_all();
+  // Only moved from on kAccepted -- the request is still whole here.
+  request.fail(result == WaveFormer::SubmitResult::kRejected
+                   ? std::make_exception_ptr(QueueFullError())
+                   : std::make_exception_ptr(ServiceStoppedError()));
 }
 
 void NttService::worker(std::size_t shard) {
@@ -388,12 +377,6 @@ std::uint64_t NttService::estimate_wave(std::size_t shard,
 void NttService::execute_group(std::size_t shard, fhe::NttBackend& backend,
                                std::vector<Dispatcher::NextWave>& group) {
   const auto wave_start = ServiceClock::now();
-  for (const Dispatcher::NextWave& w : group)
-    for (const Request& r : w.requests) {
-      const double us = elapsed_us(r.enqueued, wave_start);
-      queue_latency_.record(us);
-      class_queue_latency_[r.qos.tenant].record(us);
-    }
   if (collector_.enabled()) {
     const std::int64_t start_ns = collector_.to_ns(wave_start);
     for (const Dispatcher::NextWave& w : group) {
@@ -466,10 +449,10 @@ void NttService::execute_group(std::size_t shard, fhe::NttBackend& backend,
       for (Request& r : w.requests) r.fail(error);
   }
 
-  std::size_t requests = 0;
-  for (const Dispatcher::NextWave& w : group) requests += w.requests.size();
-
   const auto done = ServiceClock::now();
+  const auto missed = [done](const Request& r) {
+    return r.qos.deadline && done > *r.qos.deadline;
+  };
   if (collector_.enabled()) {
     // ExecuteEnd is emitted on failure too, so every ExecuteBegin always
     // has its closing pair in the trace.
@@ -486,30 +469,12 @@ void NttService::execute_group(std::size_t shard, fhe::NttBackend& backend,
     }
   }
 
-  // Per-class deliveries, deadline verdicts and stage-latency sums,
-  // applied to the counters under stats_mu_ below (deliver() must not run
-  // under that lock).
-  std::vector<std::uint64_t> class_completed(class_counters_.size(), 0);
-  std::vector<std::uint64_t> class_missed(class_counters_.size(), 0);
-  std::vector<StageTotals> stage_delta(class_counters_.size());
+  // Deliveries run outside stats_mu_: a callback may call stats().
   if (ok) {
     for (Dispatcher::NextWave& w : group)
       for (Request& r : w.requests) {
-        const double us = elapsed_us(r.enqueued, done);
-        service_latency_.record(us);
-        class_service_latency_[r.qos.tenant].record(us);
-        ++class_completed[r.qos.tenant];
-        const bool missed = r.qos.deadline && done > *r.qos.deadline;
-        if (missed) ++class_missed[r.qos.tenant];
         r.deliver(std::move(r.a));
-        const auto delivered = ServiceClock::now();
-        StageTotals& st = stage_delta[r.qos.tenant];
-        ++st.count;
-        st.admission_us += elapsed_us(r.submitted, r.enqueued);
-        st.former_us += elapsed_us(r.enqueued, r.cut_at);
-        st.shard_queue_us += elapsed_us(r.cut_at, wave_start);
-        st.execute_us += elapsed_us(wave_start, done);
-        st.completion_us += elapsed_us(done, delivered);
+        r.delivered = ServiceClock::now();
         if (collector_.enabled()) {
           telemetry::TraceEvent e{};
           e.seq = r.seq;
@@ -517,63 +482,63 @@ void NttService::execute_group(std::size_t shard, fhe::NttBackend& backend,
           e.tenant = r.qos.tenant;
           e.shard = static_cast<std::uint16_t>(shard);
           e.channel = static_cast<std::uint16_t>(w.channel);
-          if (missed) {
+          if (missed(r)) {
             e.kind = telemetry::EventKind::kDeadlineMiss;
             e.ts_ns = collector_.to_ns(done);
             collector_.emit(e);
           }
           e.kind = telemetry::EventKind::kComplete;
-          e.ts_ns = collector_.to_ns(delivered);
+          e.ts_ns = collector_.to_ns(r.delivered);
           collector_.emit(e);
         }
       }
   }
 
   // Retire the dispatcher's backlog accounting *before* the drain-visible
-  // counters below: drain() returns when completed + failed == accepted,
-  // and a snapshot taken right after it must already see this group's cost
-  // gone from estimated_backlog_cycles.
+  // booking below: drain() returns once nothing is pending, and a snapshot
+  // taken right after it must already see this group's cost gone from
+  // estimated_backlog_cycles.
   for (const Dispatcher::NextWave& w : group)
     dispatcher_.complete(shard, w.estimated_cycles, w.channel);
 
+  // Book the whole group at once: the shard and its channels, then every
+  // rider's terminal transition into its class's ledger. A failed rider
+  // books `failed` only -- no latency or stage sample.
   {
     const sync::MutexLock lk(stats_mu_);
-    waves_ += group.size();
-    engine_passes_ += passes;
-    batch_items_ += items;
-    if (ok)
-      completed_ += requests;
-    else
-      failed_ += requests;
-    for (std::size_t c = 0; c < class_counters_.size(); ++c) {
-      class_counters_[c].completed += class_completed[c];
-      class_counters_[c].deadline_misses += class_missed[c];
-      StageTotals& st = stage_totals_[c];
-      st.count += stage_delta[c].count;
-      st.admission_us += stage_delta[c].admission_us;
-      st.former_us += stage_delta[c].former_us;
-      st.shard_queue_us += stage_delta[c].shard_queue_us;
-      st.execute_us += stage_delta[c].execute_us;
-      st.completion_us += stage_delta[c].completion_us;
-    }
     ShardStats& ss = shard_stats_[shard];
-    ss.waves += group.size();
     ss.engine_passes += passes;
     ss.batch_items += items;
-    ss.requests += requests;
-    for (const std::uint64_t missed : class_missed)
-      ss.deadline_missed_requests += missed;
+    ss.modeled_cycles = backend.modeled_cycles();
     for (const Dispatcher::NextWave& w : group) {
-      ss.estimated_executed_cycles += w.estimated_cycles;
-      if (w.stolen) ++ss.stolen_waves;
-      if (w.rebalanced) ++ss.rebalanced_waves;
       ChannelStats& cs = ss.channels[w.channel];
       ++cs.waves;
       if (w.stolen) ++cs.stolen_waves;
       if (w.rebalanced) ++cs.rebalanced_waves;
       cs.estimated_executed_cycles += w.estimated_cycles;
+      ss.requests += w.requests.size();
+      for (const Request& r : w.requests) {
+        ClassLedger& ledger = ledgers_[r.qos.tenant];
+        ClassStats& book = ledger.totals;
+        if (!ok) {
+          ++book.failed;
+          continue;
+        }
+        ++book.completed;
+        if (missed(r)) {
+          ++book.deadline_misses;
+          ++ss.deadline_missed_requests;
+        }
+        StageBreakdown& sums = book.stages;
+        sums.admission_wait_us += elapsed_us(r.submitted, r.enqueued);
+        sums.former_residency_us += elapsed_us(r.enqueued, r.cut_at);
+        sums.shard_queue_wait_us += elapsed_us(r.cut_at, wave_start);
+        sums.execute_us += elapsed_us(wave_start, done);
+        sums.completion_us += elapsed_us(done, r.delivered);
+        ledger.queue_latency.record(elapsed_us(r.enqueued, wave_start));
+        ledger.service_latency.record(elapsed_us(r.enqueued, done));
+      }
     }
-    ss.modeled_cycles = backend.modeled_cycles();
   }
   idle_cv_.notify_all();
 }
@@ -584,7 +549,13 @@ void NttService::resume() { former_.resume(); }
 
 void NttService::drain() {
   sync::MutexLock lk(stats_mu_);
-  while (completed_ + failed_ != accepted_) idle_cv_.wait(lk);
+  for (;;) {
+    std::uint64_t pending = 0;
+    for (const ClassLedger& ledger : ledgers_)
+      pending += unsettled(ledger.totals);
+    if (pending == 0) return;
+    idle_cv_.wait(lk);
+  }
 }
 
 void NttService::shutdown() {
@@ -600,99 +571,92 @@ void NttService::shutdown() {
 void NttService::reset_stats() {
   {
     const sync::MutexLock lk(stats_mu_);
-    // Re-base the request counters while preserving the drain() invariant
-    // completed + failed <= accepted: what's still in flight carries over
-    // as the new epoch's accepted-but-pending backlog.
-    accepted_ -= completed_ + failed_;
-    submitted_ = accepted_;
-    completed_ = 0;
-    failed_ = 0;
-    rejected_ = 0;
-    waves_ = 0;
-    engine_passes_ = 0;
-    batch_items_ = 0;
-    for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
-      shard_stats_[s] = ShardStats{};
-      shard_stats_[s].channels.resize(resolved_[s].channels);
+    // What is still in flight carries over as the new epoch's pending
+    // backlog, so drain() keeps waiting for it.
+    for (ClassLedger& ledger : ledgers_) {
+      const std::uint64_t in_flight = unsettled(ledger.totals);
+      ledger.totals = ClassStats{};
+      ledger.totals.submitted = in_flight;
+      ledger.queue_latency.reset();
+      ledger.service_latency.reset();
     }
-    for (ClassCounters& cc : class_counters_) cc = ClassCounters{};
-    for (StageTotals& st : stage_totals_) st = StageTotals{};
+    // The modeled-hardware account has no epochs: modeled_cycles carries
+    // over.
+    for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
+      ShardStats fresh;
+      fresh.modeled_cycles = shard_stats_[s].modeled_cycles;
+      fresh.channels.resize(resolved_[s].channels);
+      shard_stats_[s] = std::move(fresh);
+    }
   }
   // Telemetry joins the stats epoch: buffered events and ring counters
   // are dropped so a post-warmup trace covers only the measured window.
   collector_.reset();
-  queue_latency_.reset();
-  service_latency_.reset();
-  for (LatencyRecorder& r : class_queue_latency_) r.reset();
-  for (LatencyRecorder& r : class_service_latency_) r.reset();
 }
 
 ServiceStats NttService::stats() const {
   ServiceStats s;
+  std::vector<ClassLedger> ledgers;
   {
     const sync::MutexLock lk(stats_mu_);
-    s.submitted = submitted_;
-    s.completed = completed_;
-    s.rejected = rejected_;
-    s.failed = failed_;
-    s.pending = accepted_ - completed_ - failed_;
-    s.waves = waves_;
-    s.engine_passes = engine_passes_;
-    s.batch_items = batch_items_;
-    s.mean_wave_occupancy =
-        engine_passes_ ? static_cast<double>(batch_items_) /
-                             static_cast<double>(engine_passes_)
-                       : 0;
+    ledgers = ledgers_;
     s.shards = shard_stats_;
-    s.classes.resize(class_counters_.size());
-    for (std::size_t c = 0; c < class_counters_.size(); ++c) {
-      s.classes[c].submitted = class_counters_[c].submitted;
-      s.classes[c].completed = class_counters_[c].completed;
-      s.classes[c].shed = class_counters_[c].shed;
-      s.classes[c].deadline_misses = class_counters_[c].deadline_misses;
-      s.shed += class_counters_[c].shed;
-      s.deadline_misses += class_counters_[c].deadline_misses;
-      const StageTotals& st = stage_totals_[c];
-      StageBreakdown& sb = s.classes[c].stages;
-      sb.count = st.count;
-      if (st.count > 0) {
-        const double n = static_cast<double>(st.count);
-        sb.admission_wait_us = st.admission_us / n;
-        sb.former_residency_us = st.former_us / n;
-        sb.shard_queue_wait_us = st.shard_queue_us / n;
-        sb.execute_us = st.execute_us / n;
-        sb.completion_us = st.completion_us / n;
-        sb.total_us = sb.admission_wait_us + sb.former_residency_us +
-                      sb.shard_queue_wait_us + sb.execute_us +
-                      sb.completion_us;
-      }
-    }
   }
-  // Trace-ring counters are internally synchronized (the collector has
-  // its own lock); sampled alongside, like the latency summaries.
-  s.trace_events = collector_.total_events();
-  s.trace_dropped_events = collector_.dropped_events();
+  // Everything below is derived from that one copy.
+  for (const ClassLedger& ledger : ledgers) {
+    ClassStats& cs = s.classes.emplace_back(ledger.totals);
+    StageBreakdown& sb = cs.stages;
+    sb.count = cs.completed;
+    if (sb.count > 0) {
+      const double n = static_cast<double>(sb.count);
+      sb.admission_wait_us /= n;
+      sb.former_residency_us /= n;
+      sb.shard_queue_wait_us /= n;
+      sb.execute_us /= n;
+      sb.completion_us /= n;
+    }
+    sb.total_us = sb.admission_wait_us + sb.former_residency_us +
+                  sb.shard_queue_wait_us + sb.execute_us + sb.completion_us;
+    cs.queue_latency = ledger.queue_latency.summary();
+    cs.service_latency = ledger.service_latency.summary();
+    s.submitted += cs.submitted;
+    s.completed += cs.completed;
+    s.failed += cs.failed;
+    s.rejected += cs.rejected;
+    s.shed += cs.shed;
+    s.deadline_misses += cs.deadline_misses;
+    s.pending += unsettled(cs);
+  }
   // Dispatcher backlogs are sampled outside stats_mu_ (the two locks
   // never nest the other way), but each shard's total and per-channel
   // gauges come from one backlog_snapshot() — a single lock acquisition —
   // so they always tile: total == sum over channels. The backend kind is
   // re-stamped from the resolved descriptors so it survives reset_stats().
   for (std::size_t i = 0; i < s.shards.size(); ++i) {
-    s.shards[i].kind = resolved_[i].kind;
+    ShardStats& ss = s.shards[i];
+    ss.kind = resolved_[i].kind;
     const Dispatcher::ShardBacklog backlog = dispatcher_.backlog_snapshot(i);
-    s.shards[i].estimated_backlog_cycles = backlog.total_cycles;
-    for (std::size_t c = 0; c < s.shards[i].channels.size(); ++c)
-      s.shards[i].channels[c].estimated_backlog_cycles =
-          backlog.channel_cycles[c];
+    ss.estimated_backlog_cycles = backlog.total_cycles;
+    for (std::size_t c = 0; c < ss.channels.size(); ++c) {
+      ChannelStats& cs = ss.channels[c];
+      cs.estimated_backlog_cycles = backlog.channel_cycles[c];
+      ss.waves += cs.waves;
+      ss.stolen_waves += cs.stolen_waves;
+      ss.rebalanced_waves += cs.rebalanced_waves;
+      ss.estimated_executed_cycles += cs.estimated_executed_cycles;
+    }
+    s.waves += ss.waves;
+    s.engine_passes += ss.engine_passes;
+    s.batch_items += ss.batch_items;
   }
-  s.queue_latency = queue_latency_.summary();
-  s.service_latency = service_latency_.summary();
-  // Class latency summaries share the counters' coherence caveat: sampled
-  // alongside, not under stats_mu_.
-  for (std::size_t c = 0; c < s.classes.size(); ++c) {
-    s.classes[c].queue_latency = class_queue_latency_[c].summary();
-    s.classes[c].service_latency = class_service_latency_[c].summary();
-  }
+  s.mean_wave_occupancy = s.engine_passes
+                              ? static_cast<double>(s.batch_items) /
+                                    static_cast<double>(s.engine_passes)
+                              : 0;
+  // Trace-ring counters are internally synchronized (the collector has
+  // its own lock); sampled alongside.
+  s.trace_events = collector_.total_events();
+  s.trace_dropped_events = collector_.dropped_events();
   return s;
 }
 

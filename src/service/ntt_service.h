@@ -229,18 +229,22 @@ class NttService {
   /// the destructor. Un-pauses a paused service so the backlog drains.
   void shutdown();
 
-  /// Snapshot, callable at any time from any thread. The request/wave
-  /// counters are read atomically as a group; the latency summaries are
-  /// sampled alongside but not under the same lock, so a wave completing
-  /// concurrently may show its latency samples one snapshot before its
-  /// counters (drain() first for fully settled numbers).
+  /// Snapshot, callable at any time from any thread. Counters, stage
+  /// means and latency summaries all come from one acquisition of the
+  /// stats lock, under which each request is booked once, so every
+  /// snapshot tiles (see ClassStats and ServiceStats); dispatcher backlogs
+  /// and trace-ring counters are sampled alongside. Cost: it copies each
+  /// class's two latency windows (up to 2 x 65536 doubles) under the lock
+  /// that submit() and every completing wave also take. drain() first for
+  /// settled numbers.
   ServiceStats stats() const;
 
   /// Zero the counters and latency windows so a subsequent stats() covers
   /// only traffic from this point on — the post-warmup idiom of a load
   /// test or a fresh deployment. Requests in flight stay pending (the
   /// snapshot's `pending` survives a reset); they complete into the new
-  /// counting epoch.
+  /// counting epoch. ShardStats::modeled_cycles is a backend lifetime
+  /// total and carries over.
   void reset_stats();
 
   /// The lifecycle trace rings (inert unless config().telemetry.enabled).
@@ -298,42 +302,21 @@ class NttService {
   sync::CondVar idle_cv_;  ///< drain() + constructor barrier
   std::size_t shards_ready_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
   std::exception_ptr construction_error_ NTTPIM_GUARDED_BY(stats_mu_);
-  std::uint64_t submitted_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t accepted_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t completed_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t rejected_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t failed_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t waves_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t engine_passes_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t batch_items_ NTTPIM_GUARDED_BY(stats_mu_) = 0;
+  /// One request class's book: `submitted` counts a request at entry, and
+  /// its terminal transition -- shed, rejected or stopped in enqueue(),
+  /// completed or failed in execute_group() -- books it exactly once.
+  struct ClassLedger {
+    /// `totals.stages` holds per-stage *sums* (stats() divides them), and
+    /// stats() fills the latency summaries from the windows below.
+    ClassStats totals;
+    LatencyRecorder queue_latency;
+    LatencyRecorder service_latency;
+  };
+  /// Indexed by tenant (size num_classes).
+  std::vector<ClassLedger> ledgers_ NTTPIM_GUARDED_BY(stats_mu_);
+  /// The shard-level wave counters stay zero here: stats() sums them from
+  /// the channels.
   std::vector<ShardStats> shard_stats_ NTTPIM_GUARDED_BY(stats_mu_);
-  /// Per-class counter tile of ClassStats (size num_classes; the latency
-  /// halves live in the recorders below). Guarded by stats_mu_.
-  struct ClassCounters {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t deadline_misses = 0;
-  };
-  std::vector<ClassCounters> class_counters_ NTTPIM_GUARDED_BY(stats_mu_);
-  /// Per-class stage-latency sums (microseconds) behind
-  /// ClassStats::stages; stats() divides by count. Guarded by stats_mu_.
-  struct StageTotals {
-    std::uint64_t count = 0;
-    double admission_us = 0;
-    double former_us = 0;
-    double shard_queue_us = 0;
-    double execute_us = 0;
-    double completion_us = 0;
-  };
-  std::vector<StageTotals> stage_totals_ NTTPIM_GUARDED_BY(stats_mu_);
-
-  LatencyRecorder queue_latency_;
-  LatencyRecorder service_latency_;
-  /// Per-class latency recorders, indexed by tenant (size num_classes).
-  /// LatencyRecorder is internally locked, so these need no stats_mu_.
-  std::vector<LatencyRecorder> class_queue_latency_;
-  std::vector<LatencyRecorder> class_service_latency_;
 
   std::once_flag shutdown_once_;
   // Threads last: joined before any state above tears down. The dispatch

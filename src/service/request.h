@@ -123,7 +123,6 @@ struct Request {
   RequestClass qos;      ///< tenant / priority / deadline (see SubmitOptions)
   std::promise<std::vector<std::uint32_t>> promise;
   Callback callback;      ///< when set, the promise is not used
-  bool use_callback = false;
   /// Stamped at NttService::submit entry, before admission — the zero
   /// point of the telemetry stage breakdown (admission wait =
   /// enqueued - submitted).
@@ -132,6 +131,9 @@ struct Request {
   /// Stamped by the wave-former when the request is cut into a wave;
   /// shard-queue wait in the stage breakdown starts here.
   ServiceClock::time_point cut_at{};
+  /// Stamped by the shard right after deliver() returned; the completion
+  /// stage of the breakdown ends here.
+  ServiceClock::time_point delivered{};
   /// Arrival sequence number, stamped by the wave-former. The FIFO
   /// tie-break of every QoS ordering — (deadline, priority, seq) — so
   /// classless traffic keeps exact submission order even under a fake
@@ -151,7 +153,7 @@ struct Request {
 
   /// Complete the request with `result` (moves it out).
   void deliver(std::vector<std::uint32_t>&& result) {
-    if (use_callback) {
+    if (callback) {
       try {
         callback(std::move(result), nullptr);
       } catch (...) {  // see Callback: must-not-throw contract
@@ -163,7 +165,7 @@ struct Request {
 
   /// Complete the request with an error.
   void fail(std::exception_ptr error) {
-    if (use_callback) {
+    if (callback) {
       try {
         callback({}, std::move(error));
       } catch (...) {

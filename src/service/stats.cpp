@@ -34,7 +34,6 @@ LatencyRecorder::LatencyRecorder(std::size_t capacity) : capacity_(capacity) {
 }
 
 void LatencyRecorder::record(double us) {
-  const sync::MutexLock lk(mu_);
   ++count_;
   sum_us_ += us;
   max_us_ = std::max(max_us_, us);
@@ -47,7 +46,6 @@ void LatencyRecorder::record(double us) {
 }
 
 void LatencyRecorder::reset() {
-  const sync::MutexLock lk(mu_);
   window_.clear();
   next_ = 0;
   count_ = 0;
@@ -56,15 +54,11 @@ void LatencyRecorder::reset() {
 }
 
 LatencySummary LatencyRecorder::summary() const {
-  std::vector<double> scratch;
+  std::vector<double> scratch = window_;
   LatencySummary s;
-  {
-    const sync::MutexLock lk(mu_);
-    s.count = count_;
-    s.mean_us = count_ ? sum_us_ / static_cast<double>(count_) : 0;
-    s.max_us = max_us_;
-    scratch = window_;
-  }
+  s.count = count_;
+  s.mean_us = count_ ? sum_us_ / static_cast<double>(count_) : 0;
+  s.max_us = max_us_;
   s.p50_us = percentile(scratch, 50);
   s.p95_us = percentile(scratch, 95);
   s.p99_us = percentile(scratch, 99);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "service/backend.h"
-#include "sync/mutex.h"
 
 namespace nttpim::service {
 
@@ -28,10 +27,11 @@ struct LatencySummary {
   double max_us = 0;
 };
 
-/// Thread-safe latency reservoir. The mean/max/count cover every sample
-/// ever recorded; percentiles are computed over a bounded ring of the most
+/// Latency reservoir. The mean/max/count cover every sample ever
+/// recorded; percentiles are computed over a bounded ring of the most
 /// recent `capacity` samples so memory stays flat under serving workloads
-/// that run for days.
+/// that run for days. Not thread-safe: NttService keeps one pair per
+/// request class under its stats lock (see NttService::stats()).
 class LatencyRecorder {
  public:
   explicit LatencyRecorder(std::size_t capacity = 1 << 16);
@@ -42,14 +42,13 @@ class LatencyRecorder {
   void reset();
 
  private:
-  mutable sync::Mutex mu_;
   /// Ring buffer of the last `capacity_` samples.
-  std::vector<double> window_ NTTPIM_GUARDED_BY(mu_);
+  std::vector<double> window_;
   std::size_t capacity_;  ///< fixed at construction
-  std::size_t next_ NTTPIM_GUARDED_BY(mu_) = 0;
-  std::uint64_t count_ NTTPIM_GUARDED_BY(mu_) = 0;
-  double sum_us_ NTTPIM_GUARDED_BY(mu_) = 0;
-  double max_us_ NTTPIM_GUARDED_BY(mu_) = 0;
+  std::size_t next_ = 0;
+  std::uint64_t count_ = 0;
+  double sum_us_ = 0;
+  double max_us_ = 0;
 };
 
 /// Per-channel slice of one shard's counters: one entry per independent
@@ -81,11 +80,12 @@ struct ChannelStats {
 ///     wave's engine pass starts (shard_queue_wait) -> passes done
 ///     (execute) -> this request's result delivered (completion).
 ///
-/// Cross-check against the latency recorders (both measure from the
-/// former's enqueue stamp): former_residency + shard_queue_wait equals
-/// the queue-latency mean, and adding execute gives the service-latency
-/// mean. Always accumulated — stage stamps ride the existing stats lock,
-/// so this costs nothing extra and needs no TelemetryConfig gate.
+/// Cross-check against the class's latency summaries: both measure from
+/// the former's enqueue stamp and cover the same completed requests, so
+/// former_residency + shard_queue_wait equals the queue-latency mean, and
+/// adding execute gives the service-latency mean. Always accumulated —
+/// stage stamps are booked with the request's completion under the stats
+/// lock, so this costs nothing extra and needs no TelemetryConfig gate.
 struct StageBreakdown {
   std::uint64_t count = 0;  ///< completed requests averaged below
   double admission_wait_us = 0;    ///< submit() entry -> queued in former
@@ -100,10 +100,17 @@ struct StageBreakdown {
 /// configured request class (ServiceConfig::qos.num_classes), keyed by
 /// RequestClass::tenant. This is what makes the QoS policies observable:
 /// the latency a critical class actually gets, what a flooding tenant was
-/// shed, and how many deadlines were honored.
+/// shed, and how many deadlines were honored. Each submitted request is
+/// counted, once it settles, in exactly one of completed / failed /
+/// rejected / shed; completed, stages.count and both latency counts are
+/// the same requests.
 struct ClassStats {
   std::uint64_t submitted = 0;  ///< submit() calls from this tenant
   std::uint64_t completed = 0;  ///< delivered successfully
+  std::uint64_t failed = 0;     ///< accepted but failed during execution
+  /// Backpressure rejections: the queue was full (OverflowPolicy::kReject)
+  /// or the service had stopped.
+  std::uint64_t rejected = 0;
   /// Shed by per-tenant admission control (AdmissionShedError) — counted
   /// separately from `rejected` backpressure: shedding is a per-tenant
   /// policy verdict, rejection is aggregate queue pressure.
@@ -158,13 +165,16 @@ struct ShardStats {
   /// account has no epochs).
   std::uint64_t modeled_cycles = 0;
   /// One entry per channel of the shard's device, splitting the wave
-  /// counters above by command bus (size == BackendDescriptor::channels;
-  /// survives reset_stats()).
+  /// counters above by command bus: waves, stolen_waves, rebalanced_waves
+  /// and estimated_executed_cycles are the sums over it (size ==
+  /// BackendDescriptor::channels; survives reset_stats()).
   std::vector<ChannelStats> channels;
 };
 
 /// Snapshot of the service, safe to take while requests flow (see
-/// NttService::stats() for the exact coherence guarantees).
+/// NttService::stats() for the exact coherence guarantees). The request
+/// counters are the sums of `classes`; the wave counters are the sums of
+/// `shards`.
 struct ServiceStats {
   std::uint64_t submitted = 0;  ///< submit() calls observed
   std::uint64_t completed = 0;  ///< requests delivered successfully
@@ -172,9 +182,9 @@ struct ServiceStats {
   std::uint64_t failed = 0;     ///< accepted but failed during execution
   std::uint64_t pending = 0;    ///< accepted, not yet completed or failed
   /// Shed by per-tenant admission control before reaching the queue
-  /// (sum of ClassStats::shed; disjoint from `rejected`).
+  /// (disjoint from `rejected`).
   std::uint64_t shed = 0;
-  /// Completed after their deadline (sum of ClassStats::deadline_misses).
+  /// Completed after their deadline.
   std::uint64_t deadline_misses = 0;
 
   std::uint64_t waves = 0;
@@ -183,16 +193,9 @@ struct ServiceStats {
   /// batch_items / engine_passes — the utilization figure of merit.
   double mean_wave_occupancy = 0;
 
-  /// Former enqueue -> wave starts executing. Admission wait is not
-  /// included; see ClassStats::stages.admission_wait_us.
-  LatencySummary queue_latency;
-  /// Former enqueue -> the wave's passes finish (admission wait excluded,
-  /// as above).
-  LatencySummary service_latency;
-
   /// One entry per request class (ServiceConfig::qos.num_classes; always
-  /// at least the classless entry 0), splitting the counters and latency
-  /// summaries above by RequestClass::tenant.
+  /// at least the classless entry 0), with the latency summaries and the
+  /// stage breakdown of its completed requests.
   std::vector<ClassStats> classes;
 
   std::vector<ShardStats> shards;

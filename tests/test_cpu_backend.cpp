@@ -238,24 +238,22 @@ TEST(CpuBackendUnit, ModeledCyclesAccrueCostModelPrice) {
 // account deliberately keeps the boot constant (the hardware account has
 // no epochs — see cpu_backend.h).
 TEST(CpuBackendUnit, RollingCalibrationRefinesEstimatesOnly) {
-  CpuBackend::Config cfg;
-  cfg.calibration_alpha = 0.5;
-  CpuBackend cpu(cfg);
+  CpuBackend cpu;
   EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 6.0);
 
-  // Injected samples follow the exact EWMA arithmetic.
+  // Injected samples follow the exact EWMA arithmetic (alpha 0.25).
   cpu.record_calibration_sample(10.0);
-  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 8.0);
-  cpu.record_calibration_sample(4.0);
+  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 7.0);
+  cpu.record_calibration_sample(3.0);
   EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 6.0);
   cpu.record_calibration_sample(2.0);
-  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 4.0);
+  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 5.0);
 
   // Estimates price with the rolling constant...
   const auto params = make_params(256);
   std::vector<BatchItem> items{{nullptr, &params, false}};
   EXPECT_EQ(cpu.estimate_wave_cycles(items),
-            static_cast<std::uint64_t>(4.0 * 256 * 8));
+            static_cast<std::uint64_t>(5.0 * 256 * 8));
 
   // ...while the modeled account still charges the boot constant.
   Rng rng(31);
@@ -267,25 +265,14 @@ TEST(CpuBackendUnit, RollingCalibrationRefinesEstimatesOnly) {
   cpu.record_calibration_sample(-5.0);
   EXPECT_GT(cpu.calibrated_cycles_per_point_stage(), 0.0);
 
-  // Executed batches really do feed the EWMA (default alpha 0.25): the
-  // constant moves off its seed after real work.
+  // Executed batches really do feed the EWMA: the constant moves off its
+  // seed after real work.
   CpuBackend live;
   auto a = rng.residues(params.n(), params.q());
   auto b = rng.residues(params.n(), params.q());
   std::vector<BatchItem> batch{{&a, &params, false}, {&b, &params, true}};
   live.transform_batch_mixed(batch);
   EXPECT_NE(live.calibrated_cycles_per_point_stage(), 6.0);
-
-  // Alpha 0 freezes the boot constant: samples are ignored.
-  CpuBackend::Config frozen;
-  frozen.calibration_alpha = 0.0;
-  CpuBackend fixed(frozen);
-  fixed.record_calibration_sample(50.0);
-  EXPECT_DOUBLE_EQ(fixed.calibrated_cycles_per_point_stage(), 6.0);
-
-  CpuBackend::Config bad;
-  bad.calibration_alpha = 1.5;
-  EXPECT_THROW(CpuBackend{bad}, std::invalid_argument);
 }
 
 TEST(CpuBackendUnit, CalibrationReturnsPositiveFiniteFit) {

@@ -10,6 +10,8 @@
 #include <latch>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "common/random.h"
 #include "fhe/cpu_backend.h"
 #include "fhe/pim_backend.h"
+#include "ntt/negacyclic.h"
 #include "ntt/params.h"
 #include "ntt/poly.h"
 #include "service/admission.h"
@@ -43,6 +46,60 @@ service::SubmitOptions inv(bool inverse) {
   service::SubmitOptions options;
   options.inverse = inverse;
   return options;
+}
+
+/// Submits one 4-request wave of fresh polynomials, forward.
+std::vector<std::future<std::vector<std::uint32_t>>> submit_wave(
+    NttService& svc, const std::shared_ptr<const ntt::NttParams>& params,
+    Rng& rng) {
+  std::vector<std::future<std::vector<std::uint32_t>>> futures;
+  for (int i = 0; i < 4; ++i)
+    futures.push_back(
+        svc.submit(rng.residues(params->n(), params->q()), params));
+  return futures;
+}
+
+// Every snapshot tiles, whenever it is taken: per class, completed ==
+// stages.count == both latency counts and nothing is booked twice; the
+// global request counters are the class sums and submitted == completed
+// + failed + rejected + shed + pending; each shard's wave counters are
+// the sums over its channels.
+void expect_tiles(const service::ServiceStats& s) {
+  service::ClassStats sum;
+  for (const service::ClassStats& c : s.classes) {
+    EXPECT_EQ(c.stages.count, c.completed);
+    EXPECT_EQ(c.queue_latency.count, c.completed);
+    EXPECT_EQ(c.service_latency.count, c.completed);
+    EXPECT_GE(c.submitted, c.completed + c.failed + c.rejected + c.shed);
+    sum.submitted += c.submitted;
+    sum.completed += c.completed;
+    sum.failed += c.failed;
+    sum.rejected += c.rejected;
+    sum.shed += c.shed;
+    sum.deadline_misses += c.deadline_misses;
+  }
+  EXPECT_EQ(s.submitted, sum.submitted);
+  EXPECT_EQ(s.completed, sum.completed);
+  EXPECT_EQ(s.failed, sum.failed);
+  EXPECT_EQ(s.rejected, sum.rejected);
+  EXPECT_EQ(s.shed, sum.shed);
+  EXPECT_EQ(s.deadline_misses, sum.deadline_misses);
+  EXPECT_EQ(s.submitted,
+            s.completed + s.failed + s.rejected + s.shed + s.pending);
+  for (const service::ShardStats& shard : s.shards) {
+    service::ChannelStats channels;
+    for (const service::ChannelStats& c : shard.channels) {
+      channels.waves += c.waves;
+      channels.stolen_waves += c.stolen_waves;
+      channels.rebalanced_waves += c.rebalanced_waves;
+      channels.estimated_executed_cycles += c.estimated_executed_cycles;
+    }
+    EXPECT_EQ(shard.waves, channels.waves);
+    EXPECT_EQ(shard.stolen_waves, channels.stolen_waves);
+    EXPECT_EQ(shard.rebalanced_waves, channels.rebalanced_waves);
+    EXPECT_EQ(shard.estimated_executed_cycles,
+              channels.estimated_executed_cycles);
+  }
 }
 
 // (a) N client threads x M requests, mixed directions and sizes, must be
@@ -88,6 +145,7 @@ TEST(ServiceE2E, ConcurrentClientsMatchCpuBackend) {
   EXPECT_EQ(stats.completed, kThreads * kRequests);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.rejected, 0u);
+  expect_tiles(stats);
 }
 
 // (a') Negacyclic products through the service match the CPU reference
@@ -207,7 +265,9 @@ TEST(ServiceUnit, RejectPolicySurfacesAsFailedFuture) {
 
   const auto stats_before = svc.stats();
   EXPECT_EQ(stats_before.rejected, 1u);
+  EXPECT_EQ(stats_before.classes[0].rejected, 1u);
   EXPECT_EQ(stats_before.pending, 4u);
+  expect_tiles(stats_before);
 
   svc.resume();
   for (auto& f : accepted) EXPECT_NO_THROW(f.get());
@@ -298,6 +358,7 @@ TEST(ServiceUnit, ResetStatsStartsCleanEpoch) {
   EXPECT_EQ(stats.submitted, 2u);  // still pending: carried into the epoch
   EXPECT_EQ(stats.pending, 2u);
   EXPECT_EQ(stats.completed, 0u);
+  expect_tiles(stats);
 
   // A 2-item backlog never reaches the 4-item flush size and the window is
   // an hour: shutdown() is what flushes it (close -> immediate drain).
@@ -307,6 +368,32 @@ TEST(ServiceUnit, ResetStatsStartsCleanEpoch) {
   stats = svc.stats();
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.pending, 0u);
+  expect_tiles(stats);
+}
+
+// Regression: reset_stats() carries ShardStats::modeled_cycles over. It
+// is the backend's lifetime total, so a delta taken across a reset covers
+// exactly the work done after it: one more identical 4-item wave doubles
+// it.
+TEST(ServiceUnit, ResetStatsKeepsModeledCycles) {
+  const auto params = make_params(256);
+  ServiceConfig cfg;
+  cfg.backend.banks_per_shard = 4;
+  cfg.former.flush_window = hour();  // only the 4-item size flush cuts
+  NttService svc(cfg);
+
+  Rng rng(37);
+  const auto run_wave = [&] {
+    for (auto& f : submit_wave(svc, params, rng)) f.get();
+    svc.drain();
+  };
+  run_wave();
+  const std::uint64_t one_wave = svc.stats().shards.at(0).modeled_cycles;
+  ASSERT_GT(one_wave, 0u);
+  svc.reset_stats();
+  EXPECT_EQ(svc.stats().shards.at(0).modeled_cycles, one_wave);
+  run_wave();
+  EXPECT_EQ(svc.stats().shards.at(0).modeled_cycles, 2 * one_wave);
 }
 
 // Regression (PR 5): nearest-rank percentiles. The old floor() rank was
@@ -1156,18 +1243,9 @@ TEST(ServiceE2E, MultiChannelShardServesAndSplitsStats) {
   EXPECT_EQ(stats.waves, 4u);
   const auto& ss = stats.shards.at(0);
   ASSERT_EQ(ss.channels.size(), 2u);
-  std::uint64_t channel_waves = 0;
-  std::uint64_t channel_rebalanced = 0;
-  std::uint64_t channel_executed = 0;
-  for (const auto& cs : ss.channels) {
-    channel_waves += cs.waves;
-    channel_rebalanced += cs.rebalanced_waves;
-    channel_executed += cs.estimated_executed_cycles;
+  for (const auto& cs : ss.channels)
     EXPECT_EQ(cs.estimated_backlog_cycles, 0u);  // drained
-  }
-  EXPECT_EQ(channel_waves, ss.waves);
-  EXPECT_EQ(channel_rebalanced, ss.rebalanced_waves);
-  EXPECT_EQ(channel_executed, ss.estimated_executed_cycles);
+  expect_tiles(stats);
 }
 
 // Property (PR 5): under a steal-heavy skewed load — bursts of expensive
@@ -1710,6 +1788,152 @@ TEST(ServiceE2E, QosShedsFloodingTenantAndCountsDeadlineMisses) {
   for (const auto& shard : stats.shards)
     shard_misses += shard.deadline_missed_requests;
   EXPECT_EQ(shard_misses, 3u);
+  expect_tiles(stats);
+}
+
+// ------------------------------------------------------ fault injection
+
+namespace fault_test {
+
+/// When a FaultyBackend misbehaves. Passes count from 1; 0 means never.
+struct Faults {
+  std::size_t throw_on_pass = 0;
+  /// On this pass the backend counts `parked` down, then waits for
+  /// `release` before running it.
+  std::size_t park_on_pass = 0;
+  std::latch* parked = nullptr;
+  std::latch* release = nullptr;
+};
+
+/// Test double for the fault paths: the base class's reference path (the
+/// CPU kernels, item by item), except that one pass can throw and one can
+/// park on a latch, so the tests need no sleeps.
+class FaultyBackend final : public fhe::NttBackend {
+ public:
+  explicit FaultyBackend(const Faults& faults) : faults_(faults) {}
+
+  void forward(std::vector<std::uint32_t>& a,
+               const ntt::NttParams& params) override {
+    ntt::forward_negacyclic_ntt(a, params);
+  }
+  void inverse(std::vector<std::uint32_t>& a,
+               const ntt::NttParams& params) override {
+    ntt::inverse_negacyclic_ntt(a, params);
+  }
+  void transform_batch_mixed(std::span<const fhe::BatchItem> items) override {
+    ++passes_;
+    if (passes_ == faults_.park_on_pass) {
+      faults_.parked->count_down();
+      faults_.release->wait();
+    }
+    if (passes_ == faults_.throw_on_pass)
+      throw std::runtime_error("injected pass failure");
+    NttBackend::transform_batch_mixed(items);
+  }
+
+ private:
+  const Faults faults_;
+  std::size_t passes_ = 0;
+};
+
+/// A one-shard service on a FaultyBackend. Waves are 4 requests, cut only
+/// by size.
+ServiceConfig faulty_config(const Faults& faults) {
+  ServiceConfig cfg;
+  cfg.backend.banks_per_shard = 4;
+  cfg.former.flush_window = hour();
+  service::BackendDescriptor faulty;
+  faulty.kind = service::BackendKind::kCpu;
+  faulty.label = "faulty";
+  faulty.factory = [faults] { return std::make_unique<FaultyBackend>(faults); };
+  cfg.backend.descriptors = {faulty};
+  return cfg;
+}
+
+}  // namespace fault_test
+
+// A pass that throws fails every rider of its group exactly once: each
+// future throws, each rider books `failed` and nothing else (no latency or
+// stage sample), and the shard goes on to serve the next wave correctly.
+TEST(ServiceFault, FailedPassBooksEveryRiderFailedOnce) {
+  const auto params = make_params(256);
+  NttService svc(fault_test::faulty_config({.throw_on_pass = 1}));
+
+  Rng rng(83);
+  for (auto& f : submit_wave(svc, params, rng))
+    EXPECT_THROW(f.get(), std::runtime_error);
+  svc.drain();
+  auto stats = svc.stats();
+  expect_tiles(stats);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.classes[0].failed, 4u);
+  EXPECT_EQ(stats.classes[0].queue_latency.count, 0u);
+  EXPECT_EQ(stats.classes[0].service_latency.count, 0u);
+  EXPECT_EQ(stats.classes[0].stages.count, 0u);
+  EXPECT_EQ(stats.shards[0].requests, 4u);
+
+  fhe::CpuBackend cpu;
+  std::vector<std::future<std::vector<std::uint32_t>>> served;
+  std::vector<std::vector<std::uint32_t>> expected;
+  for (int i = 0; i < 4; ++i) {
+    auto poly = rng.residues(params->n(), params->q());
+    expected.push_back(poly);
+    cpu.forward(expected.back(), *params);
+    served.push_back(svc.submit(std::move(poly), params));
+  }
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(served[i].get(), expected[i]);
+  svc.drain();
+  stats = svc.stats();
+  expect_tiles(stats);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.classes[0].service_latency.count, 4u);
+}
+
+// A snapshot taken while a wave's pass is parked mid-execution tiles: its
+// riders are pending, with no latency sample booked ahead of their
+// completion.
+TEST(ServiceFault, SnapshotDuringPassIsCoherent) {
+  const auto params = make_params(256);
+  std::latch parked(1);
+  std::latch release(1);  // both outlive the service's worker
+  NttService svc(fault_test::faulty_config(
+      {.park_on_pass = 1, .parked = &parked, .release = &release}));
+
+  Rng rng(89);
+  auto futures = submit_wave(svc, params, rng);
+  parked.wait();  // the shard is inside the pass
+  const auto during = svc.stats();
+  release.count_down();
+  expect_tiles(during);
+  EXPECT_EQ(during.submitted, 4u);
+  EXPECT_EQ(during.pending, 4u);
+  EXPECT_EQ(during.completed, 0u);
+  EXPECT_EQ(during.classes[0].queue_latency.count, 0u);
+
+  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  svc.drain();
+  const auto after = svc.stats();
+  expect_tiles(after);
+  EXPECT_EQ(after.completed, 4u);
+  EXPECT_EQ(after.pending, 0u);
+}
+
+// A shard whose backend fails to construct fails the service constructor:
+// the error reaches the caller once the healthy shard is joined, instead
+// of hanging the readiness barrier.
+TEST(ServiceFault, ThrowingFactoryFailsConstruction) {
+  ServiceConfig cfg;
+  cfg.backend.banks_per_shard = 4;
+  service::BackendDescriptor broken;
+  broken.label = "broken";
+  broken.factory = []() -> std::unique_ptr<fhe::NttBackend> {
+    throw std::runtime_error("injected construction failure");
+  };
+  cfg.backend.descriptors = {service::make_pim_descriptor(4), broken};
+  EXPECT_THROW(NttService{cfg}, std::runtime_error);
 }
 
 }  // namespace
