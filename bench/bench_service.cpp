@@ -13,9 +13,9 @@
 //  - service_hetero_backends: a staged bulk (N = 1024) / small (N = 256)
 //    wave stream served by a lone PIM shard ("pim_only") and by the same
 //    shard next to a host-CPU pool ("mixed"): how many waves the CPU
-//    absorbs once the device backs up.
+//    pulls while the device is busy.
 //  - service_multi_channel: a staged bulk burst on one 16-bank, 4-channel
-//    shard, and how the (shard, channel) dispatcher spread its waves.
+//    shard, pulled in whole-device waves.
 //  - service_qos: a bulk tenant's backlog staged ahead of a critical
 //    tenant's requests, without the critical deadline and priority
 //    ("fifo"), with them ("qos"), and with a token bucket on the bulk
@@ -23,9 +23,9 @@
 //  - service_telemetry: identical closed-loop runs with lifecycle tracing
 //    off and on, interleaved; CI holds the on/off throughput ratio >= 0.95.
 //
-// The deterministic modeled comparisons (round-robin replay vs live
-// dispatch, the heterogeneous modeled-dispatch replay, a bulk pass on 1 vs
-// 4 command buses) are ctest properties: ServiceProperty.* in
+// The deterministic modeled comparisons (round-robin replay vs live pull,
+// the heterogeneous modeled pull replay, a bulk pass on 1 vs 4 command
+// buses) are ctest properties: ServiceProperty.* in
 // tests/test_service.cpp.
 #include <algorithm>
 #include <atomic>
@@ -61,9 +61,8 @@ using ParamsPtr = std::shared_ptr<const ntt::NttParams>;
 
 constexpr std::size_t kN = 256;  ///< closed-loop transform size
 
-/// One report field: a JSON scalar or a list of counts.
-using Value = std::variant<std::uint64_t, double, bool, std::string,
-                           std::vector<std::uint64_t>>;
+/// One report field: a JSON scalar.
+using Value = std::variant<std::uint64_t, double, bool, std::string>;
 struct Field {
   std::string name;
   Value value;
@@ -353,12 +352,10 @@ Burst run_burst(service::ServiceConfig cfg, std::uint64_t seed,
 
 /// 24 alternating bulk / small waves of 4 staged onto a single 4-bank PIM
 /// shard ("pim_only") or the same shard next to a 4-lane host-CPU pool
-/// ("mixed"). Shallow dispatch queues make the simulated device back up
-/// at once: the overflow the CPU tier exists to absorb. Cost-aware
-/// dispatch spills a wave to the CPU whenever its price-plus-backlog beats
-/// the queued-up PIM's, and an idle shard steals. Steals trigger on
-/// wall-clock idleness (the host CPU races a cycle *simulator*), so the
-/// modeled makespans are compared by the worker-less dispatch replay in
+/// ("mixed"). Whichever shard is free pulls the next wave, so the CPU
+/// takes the overflow while the simulated device is busy. Who is free is
+/// wall-clock-shaped (the host CPU races a cycle *simulator*), so the
+/// modeled makespans are compared by the worker-less pull replay in
 /// ServiceProperty.HeteroReplayMixedTierBeatsPimOnly, not here.
 std::vector<Row> hetero(const Options&) {
   constexpr std::size_t kBanks = 4;
@@ -374,14 +371,13 @@ std::vector<Row> hetero(const Options&) {
       cfg.backend.descriptors.push_back(
           service::make_cpu_descriptor(kCpuLanes));
     cfg.backend.banks_per_shard = kBanks;
-    cfg.dispatch.shard_queue_waves = 2;
     const Burst b = run_burst(cfg, 29, [&](const Submit& submit) {
       for (std::size_t w = 0; w < kWaves; ++w)
         for (std::size_t i = 0; i < kBanks; ++i)
           submit(w % 2 == 0 ? bulk : small, {});
     });
-    // The dispatcher's price for every wave a shard finished: under load
-    // the live split is wall-clock-shaped.
+    // Each shard's own price for every wave it ran: under load the live
+    // split is wall-clock-shaped.
     std::uint64_t cpu_waves = 0, pim_waves = 0, cpu_requests = 0;
     std::uint64_t busiest = 0, total = 0;
     for (const auto& shard : b.stats.shards) {
@@ -411,24 +407,21 @@ std::vector<Row> hetero(const Options&) {
   return rows;
 }
 
-/// 32 bulk transforms staged onto one 16-bank, 4-channel shard. The former
-/// sizes waves to one channel's bank set (4 items), so the burst forms 8
-/// waves; the (shard, channel) dispatcher spreads them across the four
-/// channel queues, and the worker merges one wave per channel into a
-/// single engine pass that overlaps the channels' buses.
+/// 32 bulk transforms staged onto one 16-bank, 4-channel shard. The shard
+/// pulls whole-device waves (16 items), so the burst forms 2 waves, and
+/// the device spreads each wave's items over its four channels, one per
+/// bank, so the channels' buses overlap (the placement itself is pinned by
+/// PimBackend.MixedWaveSpreadsItemsEvenlyOverChannels in test_fhe).
 std::vector<Row> channel(const Options&) {
   constexpr std::size_t kRequests = 32;
   const ParamsPtr params = make_params(1024, 29);
   service::ServiceConfig cfg;
   cfg.backend.banks_per_shard = 16;
   cfg.backend.channels_per_shard = 4;
-  cfg.dispatch.shard_queue_waves = 8;  // deep: the burst queues up
   const Burst b = run_burst(cfg, 47, [&](const Submit& submit) {
     for (std::size_t i = 0; i < kRequests; ++i) submit(params, {});
   });
   const service::ShardStats& shard = b.stats.shards.front();
-  std::vector<std::uint64_t> channel_waves;
-  for (const auto& cs : shard.channels) channel_waves.push_back(cs.waves);
   return {Row{{"mode", "service"},
               {"banks", cfg.backend.banks_per_shard},
               {"channels", cfg.backend.channels_per_shard},
@@ -438,7 +431,6 @@ std::vector<Row> channel(const Options&) {
               {"host_cores", host_cores()},
               {"requests_per_sec", b.requests_per_sec},
               {"waves", shard.waves},
-              {"channel_waves", channel_waves},
               {"verified", b.verified()}}};
 }
 
@@ -447,8 +439,8 @@ std::vector<Row> channel(const Options&) {
 /// ordering for the latecomer. In "fifo" the critical requests carry no
 /// deadline or priority, so they wait out the whole bulk backlog (their
 /// p99 ~ the makespan). In "qos" the former cuts them into the first waves
-/// and the deadline-ordered lanes keep them ahead, so the critical p99
-/// collapses while the device-bound bulk p99 barely moves.
+/// the shard pulls, so the critical p99 collapses while the device-bound
+/// bulk p99 barely moves.
 /// "qos_overload" adds a hard token bucket on the bulk tenant: under rate
 /// 0 exactly the 32 bulk submits past its burst shed with
 /// AdmissionShedError (the staging loop is single-threaded). The exported
@@ -554,11 +546,7 @@ void write_row(bench::JsonWriter& json, const Row& row) {
     std::visit(
         [&](const auto& v) {
           using T = std::decay_t<decltype(v)>;
-          if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
-            json.begin_array(f.name);
-            for (const std::uint64_t x : v) json.field("", x);
-            json.end_array();
-          } else if constexpr (std::is_same_v<T, std::string>) {
+          if constexpr (std::is_same_v<T, std::string>) {
             json.field(f.name, std::string_view(v));
           } else {
             json.field(f.name, v);
@@ -595,13 +583,8 @@ std::string cell(const Value& value) {
           return v ? "YES" : "NO";
         } else if constexpr (std::is_same_v<T, double>) {
           return TablePrinter::num(v);
-        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-          return std::to_string(v);
         } else {
-          std::string joined;
-          for (const std::uint64_t x : v)
-            joined += (joined.empty() ? "" : "/") + std::to_string(x);
-          return joined;
+          return std::to_string(v);
         }
       },
       value);

@@ -4,7 +4,7 @@
 // transforms and negacyclic products, no deadlines) shares one NttService
 // with a *critical* tenant (two client threads, high priority, a real
 // deadline on every request) — the classic batch-next-to-interactive mix.
-// Three QoS layers keep them apart:
+// Two QoS layers keep them apart:
 //
 //   - admission: the bulk tenant carries a token bucket (rate 0, burst 60
 //     here, so exactly 48 of its 108 requests are shed with
@@ -12,9 +12,8 @@
 //     capacity). The critical tenant is unlimited.
 //   - EDF forming: a pending critical deadline flushes a wave early and
 //     leads the cut, so critical requests never wait out the coalescing
-//     window behind bulk traffic.
-//   - deadline-pressure dispatch: critical waves jump queued bulk in the
-//     shard lanes and are stolen first by idle shards.
+//     window behind bulk traffic, and the next free shard pulls them
+//     first.
 //
 // The interesting output is the per-class stats block: what latency each
 // tenant actually got, what the flooder was shed, whether deadlines held —
@@ -27,7 +26,7 @@
 // `--trace <path>` additionally records every request's lifecycle (see
 // src/telemetry/) and writes a Chrome trace-event JSON there — open it in
 // Perfetto / chrome://tracing to see the two tenants' flows interleave
-// across the dispatcher and shard tracks.
+// across the client and shard tracks.
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -124,7 +123,7 @@ int main(int argc, char** argv) {
   cfg.backend.banks_per_shard = 4;
   cfg.former.flush_window = std::chrono::microseconds(300);
   // Two request classes; only the bulk tenant is rate-limited. The
-  // critical tenant's deadlines and priority order forming and dispatch.
+  // critical tenant's deadlines and priority order wave forming.
   cfg.qos.num_classes = 2;
   cfg.qos.admission = {{.rate_per_sec = 0.0, .burst = kBulkBurst}};
   // Lifecycle tracing costs nothing unless asked for (one relaxed atomic
@@ -239,8 +238,7 @@ int main(int argc, char** argv) {
     std::cout << (s ? ", " : "") << "shard " << s << " ("
               << service::to_string(stats.shards[s].kind) << "): "
               << stats.shards[s].requests << " requests / "
-              << stats.shards[s].waves << " waves ("
-              << stats.shards[s].stolen_waves << " stolen)";
+              << stats.shards[s].waves << " waves";
 
   // Where each tenant's completed requests actually spent their time —
   // the stage-latency attribution half of the telemetry subsystem

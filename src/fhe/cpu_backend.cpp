@@ -13,9 +13,7 @@
 namespace nttpim::fhe {
 
 CpuBackend::CpuBackend(const Config& config)
-    : cfg_(config),
-      lanes_(std::max<std::size_t>(1, config.threads)),
-      calibrated_(config.cycles_per_point_stage) {
+    : cfg_(config), lanes_(std::max<std::size_t>(1, config.threads)) {
   NTTPIM_EXPECT_MSG(cfg_.freq_mhz > 0, "the modeled clock must be positive");
   NTTPIM_EXPECT_MSG(cfg_.cycles_per_point_stage > 0,
                     "the fitted cost constant must be positive");
@@ -90,7 +88,6 @@ void CpuBackend::pool_main(std::size_t lane) {
 void CpuBackend::transform_batch_mixed(std::span<const BatchItem> items) {
   validate_batch_items(items);
   if (items.empty()) return;
-  const auto t0 = std::chrono::steady_clock::now();
   if (lanes_ == 1 || items.size() == 1) {
     // Serial tight loop; let a single item's error propagate directly.
     for (const auto& item : items) {
@@ -118,49 +115,12 @@ void CpuBackend::transform_batch_mixed(std::span<const BatchItem> items) {
     }
     if (error) std::rethrow_exception(error);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  feed_calibration(items,
-                   std::chrono::duration<double, std::nano>(t1 - t0).count());
-}
-
-void CpuBackend::feed_calibration(std::span<const BatchItem> items,
-                                  double wall_ns) {
-  // Normalize the wave's wall time by its busiest lane's n*log2(n) weight:
-  // the lanes ran concurrently, so the wave's duration is the busiest
-  // lane's duration — the same placement replay the estimate performs.
-  std::vector<double> lane_weight(std::min(lanes_, items.size()), 0.0);
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    const auto n = static_cast<double>(items[j].params->n());
-    lane_weight[j % lanes_] +=
-        n * static_cast<double>(exact_log2(items[j].params->n()));
-  }
-  double busiest = 0;
-  for (const double w : lane_weight) busiest = std::max(busiest, w);
-  if (busiest <= 0 || wall_ns <= 0) return;  // timer glitch: skip the sample
-  const double measured_cycles = wall_ns * cfg_.freq_mhz / 1000.0;
-  record_calibration_sample(measured_cycles / busiest);
-}
-
-void CpuBackend::record_calibration_sample(double cycles_per_point_stage) {
-  // A glitched sample must never drive the constant to zero or below.
-  const double sample = std::max(cycles_per_point_stage, 1e-3);
-  const double prev = calibrated_.load(std::memory_order_relaxed);
-  calibrated_.store(
-      (1.0 - kCalibrationAlpha) * prev + kCalibrationAlpha * sample,
-      std::memory_order_relaxed);
 }
 
 std::uint64_t CpuBackend::item_cycles(std::size_t n) const {
   const auto log2n = static_cast<double>(exact_log2(n));
   return static_cast<std::uint64_t>(cfg_.cycles_per_point_stage *
                                     static_cast<double>(n) * log2n);
-}
-
-std::uint64_t CpuBackend::estimated_item_cycles(std::size_t n) const {
-  const auto log2n = static_cast<double>(exact_log2(n));
-  return static_cast<std::uint64_t>(
-      calibrated_.load(std::memory_order_relaxed) * static_cast<double>(n) *
-      log2n);
 }
 
 std::uint64_t CpuBackend::estimate_wave_cycles(
@@ -170,7 +130,7 @@ std::uint64_t CpuBackend::estimate_wave_cycles(
   for (std::size_t j = 0; j < items.size(); ++j) {
     NTTPIM_EXPECT_MSG(items[j].params != nullptr,
                       "estimating a wave needs each item's parameter set");
-    lane_cycles[j % lanes_] += estimated_item_cycles(items[j].params->n());
+    lane_cycles[j % lanes_] += item_cycles(items[j].params->n());
   }
   std::uint64_t makespan = 0;
   for (const std::uint64_t c : lane_cycles) makespan = std::max(makespan, c);

@@ -8,16 +8,16 @@
 // in-memory accelerator instead of being replaced by it.
 //
 // The interface is batch-first, because batches are what the serving layer
-// dispatches:
+// executes:
 //  - transform_batch_mixed(): a heterogeneous wave in which every item
-//    carries its own parameter set and direction — the unit of dispatch;
+//    carries its own parameter set and direction — the unit a serving
+//    shard runs;
 //  - transform_batch(): a same-parameter pile, a convenience over the
 //    mixed form;
 //  - estimate_wave_cycles(): the backend's own cost model, pricing a wave
 //    in *modeled device cycles* (the PIM device clock is the common
-//    currency — see ModeledCycles below) without executing anything. This
-//    is what a cost-aware dispatcher compares across backends to route
-//    each wave to whichever backend clears it soonest.
+//    currency — see ModeledCycles below) without executing anything, so
+//    prices compare directly across backends.
 // Every batch entry point has a documented virtual default, so a minimal
 // backend only implements forward()/inverse() and still serves.
 #pragma once
@@ -38,20 +38,12 @@ namespace nttpim::fhe {
 /// fhe::rns_negacyclic_multiply, which transforms shared operands once).
 /// Every transform_batch_mixed implementation enforces the aliasing
 /// precondition (std::invalid_argument), including the base default path.
+/// Placement is the backend's choice: a multi-channel PimBackend spreads a
+/// wave's items round-robin over its channels.
 struct BatchItem {
-  /// `channel` value meaning "backend chooses": multi-channel backends
-  /// spread unhinted items across their channels round-robin.
-  static constexpr std::int32_t kAnyChannel = -1;
-
   std::vector<std::uint32_t>* poly = nullptr;
   const ntt::NttParams* params = nullptr;
   bool inverse = false;
-  /// Placement hint for channel-partitioned backends (PimBackend): pin the
-  /// item to that channel's bank set, so a dispatcher that targets (shard,
-  /// channel) keeps concurrent waves on disjoint command buses. Backends
-  /// without channels ignore it; a hint >= the backend's channel count is
-  /// rejected.
-  std::int32_t channel = kAnyChannel;
 };
 
 class NttBackend {
@@ -86,17 +78,16 @@ class NttBackend {
   /// the simulated PIM device clock (PimBackend's freq_mhz, 1200 MHz by
   /// default). Backends that do not simulate hardware normalize their own
   /// cost model into this unit (CpuBackend converts measured-or-fitted
-  /// nanoseconds at the same freq_mhz), so a dispatcher can compare
-  /// estimates across heterogeneous backends directly.
+  /// nanoseconds at the same freq_mhz), so estimates compare across
+  /// heterogeneous backends directly.
   ///
   /// Items may carry a null `poly` — only `params`/`inverse` price a wave.
-  /// Thread-safety: unlike the transform methods, estimating must be safe
-  /// to call from another thread while the backend executes (a dispatcher
-  /// prices waves against executing shards).
+  /// Thread-safety: unlike the transform methods, estimating is safe to
+  /// call from another thread while the backend executes.
   ///
   /// Default: the deliberately conservative serial price — the sum of
   /// default_item_cycles over the items, i.e. no parallelism assumed —
-  /// so an unpriced backend repels load instead of attracting it.
+  /// so an unpriced backend's price errs high, never low.
   virtual std::uint64_t estimate_wave_cycles(
       std::span<const BatchItem> items) const;
 
@@ -135,7 +126,7 @@ class NttBackend {
   /// Conservative price of one never-measured n-point transform:
   /// 4 * n * (log2 n + 2) modeled cycles — a comfortable factor above the
   /// typical priced cost of a mapped PIM transform (see the calibration
-  /// test in test_fhe), so dispatchers treat unknown work as heavy.
+  /// test in test_fhe), so unknown work prices as heavy.
   static std::uint64_t default_item_cycles(std::size_t n);
 
   std::atomic<std::uint64_t> transforms_{0};

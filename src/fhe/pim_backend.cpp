@@ -19,10 +19,9 @@ sim::EngineConfig engine_config(double freq_mhz) {
 }
 
 /// Replays the channel-major wave placement shared by run_wave and
-/// estimate_wave_cycles: an unhinted item takes the next channel
-/// round-robin, a hinted item its pinned channel, and each channel rotates
-/// across its own banks. With one channel this is exactly the classic
-/// item j -> bank j % banks rule.
+/// estimate_wave_cycles: each item takes the next channel round-robin, and
+/// each channel rotates across its own banks. With one channel this is
+/// exactly the classic item j -> bank j % banks rule.
 class WavePlacer {
  public:
   explicit WavePlacer(const dram::DramGeometry& g)
@@ -30,24 +29,15 @@ class WavePlacer {
         bpc_(g.banks_per_channel()),
         in_channel_(g.num_channels, 0) {}
 
-  std::uint16_t place(const BatchItem& item) {
-    std::size_t ch;
-    if (item.channel == BatchItem::kAnyChannel) {
-      ch = next_auto_++ % channels_;
-    } else {
-      NTTPIM_EXPECT_MSG(
-          item.channel >= 0 &&
-              static_cast<std::size_t>(item.channel) < channels_,
-          "batch item pins a nonexistent channel");
-      ch = static_cast<std::size_t>(item.channel);
-    }
+  std::uint16_t place() {
+    const std::size_t ch = next_++ % channels_;
     return static_cast<std::uint16_t>(ch * bpc_ + in_channel_[ch]++ % bpc_);
   }
 
  private:
   std::size_t channels_;
   std::size_t bpc_;
-  std::size_t next_auto_ = 0;
+  std::size_t next_ = 0;
   std::vector<std::size_t> in_channel_;
 };
 
@@ -151,7 +141,7 @@ std::uint64_t PimBackend::estimate_wave_cycles(
     } else {
       cycles = default_item_cycles(item.params->n());
     }
-    const std::uint16_t bank = placer.place(item);
+    const std::uint16_t bank = placer.place();
     bank_cycles[bank] += cycles;
     bus_cycles[geometry_.channel_of(bank)] += item_bus_cycles;
   }
@@ -168,8 +158,8 @@ void PimBackend::run_wave(std::span<const BatchItem> wave) {
   const std::size_t banks = device_.num_banks();
   const std::size_t words_per_row = geometry_.words_per_row();
 
-  // Placement: channel-major round-robin (hints honored — see the header),
-  // stacked at each bank's next free row block. Host-side load applies the
+  // Placement: channel-major round-robin (see the header), stacked at each
+  // bank's next free row block. Host-side load applies the
   // bit-reversal permutation and (for forward transforms) folds the psi^i
   // negacyclic pre-scale into the data.
   std::vector<std::uint32_t> next_row(banks, 0);
@@ -182,7 +172,7 @@ void PimBackend::run_wave(std::span<const BatchItem> wave) {
     const BatchItem& item = wave[j];
     const ntt::NttParams& params = *item.params;
     NTTPIM_EXPECT(item.poly->size() == params.n());
-    const std::uint16_t bank = placer.place(item);
+    const std::uint16_t bank = placer.place();
     const std::uint32_t base_row = next_row[bank];
     const auto rows_used = static_cast<std::uint32_t>(
         div_ceil(params.n(), words_per_row));

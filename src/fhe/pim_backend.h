@@ -74,9 +74,8 @@ class PimBackend final : public NttBackend {
                        bool inverse = false) override;
 
   /// Heterogeneous wave: ONE engine pass for the whole span. Items are
-  /// placed channel-major: an unhinted item goes to the next channel
-  /// round-robin, a hinted item (BatchItem::channel) to its pinned
-  /// channel, and within a channel items rotate across that channel's
+  /// placed channel-major: item j goes to channel j % num_channels(), and
+  /// within a channel items rotate across that channel's
   /// banks_per_channel() banks; when a bank receives several items they
   /// are placed at disjoint base rows and execute back-to-back within the
   /// pass. (A single-channel device reduces to the classic item j -> bank
@@ -89,7 +88,7 @@ class PimBackend final : public NttBackend {
 
   /// Price the wave `items` in modeled device cycles WITHOUT touching the
   /// device: items are placed exactly as transform_batch_mixed would place
-  /// them (channel-major round-robin, hints honored); an item whose plan
+  /// them (channel-major round-robin); an item whose plan
   /// is already in the plan cache costs its exact command counts priced
   /// through ActModel::estimate_pass_cycles, an unmapped item costs a
   /// deliberately conservative default (so unknown work repels further
@@ -100,7 +99,7 @@ class PimBackend final : public NttBackend {
   /// busiest *channel's* makespan, since channels run on independent
   /// buses. Unlike the transform methods this is safe to call from
   /// another thread while this backend executes (PlanCache::peek_counts
-  /// contract) — it is what a cost-aware dispatcher compares per shard.
+  /// contract).
   std::uint64_t estimate_wave_cycles(
       std::span<const BatchItem> items) const override;
 

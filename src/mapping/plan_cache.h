@@ -83,11 +83,10 @@ class PlanCache {
       const MapperConfig& config, const NttJob& job);
 
   /// Command counts of the cached plan for `key`, or nullopt when no plan
-  /// with that cost_key() has been mapped yet. Unlike get_or_map this IS
-  /// thread-safe against the owning thread: the counts live in a side map
-  /// under their own mutex, touched once per fresh mapper run, so a
-  /// dispatcher can price waves for a shard while the shard executes
-  /// (the cost-aware scheduling idea of MeNTT/BP-NTT-style balancers).
+  /// with that cost_key() has been mapped yet. Unlike get_or_map this
+  /// never runs the mapper, so a wave can be priced without mapping it.
+  /// It is also thread-safe against the owning thread: the counts live in
+  /// a side map under their own mutex, touched once per fresh mapper run.
   /// Returns counts, never cycles — pricing them against a clock is
   /// ActModel::estimate_pass_cycles's job.
   std::optional<TraceCounts> peek_counts(const PlanKey& key) const;

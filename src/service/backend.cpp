@@ -21,20 +21,19 @@ const char* to_string(BackendKind kind) noexcept {
 
 BackendDescriptor make_pim_descriptor(std::size_t banks_per_shard,
                                       std::size_t num_buffers,
-                                      double freq_mhz, double cost_scale,
+                                      double freq_mhz,
+                                      double /*unused_cost_scale*/,
                                       std::size_t channels) {
   NTTPIM_EXPECT_MSG(banks_per_shard >= 1,
                     "a PIM shard device needs at least one bank");
   NTTPIM_EXPECT_MSG(num_buffers >= 2,
                     "the PIM backend needs C2 support (Nb >= 2)");
-  NTTPIM_EXPECT_MSG(cost_scale > 0, "cost_scale must be positive");
   NTTPIM_EXPECT_MSG(channels >= 1 && banks_per_shard % channels == 0,
                     "banks must divide evenly across channels");
   BackendDescriptor d;
   d.kind = BackendKind::kPim;
   d.label = "pim" + std::to_string(banks_per_shard) +
             (channels > 1 ? "x" + std::to_string(channels) : "");
-  d.cost_scale = cost_scale;
   d.channels = channels;
   d.factory = [banks_per_shard, num_buffers, freq_mhz, channels] {
     return std::make_unique<fhe::PimBackend>(
@@ -44,10 +43,8 @@ BackendDescriptor make_pim_descriptor(std::size_t banks_per_shard,
   return d;
 }
 
-BackendDescriptor make_cpu_descriptor(std::size_t threads, double cost_scale,
-                                      double freq_mhz,
+BackendDescriptor make_cpu_descriptor(std::size_t threads, double freq_mhz,
                                       double cycles_per_point_stage) {
-  NTTPIM_EXPECT_MSG(cost_scale > 0, "cost_scale must be positive");
   fhe::CpuBackend::Config cc;
   cc.threads = threads;
   cc.freq_mhz = freq_mhz;
@@ -57,7 +54,6 @@ BackendDescriptor make_cpu_descriptor(std::size_t threads, double cost_scale,
   BackendDescriptor d;
   d.kind = BackendKind::kCpu;
   d.label = "cpu" + std::to_string(std::max<std::size_t>(1, threads));
-  d.cost_scale = cost_scale;
   d.factory = [cc] { return std::make_unique<fhe::CpuBackend>(cc); };
   return d;
 }

@@ -16,44 +16,30 @@ namespace {
 std::vector<BackendDescriptor> resolve_descriptors(const ServiceConfig& cfg) {
   const BackendConfig& bc = cfg.backend;
   if (!bc.descriptors.empty()) {
-    for (const BackendDescriptor& d : bc.descriptors)
+    for (const BackendDescriptor& d : bc.descriptors) {
       NTTPIM_EXPECT_MSG(d.factory != nullptr,
                         "every backend descriptor needs a factory");
+      NTTPIM_EXPECT_MSG(d.channels >= 1, "a shard needs at least one channel");
+    }
     return bc.descriptors;
   }
   NTTPIM_EXPECT_MSG(bc.shards >= 1, "the service needs at least one shard");
   std::vector<BackendDescriptor> resolved;
   resolved.reserve(bc.shards);
   for (std::size_t s = 0; s < bc.shards; ++s)
-    resolved.push_back(make_pim_descriptor(bc.banks_per_shard, bc.num_buffers,
-                                           bc.freq_mhz, /*cost_scale=*/1.0,
-                                           bc.channels_per_shard));
+    resolved.push_back(make_pim_descriptor(
+        bc.banks_per_shard, bc.num_buffers, bc.freq_mhz,
+        /*unused_cost_scale=*/1.0, bc.channels_per_shard));
   return resolved;
 }
 
 WaveFormer::Config former_config(const ServiceConfig& cfg) {
   WaveFormer::Config fc;
   fc.capacity_items = cfg.former.queue_capacity;
-  // One channel's bank set per wave: the dispatcher spreads the waves
-  // across a shard's channels and the worker merges them into one pass.
-  fc.max_wave_items = cfg.former.wave_multiple *
-                      (cfg.backend.banks_per_shard /
-                       cfg.backend.channels_per_shard);
   fc.flush_window = cfg.former.flush_window;
   fc.overflow = cfg.former.overflow;
   fc.start_paused = cfg.former.start_paused;
   return fc;
-}
-
-Dispatcher::Config dispatcher_config(
-    const ServiceConfig& cfg, const std::vector<BackendDescriptor>& resolved) {
-  Dispatcher::Config dc;
-  dc.shards.clear();
-  dc.shards.reserve(resolved.size());
-  for (const BackendDescriptor& d : resolved)
-    dc.shards.push_back({d.cost_scale, d.channels});
-  dc.queue_capacity_waves = cfg.dispatch.shard_queue_waves;
-  return dc;
 }
 
 double elapsed_us(ServiceClock::time_point from, ServiceClock::time_point to) {
@@ -69,7 +55,7 @@ std::uint64_t unsettled(const ClassStats& c) {
 /// its requested direction plus both operands of every multiply forward;
 /// pass 2 runs the multiplies' inverse transforms. Items reference the
 /// wave's request buffers (stable addresses — the Request objects live in
-/// `wave`), so the same helper serves execution and cost estimation.
+/// `wave`), so the same items serve pricing and execution.
 struct WavePasses {
   std::vector<fhe::BatchItem> forward;
   std::vector<fhe::BatchItem> inverse;
@@ -98,11 +84,6 @@ NttService::NttService(const ServiceConfig& config)
       collector_(telemetry::TraceCollector::Config{
           config.telemetry.enabled, config.telemetry.ring_capacity}),
       former_(former_config(config)),
-      dispatcher_(dispatcher_config(config, resolved_),
-                  [this](std::size_t shard, std::vector<Request>& wave) {
-                    return estimate_wave(shard, wave);
-                  }),
-      backends_(resolved_.size()),  // value-initialized: all null
       ledgers_(std::max<std::size_t>(cfg_.qos.num_classes, 1)),
       shard_stats_(resolved_.size()) {
   NTTPIM_EXPECT_MSG(cfg_.qos.num_classes >= 1,
@@ -120,10 +101,6 @@ NttService::NttService(const ServiceConfig& config)
       "banks_per_shard must split evenly across channels_per_shard");
   NTTPIM_EXPECT_MSG(cfg_.former.wave_multiple >= 1,
                     "wave_multiple must be >= 1");
-  NTTPIM_EXPECT_MSG(cfg_.dispatch.shard_queue_waves >= 1,
-                    "each shard needs a dispatch queue of at least one wave");
-  for (std::size_t s = 0; s < resolved_.size(); ++s)
-    shard_stats_[s].channels.resize(resolved_[s].channels);
   workers_.reserve(resolved_.size());
   for (std::size_t s = 0; s < resolved_.size(); ++s)
     workers_.emplace_back([this, s] { worker(s); });
@@ -139,15 +116,11 @@ NttService::NttService(const ServiceConfig& config)
     const std::exception_ptr error = construction_error_;
     lk.unlock();
     if (error) {
-      former_.close();
-      dispatcher_.close();  // no dispatch thread yet: release the workers
+      former_.close();  // releases the surviving workers' pulls
       for (std::thread& t : workers_) t.join();
       std::rethrow_exception(error);
     }
   }
-  // Started only after the barrier, so every backends_[] entry the
-  // estimator dereferences is already published.
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
 }
 
 NttService::~NttService() { shutdown(); }
@@ -281,10 +254,8 @@ void NttService::enqueue(Request&& request) {
 void NttService::worker(std::size_t shard) {
   // The shard's entire execution state -- backend, and for a PIM shard its
   // simulated device, engine and plan cache -- is built here and lives on
-  // this thread. Nothing here is shared, so waves on different shards are
-  // genuinely parallel host work. (The dispatch thread and stealing peers
-  // read the published pointer, but only through the share-readable
-  // estimate path -- see backends_.)
+  // this thread. No other thread reads it, so waves on different shards
+  // are genuinely parallel host work.
   if (collector_.enabled())
     collector_.set_thread_name("shard-" + std::to_string(shard));
   std::unique_ptr<fhe::NttBackend> backend;
@@ -298,155 +269,86 @@ void NttService::worker(std::size_t shard) {
   }
   {
     const sync::MutexLock lk(stats_mu_);
-    // Release store pairs with estimate_wave's acquire load (see
-    // backends_): a reader that sees the pointer sees the construction.
-    backends_[shard].store(backend.get(), std::memory_order_release);
     ++shards_ready_;
   }
   idle_cv_.notify_all();
   if (!backend) return;
 
+  // Pull whenever free: a wave sized to the whole device, one channel's
+  // bank set (see FormerConfig::wave_multiple) per channel.
+  const std::size_t max_items =
+      cfg_.former.wave_multiple *
+      (cfg_.backend.banks_per_shard / cfg_.backend.channels_per_shard) *
+      resolved_[shard].channels;
   for (;;) {
-    // Group pop: up to one wave per channel of this shard, merged below
-    // into a single channel-overlapped engine pass.
-    auto group = dispatcher_.next_waves_for(shard);
-    if (group.empty()) return;  // closed and every queue drained
-    execute_group(shard, *backend, group);
+    std::vector<Request> wave = former_.next_wave(max_items);
+    if (wave.empty()) return;  // closed and drained
+    execute_wave(shard, *backend, wave);
   }
 }
 
-void NttService::dispatch_loop() {
-  // Sole consumer of the wave-former: pull each formed wave, price it,
-  // hand it to the best shard's queue (Dispatcher blocks when
-  // that queue is full, which stalls forming and backpressures
-  // submitters). An empty wave means the former is closed and drained --
-  // close the dispatcher so the workers drain their queues and exit.
-  if (collector_.enabled()) collector_.set_thread_name("dispatcher");
-  for (;;) {
-    std::vector<Request> wave = former_.next_wave();
-    if (wave.empty()) {
-      dispatcher_.close();
-      return;
-    }
-    if (collector_.enabled()) {
-      // One WaveCut per request, backdated to the former's cut stamp —
-      // the flow step that joins each request's seq to its wave_id.
-      telemetry::TraceEvent e{};
-      e.kind = telemetry::EventKind::kWaveCut;
-      for (const Request& r : wave) {
-        e.ts_ns = collector_.to_ns(r.cut_at);
-        e.seq = r.seq;
-        e.wave_id = r.wave_id;
-        e.tenant = r.qos.tenant;
-        collector_.emit(e);
-      }
-    }
-    const Dispatcher::Assignment placed = dispatcher_.dispatch(std::move(wave));
-    if (collector_.enabled()) {
-      telemetry::TraceEvent e{};
-      e.kind = telemetry::EventKind::kDispatchAssign;
-      e.ts_ns = collector_.now_ns();
-      e.wave_id = placed.wave_id;
-      e.shard = static_cast<std::uint16_t>(placed.shard);
-      e.channel = static_cast<std::uint16_t>(placed.channel);
-      e.cycles = placed.estimated_cycles;
-      collector_.emit(e);
-    }
-  }
-}
-
-std::uint64_t NttService::estimate_wave(std::size_t shard,
-                                        std::vector<Request>& wave) const {
-  // Acquire pairs with the worker's release publication (see backends_).
-  fhe::NttBackend* backend = backends_[shard].load(std::memory_order_acquire);
-  if (backend == nullptr) return wave.size();  // construction failed; moot
-  WavePasses passes = wave_passes(wave);
-  // Waves execute pinned to one channel of the shard's device, so price
-  // one channel's worth: pin every item to channel 0 for the estimate
-  // (channel-less backends ignore the hint).
-  for (fhe::BatchItem& item : passes.forward) item.channel = 0;
-  for (fhe::BatchItem& item : passes.inverse) item.channel = 0;
-  // A multiply wave runs two passes back-to-back on the same backend, so
-  // its cost is the sum of both makespans.
-  std::uint64_t cycles = backend->estimate_wave_cycles(passes.forward);
-  if (!passes.inverse.empty())
-    cycles += backend->estimate_wave_cycles(passes.inverse);
-  return cycles;
-}
-
-void NttService::execute_group(std::size_t shard, fhe::NttBackend& backend,
-                               std::vector<Dispatcher::NextWave>& group) {
+void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
+                              std::vector<Request>& wave) {
   const auto wave_start = ServiceClock::now();
+  // Pass 1: every transform in its requested direction, both operands of
+  // every multiply forward -- one heterogeneous engine pass whose unpinned
+  // items a multi-channel device spreads over its command buses. Pass 2
+  // (only if the wave has multiplies): pointwise products on the host,
+  // then the inverse transforms as one more pass. The inverse items
+  // already point at each multiply's `a` buffer, which the pointwise
+  // product overwrites in place.
+  const WavePasses passes = wave_passes(wave);
+  // The shard's own price of the wave. A multiply wave runs two passes
+  // back-to-back, so its price is the sum of both makespans.
+  std::uint64_t estimated = backend.estimate_wave_cycles(passes.forward);
+  if (!passes.inverse.empty())
+    estimated += backend.estimate_wave_cycles(passes.inverse);
+
+  const std::uint64_t wave_id = wave.front().wave_id;
+  const auto shard_id = static_cast<std::uint16_t>(shard);
   if (collector_.enabled()) {
-    const std::int64_t start_ns = collector_.to_ns(wave_start);
-    for (const Dispatcher::NextWave& w : group) {
-      telemetry::TraceEvent e{};
-      e.ts_ns = start_ns;
-      e.wave_id = w.wave_id;
-      e.shard = static_cast<std::uint16_t>(shard);
-      e.channel = static_cast<std::uint16_t>(w.channel);
-      e.cycles = w.estimated_cycles;
-      if (w.stolen) {
-        e.kind = telemetry::EventKind::kSteal;
-        collector_.emit(e);
-      }
-      if (w.rebalanced) {
-        e.kind = telemetry::EventKind::kRebalance;
-        collector_.emit(e);
-      }
-      e.kind = telemetry::EventKind::kExecuteBegin;
+    // One WaveCut per request, backdated to the former's cut stamp — the
+    // flow step that joins each request's seq to its wave_id.
+    telemetry::TraceEvent e{};
+    e.kind = telemetry::EventKind::kWaveCut;
+    e.shard = shard_id;
+    for (const Request& r : wave) {
+      e.ts_ns = collector_.to_ns(r.cut_at);
+      e.seq = r.seq;
+      e.wave_id = r.wave_id;
+      e.tenant = r.qos.tenant;
       collector_.emit(e);
     }
+    telemetry::TraceEvent begin{};
+    begin.kind = telemetry::EventKind::kExecuteBegin;
+    begin.ts_ns = collector_.to_ns(wave_start);
+    begin.wave_id = wave_id;
+    begin.shard = shard_id;
+    begin.cycles = estimated;
+    collector_.emit(begin);
   }
 
-  // Pass 1: every transform in its requested direction, both operands of
-  // every multiply forward -- one heterogeneous engine pass merging the
-  // whole group, each wave's items pinned to the channel the dispatcher
-  // assigned it so the device overlaps the waves on its command buses
-  // (channel-less backends ignore the hint). Pass 2 (only if the group had
-  // multiplies): pointwise products on the host, then the group's inverse
-  // transforms as one more pass. The inverse items already point at each
-  // multiply's `a` buffer, which the pointwise product overwrites in
-  // place.
-  std::vector<fhe::BatchItem> forward;
-  std::vector<fhe::BatchItem> inverse;
-  for (Dispatcher::NextWave& w : group) {
-    WavePasses wave_items = wave_passes(w.requests);
-    for (fhe::BatchItem& item : wave_items.forward) {
-      item.channel = static_cast<std::int32_t>(w.channel);
-      forward.push_back(item);
-    }
-    for (fhe::BatchItem& item : wave_items.inverse) {
-      item.channel = static_cast<std::int32_t>(w.channel);
-      inverse.push_back(item);
-    }
-  }
-
-  std::uint64_t passes = 0;
+  std::uint64_t engine_passes = 0;
   std::uint64_t items = 0;
-  bool ok = true;
+  std::exception_ptr error;
   try {
-    backend.transform_batch_mixed(forward);
-    ++passes;
-    items += forward.size();
+    backend.transform_batch_mixed(passes.forward);
+    ++engine_passes;
+    items += passes.forward.size();
 
-    if (!inverse.empty()) {
-      for (Dispatcher::NextWave& w : group)
-        for (Request& r : w.requests) {
-          if (r.kind != Request::Kind::kMultiply) continue;
-          r.a = ntt::pointwise_mul(r.a, r.b, r.params->q());
-        }
-      backend.transform_batch_mixed(inverse);
-      ++passes;
-      items += inverse.size();
+    if (!passes.inverse.empty()) {
+      for (Request& r : wave) {
+        if (r.kind != Request::Kind::kMultiply) continue;
+        r.a = ntt::pointwise_mul(r.a, r.b, r.params->q());
+      }
+      backend.transform_batch_mixed(passes.inverse);
+      ++engine_passes;
+      items += passes.inverse.size();
     }
   } catch (...) {
-    // A group fails as a unit: the backend state after a mid-pass throw is
+    // A wave fails as a unit: the backend state after a mid-pass throw is
     // unspecified, so every rider sees the same error.
-    ok = false;
-    const auto error = std::current_exception();
-    for (Dispatcher::NextWave& w : group)
-      for (Request& r : w.requests) r.fail(error);
+    error = std::current_exception();
   }
 
   const auto done = ServiceClock::now();
@@ -456,88 +358,74 @@ void NttService::execute_group(std::size_t shard, fhe::NttBackend& backend,
   if (collector_.enabled()) {
     // ExecuteEnd is emitted on failure too, so every ExecuteBegin always
     // has its closing pair in the trace.
-    const std::int64_t done_ns = collector_.to_ns(done);
-    for (const Dispatcher::NextWave& w : group) {
+    telemetry::TraceEvent e{};
+    e.kind = telemetry::EventKind::kExecuteEnd;
+    e.ts_ns = collector_.to_ns(done);
+    e.wave_id = wave_id;
+    e.shard = shard_id;
+    e.cycles = estimated;
+    collector_.emit(e);
+  }
+
+  // Deliveries run outside stats_mu_: a callback may call stats(). Every
+  // rider ends in exactly one terminal event, Complete or Fail, which is
+  // what closes its flow in the trace.
+  for (Request& r : wave) {
+    if (error)
+      r.fail(error);
+    else
+      r.deliver(std::move(r.a));
+    r.delivered = ServiceClock::now();
+    if (collector_.enabled()) {
       telemetry::TraceEvent e{};
-      e.kind = telemetry::EventKind::kExecuteEnd;
-      e.ts_ns = done_ns;
-      e.wave_id = w.wave_id;
-      e.shard = static_cast<std::uint16_t>(shard);
-      e.channel = static_cast<std::uint16_t>(w.channel);
-      e.cycles = w.estimated_cycles;
+      e.seq = r.seq;
+      e.wave_id = r.wave_id;
+      e.tenant = r.qos.tenant;
+      e.shard = shard_id;
+      if (!error && missed(r)) {
+        e.kind = telemetry::EventKind::kDeadlineMiss;
+        e.ts_ns = collector_.to_ns(done);
+        collector_.emit(e);
+      }
+      e.kind = error ? telemetry::EventKind::kFail
+                     : telemetry::EventKind::kComplete;
+      e.ts_ns = collector_.to_ns(r.delivered);
       collector_.emit(e);
     }
   }
 
-  // Deliveries run outside stats_mu_: a callback may call stats().
-  if (ok) {
-    for (Dispatcher::NextWave& w : group)
-      for (Request& r : w.requests) {
-        r.deliver(std::move(r.a));
-        r.delivered = ServiceClock::now();
-        if (collector_.enabled()) {
-          telemetry::TraceEvent e{};
-          e.seq = r.seq;
-          e.wave_id = r.wave_id;
-          e.tenant = r.qos.tenant;
-          e.shard = static_cast<std::uint16_t>(shard);
-          e.channel = static_cast<std::uint16_t>(w.channel);
-          if (missed(r)) {
-            e.kind = telemetry::EventKind::kDeadlineMiss;
-            e.ts_ns = collector_.to_ns(done);
-            collector_.emit(e);
-          }
-          e.kind = telemetry::EventKind::kComplete;
-          e.ts_ns = collector_.to_ns(r.delivered);
-          collector_.emit(e);
-        }
-      }
-  }
-
-  // Retire the dispatcher's backlog accounting *before* the drain-visible
-  // booking below: drain() returns once nothing is pending, and a snapshot
-  // taken right after it must already see this group's cost gone from
-  // estimated_backlog_cycles.
-  for (const Dispatcher::NextWave& w : group)
-    dispatcher_.complete(shard, w.estimated_cycles, w.channel);
-
-  // Book the whole group at once: the shard and its channels, then every
-  // rider's terminal transition into its class's ledger. A failed rider
-  // books `failed` only -- no latency or stage sample.
+  // Book the shard, then every rider's terminal transition into its
+  // class's ledger. A failed rider books `failed` only -- no latency or
+  // stage sample.
   {
     const sync::MutexLock lk(stats_mu_);
     ShardStats& ss = shard_stats_[shard];
-    ss.engine_passes += passes;
+    ++ss.waves;
+    ss.engine_passes += engine_passes;
     ss.batch_items += items;
+    ss.requests += wave.size();
+    ss.estimated_executed_cycles += estimated;
     ss.modeled_cycles = backend.modeled_cycles();
-    for (const Dispatcher::NextWave& w : group) {
-      ChannelStats& cs = ss.channels[w.channel];
-      ++cs.waves;
-      if (w.stolen) ++cs.stolen_waves;
-      if (w.rebalanced) ++cs.rebalanced_waves;
-      cs.estimated_executed_cycles += w.estimated_cycles;
-      ss.requests += w.requests.size();
-      for (const Request& r : w.requests) {
-        ClassLedger& ledger = ledgers_[r.qos.tenant];
-        ClassStats& book = ledger.totals;
-        if (!ok) {
-          ++book.failed;
-          continue;
-        }
-        ++book.completed;
-        if (missed(r)) {
-          ++book.deadline_misses;
-          ++ss.deadline_missed_requests;
-        }
-        StageBreakdown& sums = book.stages;
-        sums.admission_wait_us += elapsed_us(r.submitted, r.enqueued);
-        sums.former_residency_us += elapsed_us(r.enqueued, r.cut_at);
-        sums.shard_queue_wait_us += elapsed_us(r.cut_at, wave_start);
-        sums.execute_us += elapsed_us(wave_start, done);
-        sums.completion_us += elapsed_us(done, r.delivered);
-        ledger.queue_latency.record(elapsed_us(r.enqueued, wave_start));
-        ledger.service_latency.record(elapsed_us(r.enqueued, done));
+    for (const Request& r : wave) {
+      ClassLedger& ledger = ledgers_[r.qos.tenant];
+      ClassStats& book = ledger.totals;
+      if (error) {
+        ++book.failed;
+        continue;
       }
+      ++book.completed;
+      if (missed(r)) {
+        ++book.deadline_misses;
+        ++ss.deadline_missed_requests;
+      }
+      StageBreakdown& sums = book.stages;
+      sums.admission_wait_us += elapsed_us(r.submitted, r.enqueued);
+      sums.former_residency_us += elapsed_us(r.enqueued, r.cut_at);
+      sums.shard_queue_wait_us += elapsed_us(r.cut_at, wave_start);
+      sums.execute_us += elapsed_us(wave_start, done);
+      sums.completion_us += elapsed_us(done, r.delivered);
+      ledger.queue_latency.record(elapsed_us(r.enqueued, wave_start));
+      ledger.service_latency.record(elapsed_us(r.enqueued, done));
     }
   }
   idle_cv_.notify_all();
@@ -560,10 +448,8 @@ void NttService::drain() {
 
 void NttService::shutdown() {
   std::call_once(shutdown_once_, [&] {
+    // The workers pull the former's backlog dry, then see it closed.
     former_.close();
-    // The dispatch thread drains the former, pushes the tail waves, then
-    // closes the dispatcher -- which is what lets the workers finish.
-    dispatch_thread_.join();
     for (std::thread& t : workers_) t.join();
   });
 }
@@ -582,12 +468,8 @@ void NttService::reset_stats() {
     }
     // The modeled-hardware account has no epochs: modeled_cycles carries
     // over.
-    for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
-      ShardStats fresh;
-      fresh.modeled_cycles = shard_stats_[s].modeled_cycles;
-      fresh.channels.resize(resolved_[s].channels);
-      shard_stats_[s] = std::move(fresh);
-    }
+    for (ShardStats& ss : shard_stats_)
+      ss = ShardStats{.modeled_cycles = ss.modeled_cycles};
   }
   // Telemetry joins the stats epoch: buffered events and ring counters
   // are dropped so a post-warmup trace covers only the measured window.
@@ -627,24 +509,11 @@ ServiceStats NttService::stats() const {
     s.deadline_misses += cs.deadline_misses;
     s.pending += unsettled(cs);
   }
-  // Dispatcher backlogs are sampled outside stats_mu_ (the two locks
-  // never nest the other way), but each shard's total and per-channel
-  // gauges come from one backlog_snapshot() — a single lock acquisition —
-  // so they always tile: total == sum over channels. The backend kind is
-  // re-stamped from the resolved descriptors so it survives reset_stats().
+  // The backend kind is re-stamped from the resolved descriptors so it
+  // survives reset_stats().
   for (std::size_t i = 0; i < s.shards.size(); ++i) {
     ShardStats& ss = s.shards[i];
     ss.kind = resolved_[i].kind;
-    const Dispatcher::ShardBacklog backlog = dispatcher_.backlog_snapshot(i);
-    ss.estimated_backlog_cycles = backlog.total_cycles;
-    for (std::size_t c = 0; c < ss.channels.size(); ++c) {
-      ChannelStats& cs = ss.channels[c];
-      cs.estimated_backlog_cycles = backlog.channel_cycles[c];
-      ss.waves += cs.waves;
-      ss.stolen_waves += cs.stolen_waves;
-      ss.rebalanced_waves += cs.rebalanced_waves;
-      ss.estimated_executed_cycles += cs.estimated_executed_cycles;
-    }
     s.waves += ss.waves;
     s.engine_passes += ss.engine_passes;
     s.batch_items += ss.batch_items;

@@ -2,10 +2,11 @@
 //
 //   client threads                 NttService
 //   --------------   submit()   -----------------------------------------
-//   poly, params  ------------>  bounded queue --> wave former --> shard 0
-//   future/callback   <-------   (backpressure)    (coalesce to    shard 1
+//   poly, params  ------------>  bounded queue --> wave former <-- shard 0
+//   future/callback   <-------   (backpressure)    (coalesce to <-- shard 1
 //                                                   mixed waves)     ...
-//                                                                  shard S-1
+//                                                               <-- shard S-1
+//                                                          (free shards pull)
 //
 // Every entry point of the repo so far drives a backend synchronously:
 // one caller, one transform, one engine pass — wave occupancy 1. The
@@ -34,17 +35,15 @@
 //    the host, and runs the inverse transforms of the wave's multiplies as
 //    one second pass.
 //
-// Between the former and the shards sits a Dispatcher (dispatcher.h):
-// formed waves are priced per shard by each backend's own cost model
-// (NttBackend::estimate_wave_cycles — one modeled-cycle unit across
-// backends) and assigned to the (shard, channel) pair that would clear
-// them soonest — a channel being one independent command bus of a
-// multi-channel PIM device (dram::DramGeometry::num_channels). Each
-// worker group-pops one wave per channel of its shard and merges them,
-// channel-pinned, into a single bus-overlapped engine pass; channels left
-// empty rebalance from loaded siblings, and only a fully idle shard
-// steals the oldest queued wave of the most-loaded peer —
-// whole-wave steals, so every wave still executes entirely on one
+// Shards pull: whenever a worker is free it asks the former for its next
+// wave, capped at its whole device (FormerConfig::wave_multiple), and runs
+// it as one engine pass. Nothing is assigned to a shard before it is free
+// to run it, so the shards balance by construction — an idle shard takes
+// the next wave, a busy one takes nothing — and the former's queue is the
+// only place work waits, in (deadline, priority, arrival) order. Items
+// travel unpinned: a multi-channel PIM device (one independent command bus
+// per dram::DramGeometry channel) spreads them round-robin over its
+// channels, so the buses overlap. Every wave executes entirely on one
 // thread-confined backend.
 //
 // Results come back through a std::future or a fire-and-forget Callback.
@@ -53,7 +52,6 @@
 // to call at any time from any thread.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -64,7 +62,6 @@
 
 #include "service/admission.h"
 #include "service/backend.h"
-#include "service/dispatcher.h"
 #include "service/request.h"
 #include "service/stats.h"
 #include "service/wave_former.h"
@@ -81,13 +78,13 @@ namespace nttpim::service {
 struct FormerConfig {
   /// Bounded-queue capacity, in batch items (a multiply counts 2).
   std::size_t queue_capacity = 1024;
-  /// Waves flush at wave_multiple * (banks_per_shard / channels_per_shard)
-  /// batch items — one *channel's* bank set: 1 fills every bank of one
-  /// command bus once (the dispatcher then spreads waves across a shard's
-  /// channels and the worker merges one per channel into a single engine
-  /// pass); k > 1 additionally stacks k items per bank (amortizing pass
-  /// overhead at the cost of latency). CPU shards have no banks — waves
-  /// stay channel-sized and the CPU lanes simply split whatever arrives.
+  /// A shard's wave holds up to wave_multiple * (banks_per_shard /
+  /// channels_per_shard) batch items per channel of its device (see
+  /// BackendDescriptor::channels): 1 fills every bank of a default PIM
+  /// shard once, k > 1 additionally stacks k items per bank (amortizing
+  /// pass overhead at the cost of latency). A CPU shard has one channel,
+  /// so it takes one channel's bank set per wave and its lanes split
+  /// whatever arrives.
   std::size_t wave_multiple = 1;
   /// ... or flush when the oldest pending request has waited this long.
   std::chrono::microseconds flush_window{200};
@@ -95,15 +92,6 @@ struct FormerConfig {
   /// Start with wave forming gated; call resume() to open the valve.
   /// (Deterministic staging for tests and pre-warmed deployments.)
   bool start_paused = false;
-};
-
-/// Dispatch-policy half of the service configuration.
-struct DispatchConfig {
-  /// Depth of each shard's dispatch queue, in waves. Deeper queues give
-  /// the cost-aware assignment and the thieves more to work with; 1
-  /// approaches the PR-4 behavior of handing each wave to the next free
-  /// shard.
-  std::size_t shard_queue_waves = 4;
 };
 
 /// Execution-tier half of the service configuration: what the shards are.
@@ -116,10 +104,10 @@ struct BackendConfig {
   /// regardless of the descriptor list.
   std::size_t banks_per_shard = 8;
   /// Independent command channels per default PIM shard device; the banks
-  /// split evenly across them (banks_per_shard must be a multiple). Waves
-  /// are sized to one channel's bank set and dispatched per (shard,
-  /// channel), so a worker's group pop merges up to channels_per_shard
-  /// waves into a single bus-overlapped engine pass (see dispatcher.h).
+  /// split evenly across them (banks_per_shard must be a multiple). One
+  /// channel's bank set is the unit a shard's wave cap counts in (see
+  /// FormerConfig::wave_multiple); PimBackend spreads each pulled wave's
+  /// items round-robin over the device's channels.
   std::size_t channels_per_shard = 1;
   /// Per-bank CU buffers (Nb) of each default PIM shard device.
   std::size_t num_buffers = 4;
@@ -137,9 +125,8 @@ struct BackendConfig {
 ///
 /// Deadlines and priorities act whenever requests carry them: the former
 /// cuts waves in (deadline, priority, arrival) order and flushes no later
-/// than the earliest pending deadline (wave_former.h), and the dispatcher
-/// keeps (deadline, arrival)-ordered lanes and steals the most urgent wave
-/// first (dispatcher.h). Classless requests form and dispatch in arrival
+/// than the earliest pending deadline (wave_former.h), so the next free
+/// shard pulls the most urgent work. Classless requests form in arrival
 /// order.
 struct QosConfig {
   /// Distinct request classes (tenants) the service accepts; sizes the
@@ -170,23 +157,23 @@ struct TelemetryConfig {
 };
 
 /// Service configuration, one sub-struct per layer of the pipeline:
-/// admission + classing (qos), coalescing (former), routing (dispatch),
-/// execution (backend), observability (telemetry).
+/// admission + classing (qos), coalescing (former), execution (backend),
+/// observability (telemetry).
 struct ServiceConfig {
   BackendConfig backend;
   FormerConfig former;
-  DispatchConfig dispatch;
   QosConfig qos;
   TelemetryConfig telemetry;
 };
 
 class NttService {
  public:
-  /// Spawns the shard workers and returns once every shard has finished
-  /// constructing its backend (a multi-bank PimBackend zeroes hundreds of
-  /// MB of simulated DRAM — without the barrier, early traffic would race
-  /// S concurrent constructions and measure boot, not serving). Throws if
-  /// any shard's backend fails to construct.
+  /// Spawns one worker thread per shard and returns once every shard has
+  /// finished constructing its backend (a multi-bank PimBackend zeroes
+  /// hundreds of MB of simulated DRAM — without the barrier, early traffic
+  /// would race S concurrent constructions and measure boot, not serving).
+  /// Throws if any shard's backend fails to construct, after closing the
+  /// former and joining the other workers.
   explicit NttService(const ServiceConfig& config = {});
   ~NttService();  ///< shutdown(): drains accepted work, joins shards
 
@@ -232,11 +219,10 @@ class NttService {
   /// Snapshot, callable at any time from any thread. Counters, stage
   /// means and latency summaries all come from one acquisition of the
   /// stats lock, under which each request is booked once, so every
-  /// snapshot tiles (see ClassStats and ServiceStats); dispatcher backlogs
-  /// and trace-ring counters are sampled alongside. Cost: it copies each
-  /// class's two latency windows (up to 2 x 65536 doubles) under the lock
-  /// that submit() and every completing wave also take. drain() first for
-  /// settled numbers.
+  /// snapshot tiles (see ClassStats and ServiceStats); trace-ring counters
+  /// are sampled alongside. Cost: it copies each class's two latency
+  /// windows (up to 2 x 65536 doubles) under the lock that submit() and
+  /// every completing wave also take. drain() first for settled numbers.
   ServiceStats stats() const;
 
   /// Zero the counters and latency windows so a subsequent stats() covers
@@ -270,12 +256,11 @@ class NttService {
 
  private:
   void enqueue(Request&& request);
+  /// Builds the shard's backend, then pulls and executes waves until the
+  /// former is closed and drained.
   void worker(std::size_t shard);
-  void dispatch_loop();
-  std::uint64_t estimate_wave(std::size_t shard,
-                              std::vector<Request>& wave) const;
-  void execute_group(std::size_t shard, fhe::NttBackend& backend,
-                     std::vector<Dispatcher::NextWave>& group);
+  void execute_wave(std::size_t shard, fhe::NttBackend& backend,
+                    std::vector<Request>& wave);
   void validate(const Request& request) const;
 
   const ServiceConfig cfg_;
@@ -289,14 +274,6 @@ class NttService {
   /// consulted by enqueue() before the former ever sees the request.
   std::optional<AdmissionController> admission_;
   WaveFormer former_;
-  Dispatcher dispatcher_;
-  /// Shard backends by index, published by each worker (release store)
-  /// before the readiness barrier (null = that shard's construction
-  /// failed). The dispatch thread and stealing workers read them through
-  /// the share-readable estimate path with an acquire load — pairing with
-  /// the publication store, so a reader that sees a pointer sees the
-  /// fully constructed backend behind it — and only after the barrier.
-  std::vector<std::atomic<fhe::NttBackend*>> backends_;
 
   mutable sync::Mutex stats_mu_;
   sync::CondVar idle_cv_;  ///< drain() + constructor barrier
@@ -304,7 +281,7 @@ class NttService {
   std::exception_ptr construction_error_ NTTPIM_GUARDED_BY(stats_mu_);
   /// One request class's book: `submitted` counts a request at entry, and
   /// its terminal transition -- shed, rejected or stopped in enqueue(),
-  /// completed or failed in execute_group() -- books it exactly once.
+  /// completed or failed in execute_wave() -- books it exactly once.
   struct ClassLedger {
     /// `totals.stages` holds per-stage *sums* (stats() divides them), and
     /// stats() fills the latency summaries from the windows below.
@@ -314,14 +291,10 @@ class NttService {
   };
   /// Indexed by tenant (size num_classes).
   std::vector<ClassLedger> ledgers_ NTTPIM_GUARDED_BY(stats_mu_);
-  /// The shard-level wave counters stay zero here: stats() sums them from
-  /// the channels.
   std::vector<ShardStats> shard_stats_ NTTPIM_GUARDED_BY(stats_mu_);
 
   std::once_flag shutdown_once_;
-  // Threads last: joined before any state above tears down. The dispatch
-  // thread is joined first (it closes the dispatcher, releasing workers).
-  std::thread dispatch_thread_;
+  // Threads last: joined before any state above tears down.
   std::vector<std::thread> workers_;
 };
 

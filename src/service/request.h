@@ -65,10 +65,10 @@ class AdmissionShedError : public std::runtime_error {
 
 /// QoS class of one request: which tenant issued it and how urgent it is.
 /// The class travels with the request through every layer — admission
-/// buckets and per-class stats key on `tenant`, wave forming and dispatch
-/// order by `deadline` (with `priority` breaking ties). A
-/// default-constructed class is "classless": tenant 0, priority 0, no
-/// deadline — its requests form and dispatch in arrival order.
+/// buckets and per-class stats key on `tenant`, wave forming orders by
+/// `deadline` (with `priority` breaking ties). A default-constructed class
+/// is "classless": tenant 0, priority 0, no deadline — its requests form
+/// waves in arrival order.
 struct RequestClass {
   /// Tenant id, in [0, ServiceConfig::qos.num_classes). Indexes the
   /// admission bucket and the per-class stats slot.
@@ -89,8 +89,8 @@ struct RequestClass {
 };
 
 /// Per-request options of every NttService::submit() variant, so growing
-/// the submission surface never multiplies overloads again. Wave forming,
-/// dispatch and per-tenant admission all act on the `qos` class.
+/// the submission surface never multiplies overloads again. Wave forming
+/// and per-tenant admission both act on the `qos` class.
 struct SubmitOptions {
   /// Transform direction (transforms only; ignored by submit_multiply).
   bool inverse = false;
@@ -140,9 +140,8 @@ struct Request {
   /// clock where many requests share one timestamp.
   std::uint64_t seq = 0;
   /// Monotone id of the wave the former cut this request into (1-based;
-  /// 0 = not cut yet). Every request of a wave shares it, and it travels
-  /// with the wave through dispatch, steals and rebalances — the join
-  /// key that makes a moved wave identifiable in traces and stats.
+  /// 0 = not cut yet). Every request of a wave shares it — the join key
+  /// of the wave's trace events.
   std::uint64_t wave_id = 0;
 
   /// Batch items this request contributes to a wave's *forward* engine

@@ -51,33 +51,15 @@ class LatencyRecorder {
   double max_us_ = 0;
 };
 
-/// Per-channel slice of one shard's counters: one entry per independent
-/// command bus of the shard's device (see BackendDescriptor::channels;
-/// CPU shards have one). Waves are dispatched to — and accounted on — a
-/// (shard, channel) pair, so these split ShardStats' wave counters by the
-/// bus the wave's batch items were pinned to.
-struct ChannelStats {
-  std::uint64_t waves = 0;  ///< waves executed pinned to this channel
-  /// Waves that landed here by a cross-shard steal (the thief's
-  /// least-backlogged channel receives the loot).
-  std::uint64_t stolen_waves = 0;
-  /// Waves moved here from a sibling channel by a group pop's local
-  /// rebalance (intra-shard; never counted as stolen).
-  std::uint64_t rebalanced_waves = 0;
-  /// Sum of the dispatcher's estimates for waves this channel finished.
-  std::uint64_t estimated_executed_cycles = 0;
-  /// This channel's share of the shard's instantaneous dispatcher backlog.
-  std::uint64_t estimated_backlog_cycles = 0;
-};
-
 /// Mean per-request wall-clock of each serving stage, for one class's
 /// *completed* requests — the aggregation half of the telemetry
 /// subsystem (src/telemetry/): where a request's latency actually went.
 /// The five stages tile a request's life exactly:
 ///
 ///   submit() entry -> accepted past admission into the former
-///     (admission_wait) -> cut into a wave (former_residency) -> the
-///     wave's engine pass starts (shard_queue_wait) -> passes done
+///     (admission_wait) -> cut into a wave by the shard that pulls it
+///     (former_residency) -> the wave's engine pass starts
+///     (shard_queue_wait: the hand-off, near zero) -> passes done
 ///     (execute) -> this request's result delivered (completion).
 ///
 /// Cross-check against the class's latency summaries: both measure from
@@ -138,25 +120,18 @@ struct ShardStats {
   std::uint64_t engine_passes = 0;  ///< 1 per wave + 1 if it had multiplies
   std::uint64_t batch_items = 0;    ///< transforms issued across all passes
   std::uint64_t requests = 0;       ///< requests completed (or failed)
-  /// Waves this shard pulled from a *peer's* queue because its own was
-  /// empty (whole-wave steals; the dispatcher's load-balancing valve).
+  /// Always 0: a shard pulls its waves from the former and no wave moves
+  /// between shards or channels. Kept only because the repo benchmark
+  /// (benchmark/src/serve.cpp) still reads them.
   std::uint64_t stolen_waves = 0;
-  /// Waves a group pop moved between this shard's own channels so the
-  /// merged engine pass kept every command bus busy (see dispatcher.h;
-  /// disjoint from stolen_waves).
-  std::uint64_t rebalanced_waves = 0;
+  std::uint64_t rebalanced_waves = 0;  ///< always 0 (see stolen_waves)
   /// Requests this shard delivered after their deadline had passed (the
   /// per-shard tile of ClassStats::deadline_misses summed over classes).
   std::uint64_t deadline_missed_requests = 0;
-  /// Snapshot of the dispatcher's cost estimate for this shard's
-  /// outstanding work (queued + executing waves), in modeled device
-  /// cycles. Instantaneous, not cumulative: it is what the dispatcher
-  /// compares when it assigns the next wave.
-  std::uint64_t estimated_backlog_cycles = 0;
-  /// Sum of the dispatcher's estimates for every wave this shard has
-  /// *finished executing* — the deterministic makespan proxy the hetero
-  /// bench compares across backends (wall-clock-free, epoch-reset by
-  /// reset_stats() like the other counters).
+  /// Sum of this shard's own price of every wave it executed:
+  /// NttBackend::estimate_wave_cycles of the wave's passes, computed once
+  /// on the shard's thread before the pass. A wall-clock-free makespan
+  /// proxy, epoch-reset by reset_stats() like the other counters.
   std::uint64_t estimated_executed_cycles = 0;
   /// The shard backend's cumulative modeled cycles (simulated engine
   /// cycles for PIM, cost-model price for CPU — see
@@ -164,11 +139,6 @@ struct ShardStats {
   /// NOT re-based by NttService::reset_stats() (the modeled-hardware
   /// account has no epochs).
   std::uint64_t modeled_cycles = 0;
-  /// One entry per channel of the shard's device, splitting the wave
-  /// counters above by command bus: waves, stolen_waves, rebalanced_waves
-  /// and estimated_executed_cycles are the sums over it (size ==
-  /// BackendDescriptor::channels; survives reset_stats()).
-  std::vector<ChannelStats> channels;
 };
 
 /// Snapshot of the service, safe to take while requests flow (see

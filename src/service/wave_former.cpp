@@ -23,8 +23,6 @@ bool cuts_before(const Request& a, const Request& b) {
 
 WaveFormer::WaveFormer(const Config& config)
     : cfg_(config), paused_(config.start_paused) {
-  NTTPIM_EXPECT_MSG(cfg_.max_wave_items >= 1,
-                    "a wave must hold at least one batch item");
   // >= 2 so a multiply (2 items) always fits: a kBlock submit whose request
   // can never fit would wait forever.
   NTTPIM_EXPECT_MSG(cfg_.capacity_items >= 2,
@@ -66,8 +64,11 @@ WaveFormer::SubmitResult WaveFormer::submit(Request&& request,
         std::upper_bound(queue_.begin(), queue_.end(), request, cuts_before);
     queue_.insert(pos, std::move(request));
   }
-  // notify_all: several consumers may be parked with different predicates
-  // (waiting for any work vs. waiting for a full wave).
+  // Wake after unlocking, so woken consumers do not contend with this
+  // producer (or the next one) for mu_. notify_all: several consumers may
+  // be parked with different predicates (waiting for any work vs. waiting
+  // for a full wave of their own cap).
+  lk.unlock();
   ready_cv_.notify_all();
   return SubmitResult::kAccepted;
 }
@@ -81,19 +82,19 @@ ServiceClock::time_point WaveFormer::flush_deadline() const {
                   queue_.front().qos.edf_deadline());
 }
 
-std::vector<Request> WaveFormer::cut_wave() {
+std::vector<Request> WaveFormer::cut_wave(std::size_t max_items) {
   std::vector<Request> wave;
   std::size_t taken = 0;
   while (!queue_.empty()) {
     const std::size_t items = queue_.front().batch_items();
     // Never split below one request per wave; otherwise respect the cap
     // (a trailing multiply that would overflow waits for the next wave).
-    if (taken != 0 && taken + items > cfg_.max_wave_items) break;
+    if (taken != 0 && taken + items > max_items) break;
     taken += items;
     arrivals_[queue_.front().seq - arrivals_base_].cut = true;
     wave.push_back(std::move(queue_.front()));
     queue_.pop_front();
-    if (taken >= cfg_.max_wave_items) break;
+    if (taken >= max_items) break;
   }
   while (!arrivals_.empty() && arrivals_.front().cut) {
     arrivals_.pop_front();
@@ -112,7 +113,9 @@ std::vector<Request> WaveFormer::cut_wave() {
   return wave;
 }
 
-std::vector<Request> WaveFormer::next_wave() {
+std::vector<Request> WaveFormer::next_wave(std::size_t max_items) {
+  NTTPIM_EXPECT_MSG(max_items >= 1,
+                    "a wave must hold at least one batch item");
   sync::MutexLock lk(mu_);
   for (;;) {
     while (!closed_ && (paused_ || queue_.empty())) ready_cv_.wait(lk);
@@ -121,11 +124,12 @@ std::vector<Request> WaveFormer::next_wave() {
       continue;  // paused was lifted with nothing queued, or a spurious wake
     }
 
-    // Wave forming: flush when full or when the *oldest* request has been
-    // waiting flush_window (the earliest pending deadline tightens that —
-    // see flush_deadline()). close() flushes immediately (drain
-    // fast); pause() re-gates a consumer even mid-forming, so a staged
-    // backlog never leaks out as a partial wave while paused.
+    // Wave forming: flush when this caller's wave is full or when the
+    // *oldest* request has been waiting flush_window (the earliest
+    // pending deadline tightens that — see flush_deadline()). close()
+    // flushes immediately (drain fast); pause() re-gates a consumer even
+    // mid-forming, so a staged backlog never leaks out as a partial wave
+    // while paused.
     //
     // The deadline is recomputed against the *current* front after every
     // wake. Computing it once per wait (the previous code) let a waiter
@@ -135,7 +139,7 @@ std::vector<Request> WaveFormer::next_wave() {
     for (;;) {
       if (closed_ || paused_) break;
       if (queue_.empty()) break;  // another consumer took the wave
-      if (pending_items_ >= cfg_.max_wave_items) break;
+      if (pending_items_ >= max_items) break;
       const auto deadline = flush_deadline();
       if (now() >= deadline) break;
       if (cfg_.clock)
@@ -146,7 +150,7 @@ std::vector<Request> WaveFormer::next_wave() {
     if (paused_ && !closed_) continue;
     if (queue_.empty()) continue;  // another consumer took the wave
 
-    std::vector<Request> wave = cut_wave();
+    std::vector<Request> wave = cut_wave(max_items);
     space_cv_.notify_all();
     return wave;
   }

@@ -2,16 +2,17 @@
 //
 // Producers (client threads inside NttService::submit) push Requests into a
 // bounded queue; consumers (shard workers) pop *waves* — groups of requests
-// sized for one bank-parallel engine pass. A wave flushes when either
-//  - the pending pile reaches max_wave_items (NttService sets this to a
-//    multiple of the shard device's num_banks(), so a full wave occupies
-//    every bank), or
+// sized for one bank-parallel engine pass. Each consumer passes its own
+// wave cap to next_wave(), and its wave flushes when either
+//  - the pending pile reaches that cap (NttService passes a multiple of
+//    the shard device's bank count, so a full wave occupies every bank),
+//    or
 //  - the oldest pending request has waited flush_window (latency bound:
 //    coalescing trades queueing delay for occupancy, and the window caps
 //    the delay a sparse load pays),
 // whichever comes first. Consumers pull independently, so S shards drain
-// the queue in parallel and the wave former doubles as the load balancer —
-// an idle shard simply grabs the next wave.
+// the queue in parallel and the wave former is the load balancer: a shard
+// takes a wave only once it is free to run it.
 //
 // QoS: the pending queue is kept in cut order — earliest effective
 // deadline first, then priority descending, then arrival — and every wave
@@ -53,7 +54,6 @@ class WaveFormer {
  public:
   struct Config {
     std::size_t capacity_items = 1024;   ///< queue bound, in batch items
-    std::size_t max_wave_items = 8;      ///< flush size, in batch items
     std::chrono::microseconds flush_window{200};  ///< flush deadline
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     bool start_paused = false;
@@ -84,10 +84,12 @@ class WaveFormer {
   /// kBlock blocks until space or close(); kReject never blocks.
   SubmitResult submit(Request&& request, SubmitInfo* info = nullptr);
 
-  /// Block until a wave is ready per the flush policy and return it.
-  /// Returns an empty vector only when the former is closed and drained.
-  /// Safe to call from many consumer threads.
-  std::vector<Request> next_wave();
+  /// Block until a wave of at most `max_items` batch items is ready per
+  /// the flush policy and return it (a lone multiply may exceed a cap of
+  /// 1). Returns an empty vector only when the former is closed and
+  /// drained. Safe to call from many consumer threads, each with its own
+  /// cap.
+  std::vector<Request> next_wave(std::size_t max_items);
 
   void pause();
   void resume();
@@ -111,9 +113,10 @@ class WaveFormer {
   /// Caller holds mu_; queue_ must be non-empty.
   ServiceClock::time_point flush_deadline() const NTTPIM_REQUIRES(mu_);
 
-  /// Cut one wave — a prefix of queue_ — off the backlog, updating
-  /// pending_items_. Caller holds mu_; queue_ must be non-empty.
-  std::vector<Request> cut_wave() NTTPIM_REQUIRES(mu_);
+  /// Cut one wave of at most `max_items` batch items — a prefix of
+  /// queue_ — off the backlog, updating pending_items_. Caller holds mu_;
+  /// queue_ must be non-empty.
+  std::vector<Request> cut_wave(std::size_t max_items) NTTPIM_REQUIRES(mu_);
 
   const Config cfg_;
   mutable sync::Mutex mu_;

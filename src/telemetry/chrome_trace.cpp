@@ -127,7 +127,7 @@ struct RequestIndex {
 };
 
 struct WaveIndex {
-  std::int64_t assign_ts = -1;
+  std::int64_t exec_begin_ts = -1;
   std::int64_t exec_end_ts = -1;
   std::vector<std::uint64_t> seqs;
 };
@@ -152,8 +152,8 @@ void write_chrome_trace(std::ostream& os,
             waves[e.wave_id].seqs.push_back(e.seq);
           }
           break;
-        case EventKind::kDispatchAssign:
-          waves[e.wave_id].assign_ts = e.ts_ns;
+        case EventKind::kExecuteBegin:
+          waves[e.wave_id].exec_begin_ts = e.ts_ns;
           break;
         case EventKind::kExecuteEnd:
           waves[e.wave_id].exec_end_ts = e.ts_ns;
@@ -215,7 +215,7 @@ void write_chrome_trace(std::ostream& os,
           if (cut_slice_emitted.insert(e.wave_id).second) {
             const WaveIndex& wave = waves[e.wave_id];
             slice(out, tid, "wave", "cut wave " + std::to_string(e.wave_id),
-                  e.ts_ns, wave.assign_ts - e.ts_ns,
+                  e.ts_ns, wave.exec_begin_ts - e.ts_ns,
                   Args()
                       .add("wave", e.wave_id)
                       .add("requests", wave.seqs.size())
@@ -224,29 +224,6 @@ void write_chrome_trace(std::ostream& os,
           if (e.seq != kNoSeq) flow(out, tid, "t", e.ts_ns, e.seq);
           break;
         }
-        case EventKind::kDispatchAssign:
-          instant(out, tid, "wave",
-                  "assign wave " + std::to_string(e.wave_id) + " -> shard " +
-                      std::to_string(e.shard) + " ch " +
-                      std::to_string(e.channel),
-                  e.ts_ns,
-                  Args()
-                      .add("wave", e.wave_id)
-                      .add("shard", e.shard)
-                      .add("channel", e.channel)
-                      .add("cycles", e.cycles)
-                      .str());
-          break;
-        case EventKind::kSteal:
-          instant(out, tid, "wave", "steal wave " + std::to_string(e.wave_id),
-                  e.ts_ns,
-                  Args().add("wave", e.wave_id).add("cycles", e.cycles).str());
-          break;
-        case EventKind::kRebalance:
-          instant(out, tid, "wave",
-                  "rebalance wave " + std::to_string(e.wave_id), e.ts_ns,
-                  Args().add("wave", e.wave_id).add("cycles", e.cycles).str());
-          break;
         case EventKind::kExecuteBegin: {
           const WaveIndex& wave = waves[e.wave_id];
           slice(out, tid, "wave", "wave " + std::to_string(e.wave_id),
@@ -254,7 +231,6 @@ void write_chrome_trace(std::ostream& os,
                 Args()
                     .add("wave", e.wave_id)
                     .add("shard", e.shard)
-                    .add("channel", e.channel)
                     .add("cycles", e.cycles)
                     .str());
           for (const std::uint64_t seq : wave.seqs)
@@ -267,8 +243,11 @@ void write_chrome_trace(std::ostream& os,
           instant(out, tid, "request", "deadline miss", e.ts_ns,
                   Args().add("seq", e.seq).add("tenant", e.tenant).str());
           break;
-        case EventKind::kComplete: {
-          slice(out, tid, "request", "complete", e.ts_ns, kMinDurNs,
+        case EventKind::kComplete:
+        case EventKind::kFail:
+          slice(out, tid, "request",
+                e.kind == EventKind::kComplete ? "complete" : "fail", e.ts_ns,
+                kMinDurNs,
                 Args()
                     .add("seq", e.seq)
                     .add("wave", e.wave_id)
@@ -276,7 +255,6 @@ void write_chrome_trace(std::ostream& os,
                     .str());
           flow(out, tid, "f", e.ts_ns, e.seq);
           break;
-        }
       }
     }
   }

@@ -1,12 +1,13 @@
 // Chrome trace-event JSON exporter (loadable in Perfetto / chrome://tracing).
 //
 // Renders a TraceCollector::Snapshot as the classic trace-event format:
-// one track per registered thread (client threads, the dispatcher, one
-// per shard worker), waves and request lifecycle stages as "X" complete
-// events, dispatch/steal/rebalance/shed decisions as "i" instants, and
-// each request as an "s"/"t"/"f" flow chain keyed by its seq — the arrow
-// in the viewer that stitches submit -> queued -> cut -> execute ->
-// complete across threads.
+// one track per registered thread (client threads, one per shard worker),
+// waves and request lifecycle stages as "X" complete events (a wave's
+// "cut wave" slice runs from its cut to its ExecuteBegin), admission
+// verdicts and deadline misses as "i" instants, and each request as an
+// "s"/"t"/"f" flow chain keyed by its seq — the arrow in the viewer that
+// stitches submit -> queued -> cut -> execute -> complete (or fail)
+// across threads.
 //
 // The exporter is tolerant of incomplete chains (a drained-mid-flight
 // request, or pieces lost to ring overflow): a slice whose closing

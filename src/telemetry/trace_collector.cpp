@@ -37,13 +37,11 @@ const char* to_string(EventKind kind) noexcept {
     case EventKind::kShed: return "shed";
     case EventKind::kFormerEnqueue: return "former_enqueue";
     case EventKind::kWaveCut: return "wave_cut";
-    case EventKind::kDispatchAssign: return "dispatch_assign";
-    case EventKind::kSteal: return "steal";
-    case EventKind::kRebalance: return "rebalance";
     case EventKind::kExecuteBegin: return "execute_begin";
     case EventKind::kExecuteEnd: return "execute_end";
     case EventKind::kDeadlineMiss: return "deadline_miss";
     case EventKind::kComplete: return "complete";
+    case EventKind::kFail: return "fail";
   }
   return "unknown";
 }

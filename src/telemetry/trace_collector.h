@@ -63,8 +63,8 @@ class TraceCollector {
   /// the event is dropped and counted — never blocks, never tears.
   void emit(const TraceEvent& event);
 
-  /// Label the calling thread's track in exported traces ("dispatcher",
-  /// "shard-0", ...); unnamed threads show as "thread-<tid>". Call sites
+  /// Label the calling thread's track in exported traces ("shard-0",
+  /// ...); unnamed threads show as "thread-<tid>". Call sites
   /// should guard any name-string construction behind enabled() — this
   /// is a no-op (and allocates nothing) when tracing is disabled.
   void set_thread_name(std::string_view name);

@@ -2,9 +2,9 @@
 //
 // One TraceEvent is one timestamped point on a request's or wave's
 // lifecycle through the serving runtime (src/service/): submission and
-// admission on the client thread, the wave-former's cut, the dispatcher's
-// (shard, channel) assignment, steals/rebalances, the engine passes, and
-// delivery. Events are deliberately a fixed-size trivially-copyable value
+// admission on the client thread, then — on the shard that pulled the
+// wave — the wave-former's cut, the engine passes, and delivery or
+// failure. Events are deliberately a fixed-size trivially-copyable value
 // type: the per-thread rings (ring_buffer.h) store them by plain struct
 // assignment, so the producing hot path never allocates and a reader can
 // never observe a torn event (publication is a single release store of
@@ -13,9 +13,9 @@
 // The payload is the join key set of the serving stack: `seq` (the
 // wave-former's arrival sequence number) identifies a request across its
 // whole life; `wave_id` (monotone, stamped at cut time) identifies a wave
-// across dispatch, steals and execution; shard/channel/tenant/cycles
-// attribute the decision the event records. Exporters (chrome_trace.h)
-// stitch these keys back into per-request flow chains.
+// from its cut through execution; shard/tenant/cycles attribute the event.
+// Exporters (chrome_trace.h) stitch these keys back into per-request flow
+// chains.
 #pragma once
 
 #include <cstddef>
@@ -26,25 +26,21 @@ namespace nttpim::telemetry {
 
 /// Lifecycle points the serving stack emits. The emitting thread is part
 /// of the meaning: Submit/Admit/Shed/FormerEnqueue come from the client
-/// thread inside NttService::submit, WaveCut/DispatchAssign from the
-/// dispatch thread, and Steal/Rebalance/ExecuteBegin/ExecuteEnd/
-/// DeadlineMiss/Complete from the shard worker that ran the wave.
+/// thread inside NttService::submit, and WaveCut/ExecuteBegin/ExecuteEnd/
+/// DeadlineMiss/Complete/Fail from the shard worker that pulled the wave.
+/// Every accepted request ends in exactly one Complete or Fail.
 enum class EventKind : std::uint8_t {
-  kSubmit = 0,      ///< a request entered NttService::submit (per request)
-  kAdmit,           ///< per-tenant admission let it pass (admission on only)
-  kShed,            ///< admission shed it — no seq was ever assigned
-  kFormerEnqueue,   ///< accepted into the wave-former's bounded queue
-  kWaveCut,         ///< the former cut it into a wave (one event per request)
-  kDispatchAssign,  ///< the wave was placed on a (shard, channel) lane
-  kSteal,           ///< the wave moved across shards by a work steal
-  kRebalance,       ///< the wave moved across sibling channels (group pop)
-  kExecuteBegin,    ///< a worker started the wave's engine pass(es)
-  kExecuteEnd,      ///< the wave's engine pass(es) finished (even on error)
-  kDeadlineMiss,    ///< the request completed after its deadline
-  kComplete,        ///< the request's result was delivered
+  kSubmit = 0,     ///< a request entered NttService::submit (per request)
+  kAdmit,          ///< per-tenant admission let it pass (admission on only)
+  kShed,           ///< admission shed it — no seq was ever assigned
+  kFormerEnqueue,  ///< accepted into the wave-former's bounded queue
+  kWaveCut,        ///< the former cut it into a wave (one event per request)
+  kExecuteBegin,   ///< a worker started the wave's engine pass(es)
+  kExecuteEnd,     ///< the wave's engine pass(es) finished (even on error)
+  kDeadlineMiss,   ///< the request completed after its deadline
+  kComplete,       ///< the request's result was delivered
+  kFail,           ///< the request's wave failed; its error was delivered
 };
-
-inline constexpr std::size_t kEventKinds = 12;
 
 /// Exporter/debug name of one kind ("submit", "wave_cut", ...).
 const char* to_string(EventKind kind) noexcept;
@@ -61,9 +57,8 @@ struct TraceEvent {
   std::uint64_t wave_id = 0;   ///< monotone wave id (0 = not cut yet)
   std::uint64_t cycles = 0;    ///< priced modeled cycles (wave events)
   EventKind kind = EventKind::kSubmit;
-  std::uint16_t shard = 0;    ///< executing / assigned shard (wave events)
-  std::uint16_t channel = 0;  ///< command bus within the shard
-  std::uint32_t tenant = 0;   ///< RequestClass::tenant of the request/wave
+  std::uint16_t shard = 0;   ///< shard that pulled the wave
+  std::uint32_t tenant = 0;  ///< RequestClass::tenant of the request/wave
 };
 
 static_assert(std::is_trivially_copyable_v<TraceEvent>,

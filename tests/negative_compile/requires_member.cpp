@@ -1,6 +1,6 @@
 // Negative-compile case: calling a REQUIRES(mu_)-annotated helper without
-// holding the member mutex — the repo's private-helper idiom (Dispatcher's
-// priced_for / try_steal_for), where the caller owns the locking and the
+// holding the member mutex — the repo's private-helper idiom (WaveFormer's
+// flush_deadline / cut_wave), where the caller owns the locking and the
 // helper declares the precondition.
 #include "sync/mutex.h"
 

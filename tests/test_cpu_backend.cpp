@@ -1,6 +1,6 @@
 // CpuBackend as a first-class serving backend: pool-vs-serial equivalence,
 // the shared batch-validation contract (including the NttBackend default
-// path a minimal backend inherits), the calibrated n log n cost model, and
+// path a minimal backend inherits), the fitted n log n cost model, and
 // a CPU-only NttService round trip. Labeled `service` alongside `unit` so
 // the TSan CI job exercises the worker-pool rendezvous.
 #include <cmath>
@@ -231,48 +231,9 @@ TEST(CpuBackendUnit, ModeledCyclesAccrueCostModelPrice) {
   cpu.transform_batch_mixed(items);
   EXPECT_EQ(cpu.modeled_cycles(), 3 * kItem);
   EXPECT_EQ(cpu.transform_count(), 3u);
-}
-
-// Rolling calibration: every executed wave's measured wall time feeds an
-// EWMA that refines the *routing* estimates, while the modeled-cycle
-// account deliberately keeps the boot constant (the hardware account has
-// no epochs — see cpu_backend.h).
-TEST(CpuBackendUnit, RollingCalibrationRefinesEstimatesOnly) {
-  CpuBackend cpu;
-  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 6.0);
-
-  // Injected samples follow the exact EWMA arithmetic (alpha 0.25).
-  cpu.record_calibration_sample(10.0);
-  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 7.0);
-  cpu.record_calibration_sample(3.0);
-  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 6.0);
-  cpu.record_calibration_sample(2.0);
-  EXPECT_DOUBLE_EQ(cpu.calibrated_cycles_per_point_stage(), 5.0);
-
-  // Estimates price with the rolling constant...
-  const auto params = make_params(256);
-  std::vector<BatchItem> items{{nullptr, &params, false}};
-  EXPECT_EQ(cpu.estimate_wave_cycles(items),
-            static_cast<std::uint64_t>(5.0 * 256 * 8));
-
-  // ...while the modeled account still charges the boot constant.
-  Rng rng(31);
-  auto poly = rng.residues(params.n(), params.q());
-  cpu.forward(poly, params);
-  EXPECT_EQ(cpu.modeled_cycles(), 6u * 256 * 8);
-
-  // A glitched sample clamps instead of collapsing the constant.
-  cpu.record_calibration_sample(-5.0);
-  EXPECT_GT(cpu.calibrated_cycles_per_point_stage(), 0.0);
-
-  // Executed batches really do feed the EWMA: the constant moves off its
-  // seed after real work.
-  CpuBackend live;
-  auto a = rng.residues(params.n(), params.q());
-  auto b = rng.residues(params.n(), params.q());
-  std::vector<BatchItem> batch{{&a, &params, false}, {&b, &params, true}};
-  live.transform_batch_mixed(batch);
-  EXPECT_NE(live.calibrated_cycles_per_point_stage(), 6.0);
+  // Executed work never moves the price: estimates and the account share
+  // the one fitted constant (one item per lane here).
+  EXPECT_EQ(cpu.estimate_wave_cycles(items), kItem);
 }
 
 TEST(CpuBackendUnit, CalibrationReturnsPositiveFiniteFit) {

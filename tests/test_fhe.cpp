@@ -171,7 +171,7 @@ TEST(PimBackend, BatchRoundTripsThroughInverse) {
   EXPECT_EQ(polys, original);
 }
 
-// Cost estimation (the dispatcher's pricing input): a plan-cache miss is
+// Cost estimation (the price a serving shard books): a plan-cache miss is
 // priced by a deliberately conservative default, a hit by the cached
 // plan's command counts — close to what the engine actually charges — and
 // estimating never touches the device or its counters.
@@ -193,7 +193,7 @@ TEST(PimBackend, EstimateWaveCyclesTracksEngineWithoutTouchingDevice) {
 
   const std::uint64_t hit_estimate = pim.estimate_wave_cycles({&item, 1});
   // The closed-form price ignores pipelining overlap and stalls; what
-  // matters for dispatch is that it sits within a small constant factor
+  // matters for a price is that it sits within a small constant factor
   // of the engine (empirically ~0.6x) and well under the miss default.
   EXPECT_GE(hit_estimate, actual / 4);
   EXPECT_LE(hit_estimate, actual * 4);
@@ -231,9 +231,9 @@ TEST(PimBackend, EstimateWaveCyclesModelsBankParallelism) {
   EXPECT_EQ(pim.estimate_wave_cycles(triple), 2 * one_large);
 }
 
-// Pricing replays the executor's channel-major placement: items pinned to
-// one channel serialize over that channel's bank subset, items spread
-// across channels overlap, and an unhinted wave round-robins channels.
+// Pricing replays the executor's channel-major placement: items
+// round-robin the channels, so items on different channels overlap and
+// only a channel's own bank subset serializes its items.
 TEST(PimBackend, EstimateWaveCyclesModelsChannelParallelism) {
   const ntt::NttParams params = ntt::NttParams::create(256, 30);
   PimBackend pim(4, 1200.0, dram::hbm2e_geometry(4, 2));
@@ -245,37 +245,54 @@ TEST(PimBackend, EstimateWaveCyclesModelsChannelParallelism) {
   pim.forward(poly, params);  // cache the plan so pricing uses real counts
   const std::uint64_t device_cycles = pim.total_cycles();
 
-  BatchItem any{nullptr, &params, false};
-  BatchItem ch0 = any;
-  ch0.channel = 0;
-  BatchItem ch1 = any;
-  ch1.channel = 1;
-  const auto one = pim.estimate_wave_cycles({&any, 1});
+  const BatchItem item{nullptr, &params, false};
+  const auto one = pim.estimate_wave_cycles({&item, 1});
 
-  // Three items pinned to channel 0: its two banks take them 2 + 1, so the
-  // busiest bank runs two back-to-back — channel 1 never helps.
-  const std::vector<BatchItem> pinned{ch0, ch0, ch0};
-  EXPECT_EQ(pim.estimate_wave_cycles(pinned), 2 * one);
+  // Two items land on different channels, not stacked in one; four fill
+  // every bank of both channels once.
+  EXPECT_EQ(pim.estimate_wave_cycles(std::vector<BatchItem>(2, item)), one);
+  EXPECT_EQ(pim.estimate_wave_cycles(std::vector<BatchItem>(4, item)), one);
 
-  // Spread 2 + 1 across the channels and every bank runs at most one item.
-  const std::vector<BatchItem> spread{ch0, ch0, ch1};
-  EXPECT_EQ(pim.estimate_wave_cycles(spread), one);
-
-  // Unhinted items round-robin the channels: two items land on different
-  // channels, not stacked in one.
-  const std::vector<BatchItem> both{any, any};
-  EXPECT_EQ(pim.estimate_wave_cycles(both), one);
+  // A fifth item returns to channel 0, whose two banks now take 2 + 1:
+  // the busiest bank runs two back-to-back.
+  EXPECT_EQ(pim.estimate_wave_cycles(std::vector<BatchItem>(5, item)),
+            2 * one);
 
   EXPECT_EQ(pim.total_cycles(), device_cycles);  // estimating is free
+}
 
-  // A hint beyond the device's channel count is a caller bug.
-  BatchItem bad = any;
-  bad.channel = 2;
-  EXPECT_THROW(pim.estimate_wave_cycles({&bad, 1}), std::invalid_argument);
+// A 16-item wave on a 16-bank, 4-channel device runs 4 items on each
+// channel, one per bank: the placement a serving shard's unpinned pull
+// relies on to overlap its command buses.
+TEST(PimBackend, MixedWaveSpreadsItemsEvenlyOverChannels) {
+  const ntt::NttParams params = ntt::NttParams::create(256, 30);
+  PimBackend pim(4, 1200.0, dram::hbm2e_geometry(16, 4));
+  CpuBackend cpu;
+  Rng rng(39);
+  std::vector<std::vector<std::uint32_t>> polys;
+  std::vector<std::vector<std::uint32_t>> expected;
+  for (int i = 0; i < 16; ++i) {
+    polys.push_back(rng.residues(256, params.q()));
+    expected.push_back(polys.back());
+    cpu.forward(expected.back(), params);
+  }
+  std::vector<BatchItem> items;
+  for (auto& p : polys) items.push_back({&p, &params, false});
+  pim.transform_batch_mixed(items);
+  EXPECT_EQ(polys, expected);
+
+  std::vector<std::size_t> per_channel(4, 0);
+  std::vector<std::size_t> per_bank(16, 0);
+  for (const PimBackend::WaveSlot& slot : pim.last_wave()) {
+    ++per_channel.at(slot.channel);
+    ++per_bank.at(slot.bank);
+  }
+  EXPECT_EQ(per_channel, std::vector<std::size_t>(4, 4));
+  EXPECT_EQ(per_bank, std::vector<std::size_t>(16, 1));
 }
 
 // The bus term of the estimate is what makes channel parallelism visible
-// to the dispatcher: a bulk wave on one 8-bank device prices strictly
+// in a price: a bulk wave on one 8-bank device prices strictly
 // cheaper when the banks are split over four buses instead of one.
 TEST(PimBackend, EstimatePricesMultiChannelBulkWaveCheaper) {
   const ntt::NttParams params = ntt::NttParams::create(256, 30);

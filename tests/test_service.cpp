@@ -10,8 +10,10 @@
 #include <latch>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,10 +26,10 @@
 #include "ntt/params.h"
 #include "ntt/poly.h"
 #include "service/admission.h"
-#include "service/dispatcher.h"
 #include "service/ntt_service.h"
 #include "service/wave_former.h"
 #include "sync/mutex.h"
+#include "telemetry/chrome_trace.h"
 
 namespace {
 
@@ -62,8 +64,9 @@ std::vector<std::future<std::vector<std::uint32_t>>> submit_wave(
 // Every snapshot tiles, whenever it is taken: per class, completed ==
 // stages.count == both latency counts and nothing is booked twice; the
 // global request counters are the class sums and submitted == completed
-// + failed + rejected + shed + pending; each shard's wave counters are
-// the sums over its channels.
+// + failed + rejected + shed + pending; the shards ran exactly the
+// completed and failed requests, and (shards pull) none stole or
+// rebalanced a wave.
 void expect_tiles(const service::ServiceStats& s) {
   service::ClassStats sum;
   for (const service::ClassStats& c : s.classes) {
@@ -86,20 +89,13 @@ void expect_tiles(const service::ServiceStats& s) {
   EXPECT_EQ(s.deadline_misses, sum.deadline_misses);
   EXPECT_EQ(s.submitted,
             s.completed + s.failed + s.rejected + s.shed + s.pending);
+  std::uint64_t shard_requests = 0;
   for (const service::ShardStats& shard : s.shards) {
-    service::ChannelStats channels;
-    for (const service::ChannelStats& c : shard.channels) {
-      channels.waves += c.waves;
-      channels.stolen_waves += c.stolen_waves;
-      channels.rebalanced_waves += c.rebalanced_waves;
-      channels.estimated_executed_cycles += c.estimated_executed_cycles;
-    }
-    EXPECT_EQ(shard.waves, channels.waves);
-    EXPECT_EQ(shard.stolen_waves, channels.stolen_waves);
-    EXPECT_EQ(shard.rebalanced_waves, channels.rebalanced_waves);
-    EXPECT_EQ(shard.estimated_executed_cycles,
-              channels.estimated_executed_cycles);
+    shard_requests += shard.requests;
+    EXPECT_EQ(shard.stolen_waves, 0u);
+    EXPECT_EQ(shard.rebalanced_waves, 0u);
   }
+  EXPECT_EQ(shard_requests, s.completed + s.failed);
 }
 
 // (a) N client threads x M requests, mixed directions and sizes, must be
@@ -337,6 +333,11 @@ TEST(ServiceUnit, SubmitValidatesArguments) {
   ServiceConfig zero_shards;
   zero_shards.backend.shards = 0;
   EXPECT_THROW(NttService{zero_shards}, std::invalid_argument);
+  // A hand-built descriptor needs a channel to size its shard's waves.
+  ServiceConfig no_channel;
+  no_channel.backend.descriptors = {service::make_cpu_descriptor()};
+  no_channel.backend.descriptors[0].channels = 0;
+  EXPECT_THROW(NttService{no_channel}, std::invalid_argument);
 }
 
 // reset_stats() starts a clean epoch without disturbing in-flight
@@ -396,6 +397,24 @@ TEST(ServiceUnit, ResetStatsKeepsModeledCycles) {
   EXPECT_EQ(svc.stats().shards.at(0).modeled_cycles, 2 * one_wave);
 }
 
+// A shard books its own estimate of each wave it runs: one 4-request wave
+// on a 2-lane CPU shard is two lanes of two N = 256 items at the default
+// 6 cycles per point-stage.
+TEST(ServiceUnit, ShardBooksItsOwnWaveEstimate) {
+  const auto params = make_params(256);
+  ServiceConfig cfg;
+  cfg.backend.banks_per_shard = 4;
+  cfg.backend.descriptors = {service::make_cpu_descriptor(2)};
+  cfg.former.flush_window = hour();  // only the 4-item size flush cuts
+  NttService svc(cfg);
+  Rng rng(97);
+  for (auto& f : submit_wave(svc, params, rng)) f.get();
+  svc.drain();
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.waves, 1u);
+  EXPECT_EQ(stats.shards.at(0).estimated_executed_cycles, 2u * 6 * 256 * 8);
+}
+
 // Regression (PR 5): nearest-rank percentiles. The old floor() rank was
 // off by one — p50 over [1..100] returned the 51st value and p50 of a
 // 2-sample window returned the max.
@@ -433,7 +452,6 @@ TEST(ServiceUnit, WaveFormerTimeoutUsesCurrentFrontDeadline) {
   std::atomic<std::int64_t> fake_us{0};
   service::WaveFormer::Config cfg;
   cfg.capacity_items = 16;
-  cfg.max_wave_items = 2;
   cfg.flush_window = std::chrono::microseconds(100);
   cfg.clock = [&] {
     return service::ServiceClock::time_point(
@@ -445,7 +463,7 @@ TEST(ServiceUnit, WaveFormerTimeoutUsesCurrentFrontDeadline) {
   std::vector<std::vector<std::uint32_t>> waves;  // request tags per wave
   auto consume = [&] {
     for (;;) {
-      auto wave = former.next_wave();
+      auto wave = former.next_wave(2);
       if (wave.empty()) return;
       std::vector<std::uint32_t> tags;
       for (const auto& r : wave) tags.push_back(r.a[0]);
@@ -497,8 +515,10 @@ namespace former_test {
 
 // Single-consumer fake-clock harness: submit tagged requests (optionally
 // deadlined) before the consumer starts, so every cut is deterministic.
+// The consumer caps every wave at `max_items`.
 struct Harness {
-  explicit Harness(service::WaveFormer::Config cfg) {
+  Harness(service::WaveFormer::Config cfg, std::size_t max_items)
+      : max_items(max_items) {
     cfg.clock = [this] {
       return service::ServiceClock::time_point(
           std::chrono::microseconds(fake_us.load(std::memory_order_relaxed)));
@@ -525,7 +545,7 @@ struct Harness {
   std::vector<std::vector<std::uint32_t>> run_consumer_to_close() {
     std::vector<std::vector<std::uint32_t>> waves;
     for (;;) {
-      auto wave = former->next_wave();
+      auto wave = former->next_wave(max_items);
       if (wave.empty()) return waves;
       std::vector<std::uint32_t> tags;
       for (auto& r : wave) {
@@ -536,6 +556,7 @@ struct Harness {
     }
   }
 
+  const std::size_t max_items;
   std::atomic<std::int64_t> fake_us{0};
   std::optional<service::WaveFormer> former;
 };
@@ -548,9 +569,8 @@ struct Harness {
 TEST(ServiceUnit, WaveFormerEdfCutsByDeadlineThenPriorityThenArrival) {
   service::WaveFormer::Config cfg;
   cfg.capacity_items = 16;
-  cfg.max_wave_items = 3;
   cfg.flush_window = std::chrono::microseconds(100);
-  former_test::Harness h(cfg);
+  former_test::Harness h(cfg, /*max_items=*/3);
 
   // Arrival order 0..4; urgency says otherwise: 3 (earliest deadline),
   // then 1 (later deadline), then 4 (no deadline but highest priority).
@@ -588,9 +608,9 @@ TEST(ServiceUnit, WaveFormerEdfCutsByDeadlineThenPriorityThenArrival) {
 TEST(ServiceUnit, WaveFormerEdfDeadlineTightensFlushWindow) {
   service::WaveFormer::Config cfg;
   cfg.capacity_items = 16;
-  cfg.max_wave_items = 16;  // never fills: only a flush can cut
   cfg.flush_window = std::chrono::microseconds(100);
-  former_test::Harness h(cfg);
+  // A 16-item wave never fills: only a flush can cut.
+  former_test::Harness h(cfg, /*max_items=*/16);
 
   auto f0 = h.submit(0);                        // bulk, window expires at 100
   auto f1 = h.submit(1, /*deadline_us=*/40);    // tightens the flush to 40
@@ -618,9 +638,9 @@ TEST(ServiceUnit, WaveFormerEdfDeadlineTightensFlushWindow) {
 TEST(ServiceUnit, WaveFormerWindowAnchorsOnOldestPendingRequest) {
   service::WaveFormer::Config cfg;
   cfg.capacity_items = 16;
-  cfg.max_wave_items = 16;  // never fills: only a flush can cut
   cfg.flush_window = std::chrono::microseconds(100);
-  former_test::Harness h(cfg);
+  // A 16-item wave never fills: only a flush can cut.
+  former_test::Harness h(cfg, /*max_items=*/16);
 
   auto f0 = h.submit(0);  // classless, enqueued at t=0
   h.fake_us.store(50, std::memory_order_relaxed);
@@ -643,9 +663,9 @@ TEST(ServiceUnit, WaveFormerWindowAnchorsOnOldestPendingRequest) {
 // Property: every wave the former cuts equals the selection of an oracle
 // that stable-sorts the pending requests by (effective deadline, priority
 // desc, arrival) and takes them until the next one would overflow the
-// wave. Seeded streams mix classless, deadlined and prioritized transforms
-// and multiplies, submitted in bursts between cuts; an all-classless
-// stream must cut exact FIFO waves.
+// caller's cap. Seeded streams mix classless, deadlined and prioritized
+// transforms and multiplies, submitted in bursts between cuts whose caps
+// vary per call; an all-classless stream must cut exact FIFO waves.
 TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
   struct Pending {
     std::uint32_t tag;
@@ -682,7 +702,6 @@ TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
       Rng rng(seed);
       service::WaveFormer::Config cfg;
       cfg.capacity_items = 1 << 12;
-      cfg.max_wave_items = 1 + rng.next_below(8);
       cfg.flush_window = std::chrono::microseconds(0);  // every call cuts
       cfg.clock = [] { return service::ServiceClock::time_point{}; };
       service::WaveFormer former(cfg);
@@ -691,13 +710,15 @@ TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
       std::uint32_t next_tag = 0;
       std::uint64_t fifo_tag = 0;
       auto cut_and_check = [&] {
-        auto wave = former.next_wave();
+        const std::size_t max_items = 1 + rng.next_below(8);
+        auto wave = former.next_wave(max_items);
         std::vector<std::uint32_t> tags;
         for (const auto& r : wave) tags.push_back(r.a[0]);
-        EXPECT_EQ(tags, oracle_cut(pending, cfg.max_wave_items))
+        EXPECT_EQ(tags, oracle_cut(pending, max_items))
             << "seed " << seed << " classless " << classless;
-        if (classless)
+        if (classless) {
           for (const std::uint32_t tag : tags) EXPECT_EQ(tag, fifo_tag++);
+        }
       };
       while (next_tag < 160) {
         for (std::uint64_t b = 1 + rng.next_below(12); b > 0; --b) {
@@ -775,446 +796,10 @@ TEST(ServiceUnit, AdmissionTokenBucketRefillExactness) {
   }
 }
 
-namespace dispatch_test {
-
-std::vector<service::Request> tagged_wave(std::uint32_t tag) {
-  std::vector<service::Request> wave(1);
-  wave[0].a = {tag};
-  wave[0].seq = tag;  // arrival stamp: tags are dispatched in order
-  return wave;
-}
-
-// A wave whose (single) request carries a deadline, for the QoS paths.
-std::vector<service::Request> deadlined_wave(std::uint32_t tag,
-                                             std::int64_t deadline_us) {
-  auto wave = tagged_wave(tag);
-  wave[0].qos.deadline = service::ServiceClock::time_point(
-      std::chrono::microseconds(deadline_us));
-  return wave;
-}
-
-std::uint32_t tag_of(const std::vector<service::Request>& wave) {
-  return wave.at(0).a.at(0);
-}
-
-std::uint64_t backlog(const service::Dispatcher& dispatcher,
-                      std::size_t shard) {
-  return dispatcher.backlog_snapshot(shard).total_cycles;
-}
-
-/// One group pop of a single-channel shard: its only wave, or nullopt once
-/// the closed dispatcher has drained every queue.
-std::optional<service::Dispatcher::NextWave> pop(
-    service::Dispatcher& dispatcher, std::size_t shard) {
-  auto group = dispatcher.next_waves_for(shard);
-  if (group.empty()) return std::nullopt;
-  EXPECT_EQ(group.size(), 1u);
-  return std::move(group.front());
-}
-
-}  // namespace dispatch_test
-
-// An idle shard steals the *oldest* wave of the most-loaded peer; waves
-// from its own queue are not counted as steals. Single-threaded driving
-// of the Dispatcher makes every assignment and steal exact.
-TEST(ServiceUnit, DispatcherStealsOldestWaveFromLoadedPeer) {
-  service::Dispatcher::Config cfg;
-  cfg.shards.resize(2);
-  cfg.queue_capacity_waves = 4;
-  // Equal prices alternate the shards (ties go to the first least-backlog
-  // pair): tags 0,2 -> shard 0; 1,3 -> shard 1.
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>&) {
-        return std::uint64_t{100};
-      });
-
-  for (std::uint32_t tag = 0; tag < 4; ++tag)
-    dispatcher.dispatch(dispatch_test::tagged_wave(tag));
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 200u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 200u);
-
-  // Shard 0 drains its own queue first (FIFO), then steals shard 1's
-  // waves oldest-first.
-  const std::uint32_t expected_tags[] = {0, 2, 1, 3};
-  const bool expected_stolen[] = {false, false, true, true};
-  for (int i = 0; i < 4; ++i) {
-    auto next = dispatch_test::pop(dispatcher, 0);
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(dispatch_test::tag_of(next->requests), expected_tags[i]);
-    EXPECT_EQ(next->stolen, expected_stolen[i]);
-    dispatcher.complete(0, next->estimated_cycles);
-  }
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 0u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 0u);
-
-  dispatcher.close();
-  EXPECT_FALSE(dispatch_test::pop(dispatcher, 0).has_value());
-  EXPECT_FALSE(dispatch_test::pop(dispatcher, 1).has_value());
-}
-
-// Cost-aware assignment sends each wave to the smallest estimated
-// backlog, so cheap waves pile onto the shard not stuck behind an
-// expensive one; once idle, that shard steals the expensive wave.
-TEST(ServiceUnit, DispatcherCostAwareAssignsLeastBacklog) {
-  service::Dispatcher::Config cfg;
-  cfg.shards.resize(2);
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>& wave) {
-        return dispatch_test::tag_of(wave) == 0 ? std::uint64_t{1000}
-                                                : std::uint64_t{100};
-      });
-
-  dispatcher.dispatch(dispatch_test::tagged_wave(0));  // 1000 -> shard 0
-  dispatcher.dispatch(dispatch_test::tagged_wave(1));  // 100  -> shard 1
-  dispatcher.dispatch(dispatch_test::tagged_wave(2));  // 100  -> shard 1
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 1000u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 200u);
-
-  auto first = dispatch_test::pop(dispatcher, 1);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(first->requests), 1u);
-  EXPECT_FALSE(first->stolen);
-  auto second = dispatch_test::pop(dispatcher, 1);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(second->requests), 2u);
-
-  // Shard 1 is now empty: it steals shard 0's queued expensive wave.
-  auto stolen = dispatch_test::pop(dispatcher, 1);
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(stolen->requests), 0u);
-  EXPECT_TRUE(stolen->stolen);
-  dispatcher.close();
-}
-
-// close() must release a dispatch blocked on a full shard queue by
-// waiving the capacity bound: every accepted wave still lands and drains.
-TEST(ServiceUnit, DispatcherCloseReleasesBlockedDispatch) {
-  service::Dispatcher::Config cfg;
-  cfg.shards.resize(1);
-  cfg.queue_capacity_waves = 1;
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>&) {
-        return std::uint64_t{1};
-      });
-
-  dispatcher.dispatch(dispatch_test::tagged_wave(0));  // fills the slot
-  std::thread blocked(
-      [&] { dispatcher.dispatch(dispatch_test::tagged_wave(1)); });
-  // Whichever side of the space wait close() lands on, the second wave
-  // must be enqueued past the bound rather than stuck or dropped.
-  dispatcher.close();
-  blocked.join();
-
-  auto first = dispatch_test::pop(dispatcher, 0);
-  auto second = dispatch_test::pop(dispatcher, 0);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(first->requests), 0u);
-  EXPECT_EQ(dispatch_test::tag_of(second->requests), 1u);
-  EXPECT_FALSE(dispatch_test::pop(dispatcher, 0).has_value());
-}
-
-// Regression: a shard's total and per-channel backlog gauges must come
-// from one lock acquisition (backlog_snapshot), so they always tile —
-// total == sum over channels — even while waves land or retire.
-TEST(ServiceUnit, DispatcherBacklogSnapshotTiles) {
-  service::Dispatcher::Config cfg;
-  cfg.shards.resize(1);
-  cfg.shards[0].channels = 2;
-  cfg.queue_capacity_waves = 4;  // least-backlogged: 100 -> ch0, 60 -> ch1
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>& wave) {
-        return std::uint64_t{dispatch_test::tag_of(wave) == 0 ? 100u : 60u};
-      });
-  dispatcher.dispatch(dispatch_test::tagged_wave(0));
-  dispatcher.dispatch(dispatch_test::tagged_wave(1));
-  dispatcher.dispatch(dispatch_test::tagged_wave(2));  // 60 -> lighter ch1
-
-  const auto snap = dispatcher.backlog_snapshot(0);
-  ASSERT_EQ(snap.channel_cycles.size(), 2u);
-  EXPECT_EQ(snap.total_cycles, 220u);
-  EXPECT_EQ(snap.channel_cycles[0] + snap.channel_cycles[1],
-            snap.total_cycles);
-
-  // Executing work stays in the total until complete() retires it, on the
-  // channel that began it.
-  auto group = dispatcher.next_waves_for(0);
-  ASSERT_EQ(group.size(), 2u);  // one wave per channel
-  const auto executing = dispatcher.backlog_snapshot(0);
-  EXPECT_EQ(executing.total_cycles, 220u);
-  for (const auto& w : group)
-    dispatcher.complete(0, w.estimated_cycles, w.channel);
-  const auto after = dispatcher.backlog_snapshot(0);
-  EXPECT_EQ(after.total_cycles, 60u);  // the third wave still queued
-  EXPECT_EQ(after.channel_cycles[0] + after.channel_cycles[1], 60u);
-  dispatcher.close();
-}
-
-// Heterogeneous routing: with per-shard estimators, cost-aware dispatch
-// sends each wave to the backend that clears it soonest — a bulk wave
-// stays on the PIM shard even though the CPU shard is idle, while a small
-// wave goes to the CPU once the PIM is backlogged (the deployment shape
-// of the paper: CPU absorbs the cheap tail, PIM keeps the bulk).
-TEST(ServiceUnit, DispatcherRoutesBulkToPimCheapToCpu) {
-  service::Dispatcher::Config cfg;
-  cfg.shards.resize(2);  // shard 0: PIM, shard 1: CPU
-  // Tag 0 is a bulk RNS wave (bank-parallel PIM: 100; serial-ish CPU:
-  // 800); tag 1 is a small wave where the backends are close (50 vs 60).
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t shard, std::vector<service::Request>& wave) {
-        const bool bulk = dispatch_test::tag_of(wave) == 0;
-        if (shard == 0) return bulk ? std::uint64_t{100} : std::uint64_t{50};
-        return bulk ? std::uint64_t{800} : std::uint64_t{60};
-      });
-
-  // Bulk: 0+100 on PIM beats 0+800 on CPU, idle CPU notwithstanding.
-  dispatcher.dispatch(dispatch_test::tagged_wave(0));
-  // Cheap: PIM would finish it at 100+50 = 150, the CPU at 60 — routed to
-  // the CPU even though its own estimate is the worse of the two.
-  dispatcher.dispatch(dispatch_test::tagged_wave(1));
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 100u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 60u);
-
-  auto pim_wave = dispatch_test::pop(dispatcher, 0);
-  ASSERT_TRUE(pim_wave.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(pim_wave->requests), 0u);
-  EXPECT_EQ(pim_wave->estimated_cycles, 100u);
-  auto cpu_wave = dispatch_test::pop(dispatcher, 1);
-  ASSERT_TRUE(cpu_wave.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(cpu_wave->requests), 1u);
-  EXPECT_EQ(cpu_wave->estimated_cycles, 60u);
-}
-
-// cost_scale derates a shard's estimates at dispatch time: with identical
-// raw estimates, the discounted shard wins and its stored price is the
-// scaled one.
-TEST(ServiceUnit, DispatcherAppliesCostScale) {
-  service::Dispatcher::Config cfg;
-  cfg.shards = {{.cost_scale = 1.0}, {.cost_scale = 0.5}};
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>&) {
-        return std::uint64_t{100};
-      });
-  dispatcher.dispatch(dispatch_test::tagged_wave(0));
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 0u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 50u);
-}
-
-// Hierarchical assignment: a multi-channel shard's waves land on the
-// least-backlogged *channel*, and a group pop hands back one wave per
-// channel — rebalancing a queued wave onto an empty-handed sibling
-// channel so the merged pass keeps every bus busy.
-TEST(ServiceUnit, DispatcherAssignsLeastBackloggedChannel) {
-  service::Dispatcher::Config cfg;
-  cfg.shards = {{.channels = 2}};
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>& wave) {
-        switch (dispatch_test::tag_of(wave)) {
-          case 1: return std::uint64_t{100};
-          case 2: return std::uint64_t{250};
-          case 3: return std::uint64_t{10};
-          default: return std::uint64_t{500};
-        }
-      });
-  EXPECT_EQ(dispatcher.channels(0), 2u);
-
-  dispatcher.dispatch(dispatch_test::tagged_wave(1));  // tie -> ch 0
-  dispatcher.dispatch(dispatch_test::tagged_wave(2));  // 350 vs 250 -> ch 1
-  dispatcher.dispatch(dispatch_test::tagged_wave(3));  // 110 vs 260 -> ch 0
-  dispatcher.dispatch(dispatch_test::tagged_wave(4));  // 610 vs 750 -> ch 0
-  EXPECT_EQ(dispatcher.backlog_snapshot(0).channel_cycles[0], 610u);
-  EXPECT_EQ(dispatcher.backlog_snapshot(0).channel_cycles[1], 250u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 860u);
-
-  // Group pop 1: both channels have queued waves — one each, FIFO.
-  auto group = dispatcher.next_waves_for(0);
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(dispatch_test::tag_of(group[0].requests), 1u);
-  EXPECT_EQ(group[0].channel, 0u);
-  EXPECT_FALSE(group[0].rebalanced);
-  EXPECT_EQ(dispatch_test::tag_of(group[1].requests), 2u);
-  EXPECT_EQ(group[1].channel, 1u);
-  EXPECT_FALSE(group[1].rebalanced);
-  for (const auto& w : group)
-    dispatcher.complete(0, w.estimated_cycles, w.channel);
-
-  // Group pop 2: channel 1's queue is empty, so it takes channel 0's
-  // remaining wave — rebalanced, never counted as a steal.
-  group = dispatcher.next_waves_for(0);
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(dispatch_test::tag_of(group[0].requests), 3u);
-  EXPECT_EQ(group[0].channel, 0u);
-  EXPECT_FALSE(group[0].rebalanced);
-  EXPECT_EQ(dispatch_test::tag_of(group[1].requests), 4u);
-  EXPECT_EQ(group[1].channel, 1u);
-  EXPECT_TRUE(group[1].rebalanced);
-  EXPECT_FALSE(group[1].stolen);
-  for (const auto& w : group)
-    dispatcher.complete(0, w.estimated_cycles, w.channel);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 0u);
-
-  dispatcher.close();
-  EXPECT_TRUE(dispatcher.next_waves_for(0).empty());
-}
-
-// Local rebalance strictly precedes remote stealing: while a multi-channel
-// shard still holds queued waves of its own, its group pops spread them
-// across its channels and never touch a peer; only a fully empty shard
-// crosses over — re-pricing the loot and landing it on its
-// least-backlogged channel.
-TEST(ServiceUnit, DispatcherRebalancesLocallyBeforeStealing) {
-  service::Dispatcher::Config cfg;
-  cfg.shards = {{.channels = 2}, {.channels = 1}};
-  // Shard 1 prices tags 1-4 far above shard 0's whole backlog, so they land
-  // on shard 0 (same prices as above); tag 5 is cheap on shard 1 and lands
-  // there.
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t shard, std::vector<service::Request>& wave) {
-        const std::uint32_t tag = dispatch_test::tag_of(wave);
-        if (shard == 1) return std::uint64_t{tag == 5 ? 40u : 10000u};
-        switch (tag) {
-          case 1: return std::uint64_t{100};
-          case 2: return std::uint64_t{250};
-          case 3: return std::uint64_t{10};
-          case 4: return std::uint64_t{500};
-          default: return std::uint64_t{100};
-        }
-      });
-
-  for (std::uint32_t tag = 1; tag <= 4; ++tag)
-    dispatcher.dispatch(dispatch_test::tagged_wave(tag));
-  dispatcher.dispatch(dispatch_test::tagged_wave(5));  // 40 on shard 1 wins
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 860u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 40u);
-
-  // Two group pops clear shard 0's four waves — the second rebalances tag
-  // 4 onto channel 1 instead of stealing shard 1's cheaper tag 5.
-  for (int pop = 0; pop < 2; ++pop) {
-    auto group = dispatcher.next_waves_for(0);
-    ASSERT_EQ(group.size(), 2u);
-    for (const auto& w : group) {
-      EXPECT_FALSE(w.stolen);
-      dispatcher.complete(0, w.estimated_cycles, w.channel);
-    }
-  }
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 0u);
-  // Shard 1's wave is untouched by shard 0's pops.
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 40u);
-
-  // Now shard 0 is truly empty: the next pop crosses shards, re-priced for
-  // the thief (100, not 40) on its least-backlogged channel.
-  auto stolen = dispatcher.next_waves_for(0);
-  ASSERT_EQ(stolen.size(), 1u);
-  EXPECT_EQ(dispatch_test::tag_of(stolen[0].requests), 5u);
-  EXPECT_TRUE(stolen[0].stolen);
-  EXPECT_FALSE(stolen[0].rebalanced);
-  EXPECT_EQ(stolen[0].estimated_cycles, 100u);
-  dispatcher.complete(0, stolen[0].estimated_cycles, stolen[0].channel);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 0u);
-
-  dispatcher.close();
-  EXPECT_TRUE(dispatcher.next_waves_for(0).empty());
-  EXPECT_TRUE(dispatcher.next_waves_for(1).empty());
-}
-
-// Deadlines, assignment half: an urgent wave's ETA counts only the queued
-// work ahead of its (deadline, arrival) key — it jumps queued bulk — so it
-// lands by tie-break on shard 0 despite shard 0 holding the larger bulk
-// backlog (a deadline-less wave would go to shard 1), and the
-// deadline-ordered lane then pops it first, ahead of earlier-arrived bulk.
-TEST(ServiceUnit, DispatcherDeadlinePressureJumpsQueuedBulk) {
-  service::Dispatcher::Config cfg;
-  cfg.shards.resize(2);
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t, std::vector<service::Request>&) {
-        return std::uint64_t{100};
-      });
-
-  dispatcher.dispatch(dispatch_test::tagged_wave(0));  // tie -> shard 0
-  dispatcher.dispatch(dispatch_test::tagged_wave(1));  // least-backlog -> 1
-  dispatcher.dispatch(dispatch_test::tagged_wave(2));  // eta tie -> shard 0
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 200u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 100u);
-
-  // The urgent wave jumps both bulk waves queued on shard 0, so its ETA is
-  // 100 everywhere and the tie resolves to shard 0 — without the jump the
-  // least-backlog rule would have sent it to shard 1.
-  dispatcher.dispatch(dispatch_test::deadlined_wave(3, /*deadline_us=*/100));
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 300u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 1), 100u);
-
-  // Shard 0's lane is urgency-ordered: the deadlined wave pops before the
-  // bulk that arrived first.
-  const std::uint32_t expected_tags[] = {3, 0, 2};
-  for (const std::uint32_t tag : expected_tags) {
-    auto next = dispatch_test::pop(dispatcher, 0);
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(dispatch_test::tag_of(next->requests), tag);
-    dispatcher.complete(0, next->estimated_cycles);
-  }
-  dispatcher.close();
-}
-
-// Deadlines, steal half: an idle shard takes the most-deadline-urgent
-// wave anywhere — even off a lightly loaded victim — and only
-// falls back to the load-relief steal (oldest wave of the most-loaded
-// peer) once no deadlined wave is queued.
-TEST(ServiceUnit, DispatcherDeadlinePressureStealsMostUrgentWave) {
-  service::Dispatcher::Config cfg;
-  cfg.shards.resize(3);
-  cfg.queue_capacity_waves = 4;
-  // Each wave is cheap on its home shard tag % 3 and dear elsewhere, so
-  // tag % 3 names the shard it lands on.
-  service::Dispatcher dispatcher(
-      cfg, [](std::size_t shard, std::vector<service::Request>& wave) {
-        return dispatch_test::tag_of(wave) % 3 == shard ? std::uint64_t{100}
-                                                        : std::uint64_t{1000};
-      });
-
-  // Shard 0 carries the big bulk backlog {0, 3, 6}; shard 2 is lighter
-  // {2, 5} but holds the only deadlined wave (tag 5); shard 1 {1, 4} will
-  // go idle and steal.
-  for (std::uint32_t tag = 0; tag < 7; ++tag) {
-    if (tag == 5)
-      dispatcher.dispatch(
-          dispatch_test::deadlined_wave(tag, /*deadline_us=*/700));
-    else
-      dispatcher.dispatch(dispatch_test::tagged_wave(tag));
-  }
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 0), 300u);
-  EXPECT_EQ(dispatch_test::backlog(dispatcher, 2), 200u);
-
-  // Drain shard 1's own FIFO lane.
-  for (const std::uint32_t tag : {1u, 4u}) {
-    auto own = dispatch_test::pop(dispatcher, 1);
-    ASSERT_TRUE(own.has_value());
-    EXPECT_EQ(dispatch_test::tag_of(own->requests), tag);
-    EXPECT_FALSE(own->stolen);
-    dispatcher.complete(1, own->estimated_cycles);
-  }
-
-  // First steal: the deadlined tag 5 off lightly-loaded shard 2, even
-  // though the load-relief rule would have picked most-loaded shard 0.
-  auto urgent = dispatch_test::pop(dispatcher, 1);
-  ASSERT_TRUE(urgent.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(urgent->requests), 5u);
-  EXPECT_TRUE(urgent->stolen);
-  dispatcher.complete(1, urgent->estimated_cycles);
-
-  // No deadlines left: the fallback relieves the most-loaded peer (shard
-  // 0), oldest wave first.
-  auto fallback = dispatch_test::pop(dispatcher, 1);
-  ASSERT_TRUE(fallback.has_value());
-  EXPECT_EQ(dispatch_test::tag_of(fallback->requests), 0u);
-  EXPECT_TRUE(fallback->stolen);
-  dispatcher.complete(1, fallback->estimated_cycles);
-  dispatcher.close();
-}
-
-// A service on a multi-channel PIM shard serves bit-exact results, sizes
-// waves to one channel's bank set, and its per-channel stats tile the
-// shard counters.
-TEST(ServiceE2E, MultiChannelShardServesAndSplitsStats) {
+// A service on a multi-channel PIM shard serves bit-exact results and
+// pulls whole-device waves: 8 requests on 4 banks in 2 channels cut into 2
+// waves of 4, each one engine pass.
+TEST(ServiceE2E, MultiChannelShardServesWholeDeviceWaves) {
   const auto params = make_params(256);
   ServiceConfig cfg;
   cfg.backend.banks_per_shard = 4;
@@ -1239,19 +824,17 @@ TEST(ServiceE2E, MultiChannelShardServesAndSplitsStats) {
 
   const auto stats = svc.stats();
   EXPECT_EQ(stats.completed, 8u);
-  // Waves hold one channel's bank subset (4 banks / 2 channels = 2 items).
-  EXPECT_EQ(stats.waves, 4u);
-  const auto& ss = stats.shards.at(0);
-  ASSERT_EQ(ss.channels.size(), 2u);
-  for (const auto& cs : ss.channels)
-    EXPECT_EQ(cs.estimated_backlog_cycles, 0u);  // drained
+  // One channel's bank set (4 banks / 2 channels = 2 items) per channel.
+  EXPECT_EQ(stats.waves, 2u);
+  EXPECT_EQ(stats.engine_passes, 2u);
+  EXPECT_DOUBLE_EQ(stats.mean_wave_occupancy, 4.0);
   expect_tiles(stats);
 }
 
-// Property (PR 5): under a steal-heavy skewed load — bursts of expensive
-// and cheap waves staged behind a paused former — every accepted request
-// completes exactly once, whichever shard ends up executing it.
-TEST(ServiceProperty, StealingConservesRequestsUnderSkewedLoad) {
+// Property: under a skewed load — bursts of expensive and cheap waves
+// staged behind a paused former — every accepted request completes
+// exactly once, whichever shard pulls it.
+TEST(ServiceProperty, PullConservesRequestsUnderSkewedLoad) {
   const auto cheap = make_params(256);
   const auto costly = make_params(1024, 29);
 
@@ -1260,7 +843,6 @@ TEST(ServiceProperty, StealingConservesRequestsUnderSkewedLoad) {
   cfg.backend.banks_per_shard = 4;
   cfg.former.flush_window = hour();
   cfg.former.start_paused = true;
-  cfg.dispatch.shard_queue_waves = 2;  // small queues force stalls + steals
   NttService svc(cfg);
 
   // 6 waves of 4: costly, cheap, costly, cheap, ... in submit order.
@@ -1292,24 +874,17 @@ TEST(ServiceProperty, StealingConservesRequestsUnderSkewedLoad) {
   EXPECT_EQ(stats.completed, kTotal);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.waves, kWaves);
-  std::uint64_t requests = 0;
-  for (const auto& shard : stats.shards) {
-    requests += shard.requests;
-    EXPECT_EQ(shard.estimated_backlog_cycles, 0u);  // drained
-  }
-  EXPECT_EQ(requests, kTotal);
+  expect_tiles(stats);
 }
 
-// Property: cost-aware dispatch with stealing spreads a skewed stream
-// (24 staged four-item waves alternating N = 1024 and N = 256 on 2 shards)
-// more evenly than blind round-robin. The baseline is a modeled replay of
-// round-robin placement (wave w on shard w % 2, each shard a private
-// backend from the service's own PIM descriptor): the alternation
-// resonates with the rotation and lands every expensive wave on shard 0,
-// 302244 of 342180 modeled cycles (a 0.883 share). The live service's
-// busiest-shard share must come in below it. How many waves the live run
-// steals depends on worker timing, so that is left to the Dispatcher*
-// unit tests.
+// Property: shards that pull spread a skewed stream (24 staged four-item
+// waves alternating N = 1024 and N = 256 on 2 shards) more evenly than
+// blind round-robin. The baseline is a modeled replay of round-robin
+// placement (wave w on shard w % 2, each shard a private backend from the
+// service's own PIM descriptor): the alternation resonates with the
+// rotation and lands every expensive wave on shard 0, 302244 of 342180
+// modeled cycles (a 0.883 share). The live service's busiest-shard share
+// must come in below it: a shard takes a wave only once it is free.
 TEST(ServiceProperty, SkewedDispatchBeatsRoundRobinReplay) {
   constexpr std::size_t kBanks = 4;
   constexpr std::size_t kWaves = 24;
@@ -1359,7 +934,6 @@ TEST(ServiceProperty, SkewedDispatchBeatsRoundRobinReplay) {
   cfg.backend.banks_per_shard = kBanks;
   cfg.former.flush_window = hour();  // only size flushes
   cfg.former.start_paused = true;    // stage the whole skew, then go
-  cfg.dispatch.shard_queue_waves = 2;  // shallow: imbalance stalls dispatch
   NttService svc(cfg);
   std::vector<std::future<std::vector<std::uint32_t>>> futures;
   for (std::size_t i = 0; i < inputs.size(); ++i)
@@ -1377,13 +951,14 @@ TEST(ServiceProperty, SkewedDispatchBeatsRoundRobinReplay) {
   EXPECT_LT(busiest_share(live), round_robin_share);
 }
 
-// Property: greedy cost-aware dispatch on modeled backlogs alone routes
-// part of a bulk (N = 1024) / small (N = 256) wave stream to a CPU pool
-// and cuts the busiest backend's modeled makespan below PIM-only (12 of
-// 24 waves to the CPU; 156912 vs 181584 cycles). The replay feeds a
-// Dispatcher no worker ever pops, so assignment never races the cycle
-// simulator: each shard's final backlog is the modeled serial finish time
-// of the waves routed to it.
+// Property: pulling alone routes part of a bulk (N = 1024) / small
+// (N = 256) wave stream to a CPU pool and cuts the busiest backend's
+// modeled makespan below PIM-only (5 of 24 waves to the CPU; 159744 vs
+// 181584 cycles). The replay runs no worker, so nothing races the cycle
+// simulator: it cuts the staged stream with a real WaveFormer, closed so
+// that every cut is immediate, and at each step the shard whose modeled
+// clock is lowest (ties to the first) pulls the next wave under its own
+// cap and advances by its own estimate_wave_cycles.
 TEST(ServiceProperty, HeteroReplayMixedTierBeatsPimOnly) {
   constexpr std::size_t kBanks = 4;
   constexpr std::size_t kWaves = 24;
@@ -1418,34 +993,33 @@ TEST(ServiceProperty, HeteroReplayMixedTierBeatsPimOnly) {
       EXPECT_EQ(polys, expected);
     }
 
-    service::Dispatcher::Config cfg;
-    cfg.shards.clear();
-    for (const auto& d : descriptors)
-      cfg.shards.push_back({d.cost_scale, d.channels});
-    cfg.queue_capacity_waves = kWaves;  // nothing pops: never block
-    service::Dispatcher dispatcher(
-        cfg, [&](std::size_t shard, std::vector<service::Request>& wave) {
-          std::vector<fhe::BatchItem> items;
-          for (auto& r : wave)
-            items.push_back({&r.a, r.params.get(), r.inverse});
-          return backends[shard]->estimate_wave_cycles(items);
-        });
+    service::WaveFormer former(service::WaveFormer::Config{});
     Rng rng(29);
-    Replay result;
     for (std::size_t w = 0; w < kWaves; ++w) {
       const auto& params = (w % 2 == 0) ? bulk : small;
-      std::vector<service::Request> wave(kBanks);
-      for (auto& r : wave) {
+      for (std::size_t i = 0; i < kBanks; ++i) {
+        service::Request r;
         r.a = rng.residues(params->n(), params->q());
         r.params = params;
+        EXPECT_EQ(former.submit(std::move(r)),
+                  service::WaveFormer::SubmitResult::kAccepted);
       }
-      const std::size_t shard = dispatcher.dispatch(std::move(wave)).shard;
-      if (descriptors[shard].kind == service::BackendKind::kCpu)
+    }
+    former.close();
+    std::vector<std::uint64_t> clock(backends.size(), 0);
+    Replay result;
+    for (;;) {
+      const auto s = static_cast<std::size_t>(
+          std::min_element(clock.begin(), clock.end()) - clock.begin());
+      auto wave = former.next_wave(kBanks * descriptors[s].channels);
+      if (wave.empty()) break;
+      std::vector<fhe::BatchItem> items;
+      for (auto& r : wave) items.push_back({&r.a, r.params.get(), r.inverse});
+      clock[s] += backends[s]->estimate_wave_cycles(items);
+      if (descriptors[s].kind == service::BackendKind::kCpu)
         ++result.cpu_waves;
     }
-    for (std::size_t s = 0; s < descriptors.size(); ++s)
-      result.makespan = std::max(
-          result.makespan, dispatcher.backlog_snapshot(s).total_cycles);
+    result.makespan = *std::max_element(clock.begin(), clock.end());
     return result;
   };
 
@@ -1490,11 +1064,11 @@ TEST(ServiceProperty, FourBusesHalveBulkPassMakespan) {
 
 // Property: the wave-former never loses, duplicates, or fabricates a
 // request under concurrent producers and consumers, and every wave
-// respects the size cap.
+// respects the cap of the consumer that pulled it (4 for one, 8 for the
+// other).
 TEST(ServiceProperty, WaveFormerConservesRequestsUnderConcurrency) {
   service::WaveFormer::Config cfg;
   cfg.capacity_items = 64;
-  cfg.max_wave_items = 8;
   cfg.flush_window = std::chrono::microseconds(50);
   service::WaveFormer former(cfg);
 
@@ -1506,12 +1080,13 @@ TEST(ServiceProperty, WaveFormerConservesRequestsUnderConcurrency) {
   sync::Mutex seen_mu;
 
   std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
+  for (const std::size_t max_items : {4u, 8u}) {
+    consumers.emplace_back([&, max_items] {
       for (;;) {
-        auto wave = former.next_wave();
+        auto wave = former.next_wave(max_items);
         if (wave.empty()) return;
-        if (wave.size() > cfg.max_wave_items) oversized_waves.fetch_add(1, std::memory_order_relaxed);
+        if (wave.size() > max_items)
+          oversized_waves.fetch_add(1, std::memory_order_relaxed);
         const sync::MutexLock lk(seen_mu);
         for (auto& r : wave) {
           ++seen[r.a[0]];
@@ -1614,9 +1189,9 @@ TEST(ServiceE2E, MixedBackendShardsMatchCpuReference) {
 }
 
 // Property: exactly-once completion holds across *mixed* backend shards
-// with stealing enabled — a wave stolen across the PIM/CPU boundary is
-// still delivered once, and the shard request counts conserve the total.
-TEST(ServiceProperty, HeteroStealingConservesRequests) {
+// pulling one stream — whichever of the PIM and CPU shards takes a wave
+// delivers it once, and the shard request counts conserve the total.
+TEST(ServiceProperty, HeteroPullConservesRequests) {
   const auto cheap = make_params(256);
   const auto costly = make_params(1024, 29);
 
@@ -1626,7 +1201,6 @@ TEST(ServiceProperty, HeteroStealingConservesRequests) {
                              service::make_cpu_descriptor(2)};
   cfg.former.flush_window = hour();
   cfg.former.start_paused = true;
-  cfg.dispatch.shard_queue_waves = 2;
   NttService svc(cfg);
 
   constexpr std::size_t kWaves = 6;
@@ -1655,17 +1229,12 @@ TEST(ServiceProperty, HeteroStealingConservesRequests) {
   const auto stats = svc.stats();
   EXPECT_EQ(stats.completed, kTotal);
   EXPECT_EQ(stats.failed, 0u);
-  std::uint64_t requests = 0;
-  for (const auto& shard : stats.shards) {
-    requests += shard.requests;
-    EXPECT_EQ(shard.estimated_backlog_cycles, 0u);
-  }
-  EXPECT_EQ(requests, kTotal);
+  expect_tiles(stats);
 }
 
 // QoS class fields are accepted on a single-class (num_classes = 1)
-// service: priority and deadline order the request's forming and dispatch,
-// and the result is the same transform.
+// service: priority and deadline order the request's forming, and the
+// result is the same transform.
 TEST(ServiceUnit, SubmitOptionsQosFieldsAreAccepted) {
   const auto params = make_params(256);
   ServiceConfig cfg;
@@ -1836,18 +1405,32 @@ class FaultyBackend final : public fhe::NttBackend {
   std::size_t passes_ = 0;
 };
 
+/// A shard on a FaultyBackend.
+service::BackendDescriptor faulty_descriptor(const Faults& faults) {
+  service::BackendDescriptor faulty;
+  faulty.kind = service::BackendKind::kCpu;
+  faulty.label = "faulty";
+  faulty.factory = [faults] { return std::make_unique<FaultyBackend>(faults); };
+  return faulty;
+}
+
 /// A one-shard service on a FaultyBackend. Waves are 4 requests, cut only
 /// by size.
 ServiceConfig faulty_config(const Faults& faults) {
   ServiceConfig cfg;
   cfg.backend.banks_per_shard = 4;
   cfg.former.flush_window = hour();
-  service::BackendDescriptor faulty;
-  faulty.kind = service::BackendKind::kCpu;
-  faulty.label = "faulty";
-  faulty.factory = [faults] { return std::make_unique<FaultyBackend>(faults); };
-  cfg.backend.descriptors = {faulty};
+  cfg.backend.descriptors = {faulty_descriptor(faults)};
   return cfg;
+}
+
+std::size_t count_occurrences(const std::string& text,
+                              const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size()))
+    ++count;
+  return count;
 }
 
 }  // namespace fault_test
@@ -1890,6 +1473,76 @@ TEST(ServiceFault, FailedPassBooksEveryRiderFailedOnce) {
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.failed, 4u);
   EXPECT_EQ(stats.classes[0].service_latency.count, 4u);
+}
+
+// A failed wave still ends every rider's trace: one Fail event per rider
+// (with its seq, wave and tenant) and no Complete, so the Chrome export
+// ends exactly as many request flows as it starts.
+TEST(ServiceFault, FailedWaveClosesEveryFlow) {
+  const auto params = make_params(256);
+  ServiceConfig cfg = fault_test::faulty_config({.throw_on_pass = 1});
+  cfg.telemetry.enabled = true;
+  NttService svc(cfg);
+
+  Rng rng(101);
+  for (auto& f : submit_wave(svc, params, rng))
+    EXPECT_THROW(f.get(), std::runtime_error);
+  svc.drain();
+  const auto snap = svc.trace_collector().drain();
+  ASSERT_EQ(snap.dropped_events, 0u);
+
+  std::set<std::uint64_t> failed_seqs;
+  std::size_t completes = 0;
+  for (const auto& thread : snap.threads)
+    for (const telemetry::TraceEvent& e : thread.events) {
+      if (e.kind == telemetry::EventKind::kComplete) ++completes;
+      if (e.kind != telemetry::EventKind::kFail) continue;
+      EXPECT_TRUE(failed_seqs.insert(e.seq).second) << "seq " << e.seq;
+      EXPECT_EQ(e.wave_id, 1u);
+      EXPECT_EQ(e.tenant, 0u);
+    }
+  EXPECT_EQ(failed_seqs, (std::set<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(completes, 0u);
+
+  const std::string json = telemetry::chrome_trace_json(snap);
+  EXPECT_EQ(fault_test::count_occurrences(json, "\"ph\": \"s\""), 4u);
+  EXPECT_EQ(fault_test::count_occurrences(json, "\"ph\": \"f\""), 4u);
+}
+
+// The free shard takes the pending work. Both shards park inside their
+// first wave, so the third staged wave waits in the former; releasing
+// shard 1 alone lets it pull and finish that wave while shard 0 is still
+// parked (were it assigned to shard 0, its futures would never resolve
+// before shard 0's release below).
+TEST(ServiceFault, FreeShardTakesPendingWave) {
+  const auto params = make_params(256);
+  std::latch parked0(1), release0(1), parked1(1), release1(1);
+  ServiceConfig cfg = fault_test::faulty_config(
+      {.park_on_pass = 1, .parked = &parked0, .release = &release0});
+  cfg.backend.descriptors.push_back(fault_test::faulty_descriptor(
+      {.park_on_pass = 1, .parked = &parked1, .release = &release1}));
+  cfg.former.start_paused = true;
+  NttService svc(cfg);
+
+  Rng rng(103);
+  std::vector<std::vector<std::future<std::vector<std::uint32_t>>>> waves;
+  for (int w = 0; w < 3; ++w) waves.push_back(submit_wave(svc, params, rng));
+  svc.resume();
+  parked0.wait();
+  parked1.wait();
+
+  release1.count_down();
+  for (auto& f : waves[2]) EXPECT_NO_THROW(f.get());
+  release0.count_down();
+  for (int w = 0; w < 2; ++w)
+    for (auto& f : waves[w]) EXPECT_NO_THROW(f.get());
+  svc.drain();
+
+  const auto stats = svc.stats();
+  expect_tiles(stats);
+  EXPECT_EQ(stats.completed, 12u);
+  EXPECT_EQ(stats.shards[0].requests, 4u);
+  EXPECT_EQ(stats.shards[1].requests, 8u);
 }
 
 // A snapshot taken while a wave's pass is parked mid-execution tiles: its

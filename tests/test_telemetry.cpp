@@ -19,7 +19,6 @@
 
 #include "common/random.h"
 #include "ntt/params.h"
-#include "service/dispatcher.h"
 #include "service/ntt_service.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/ring_buffer.h"
@@ -186,8 +185,8 @@ TEST(TraceCollectorGating, OverflowCountsExactlyAndResetZeroes) {
 
 TEST(TraceCollectorGating, ThreadNamesLabelTracks) {
   TraceCollector collector({/*enabled=*/true, /*ring_capacity=*/16});
-  collector.set_thread_name("dispatcher");
-  collector.emit(event_at(1, EventKind::kWaveCut, 0));
+  collector.set_thread_name("client");
+  collector.emit(event_at(1, EventKind::kSubmit, 0));
   std::thread worker([&] {
     collector.set_thread_name("shard-0");
     collector.emit(event_at(2, EventKind::kExecuteBegin));
@@ -202,7 +201,7 @@ TEST(TraceCollectorGating, ThreadNamesLabelTracks) {
     names.insert(t.name);
     tids.insert(t.tid);
   }
-  EXPECT_EQ(names, (std::set<std::string>{"dispatcher", "shard-0"}));
+  EXPECT_EQ(names, (std::set<std::string>{"client", "shard-0"}));
   EXPECT_EQ(tids, (std::set<std::uint64_t>{1, 2}));
 }
 
@@ -332,36 +331,6 @@ TEST(ServiceTelemetry, WaveIdsMonotoneAndStampedAtCut) {
   for (const TraceEvent& e : events_of_kind(snap, EventKind::kExecuteBegin))
     executed_waves.insert(e.wave_id);
   EXPECT_EQ(executed_waves, cut_waves);
-  std::set<std::uint64_t> assigned_waves;
-  for (const TraceEvent& e : events_of_kind(snap, EventKind::kDispatchAssign))
-    assigned_waves.insert(e.wave_id);
-  EXPECT_EQ(assigned_waves, cut_waves);
-}
-
-// Satellite: the dispatcher threads a wave's id through steals — the
-// moved wave stays identifiable (Assignment and NextWave both carry it).
-TEST(DispatcherWaveId, CarriedThroughDispatchAndSteal) {
-  service::Dispatcher::Config dc;
-  dc.shards = {service::Dispatcher::Shard{}, service::Dispatcher::Shard{}};
-  service::Dispatcher dispatcher(
-      dc, [](std::size_t, std::vector<service::Request>&) {
-        return std::uint64_t{100};
-      });
-
-  std::vector<service::Request> wave(1);
-  wave[0].wave_id = 7;
-  wave[0].seq = 3;
-  const auto placed = dispatcher.dispatch(std::move(wave));
-  EXPECT_EQ(placed.wave_id, 7u);
-
-  // The other shard is idle and steals the queued wave.
-  const std::size_t thief = placed.shard == 0 ? 1 : 0;
-  const auto group = dispatcher.next_waves_for(thief);
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_TRUE(group[0].stolen);
-  EXPECT_EQ(group[0].wave_id, 7u);
-  dispatcher.complete(thief, group[0].estimated_cycles, group[0].channel);
-  dispatcher.close();
 }
 
 // Tentpole: every Complete traces back through the full chain, every
@@ -545,32 +514,19 @@ TEST(ChromeTrace, GoldenFile) {
   }
   snap.threads.push_back(client);
 
-  TraceCollector::ThreadTrace dispatcher;
-  dispatcher.name = "dispatcher";
-  dispatcher.tid = 2;
+  TraceCollector::ThreadTrace shard;
+  shard.name = "shard-0";
+  shard.tid = 2;
   {
     TraceEvent e{};
     e.kind = EventKind::kWaveCut;
     e.ts_ns = 3000;
     e.seq = 0;
     e.wave_id = 1;
-    dispatcher.events.push_back(e);
-    e.kind = EventKind::kDispatchAssign;
-    e.ts_ns = 4000;
-    e.seq = telemetry::kNoSeq;
-    e.cycles = 10;
-    dispatcher.events.push_back(e);
-  }
-  snap.threads.push_back(dispatcher);
-
-  TraceCollector::ThreadTrace shard;
-  shard.name = "shard-0";
-  shard.tid = 3;
-  {
-    TraceEvent e{};
+    shard.events.push_back(e);
     e.kind = EventKind::kExecuteBegin;
     e.ts_ns = 5000;
-    e.wave_id = 1;
+    e.seq = telemetry::kNoSeq;
     e.cycles = 10;
     shard.events.push_back(e);
     e.kind = EventKind::kExecuteEnd;
@@ -588,18 +544,16 @@ TEST(ChromeTrace, GoldenFile) {
   "traceEvents": [
     {"ph": "M", "pid": 1, "name": "process_name", "args": {"name": "nttpim-service"}},
     {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name", "args": {"name": "client"}},
-    {"ph": "M", "pid": 1, "tid": 2, "name": "thread_name", "args": {"name": "dispatcher"}},
-    {"ph": "M", "pid": 1, "tid": 3, "name": "thread_name", "args": {"name": "shard-0"}},
+    {"ph": "M", "pid": 1, "tid": 2, "name": "thread_name", "args": {"name": "shard-0"}},
     {"ph": "X", "pid": 1, "tid": 1, "ts": 1.000, "dur": 1.000, "cat": "request", "name": "submit", "args": {"seq": 0, "tenant": 0}},
     {"ph": "s", "pid": 1, "tid": 1, "ts": 1.000, "cat": "request", "name": "request", "id": 0},
     {"ph": "X", "pid": 1, "tid": 1, "ts": 2.000, "dur": 1.000, "cat": "request", "name": "queued", "args": {"seq": 0, "tenant": 0}},
-    {"ph": "X", "pid": 1, "tid": 2, "ts": 3.000, "dur": 1.000, "cat": "wave", "name": "cut wave 1", "args": {"wave": 1, "requests": 1}},
+    {"ph": "X", "pid": 1, "tid": 2, "ts": 3.000, "dur": 2.000, "cat": "wave", "name": "cut wave 1", "args": {"wave": 1, "requests": 1}},
     {"ph": "t", "pid": 1, "tid": 2, "ts": 3.000, "cat": "request", "name": "request", "id": 0},
-    {"ph": "i", "s": "t", "pid": 1, "tid": 2, "ts": 4.000, "cat": "wave", "name": "assign wave 1 -> shard 0 ch 0", "args": {"wave": 1, "shard": 0, "channel": 0, "cycles": 10}},
-    {"ph": "X", "pid": 1, "tid": 3, "ts": 5.000, "dur": 2.000, "cat": "wave", "name": "wave 1", "args": {"wave": 1, "shard": 0, "channel": 0, "cycles": 10}},
-    {"ph": "t", "pid": 1, "tid": 3, "ts": 5.000, "cat": "request", "name": "request", "id": 0},
-    {"ph": "X", "pid": 1, "tid": 3, "ts": 7.500, "dur": 0.001, "cat": "request", "name": "complete", "args": {"seq": 0, "wave": 1, "tenant": 0}},
-    {"ph": "f", "pid": 1, "tid": 3, "ts": 7.500, "cat": "request", "name": "request", "id": 0, "bp": "e"}
+    {"ph": "X", "pid": 1, "tid": 2, "ts": 5.000, "dur": 2.000, "cat": "wave", "name": "wave 1", "args": {"wave": 1, "shard": 0, "cycles": 10}},
+    {"ph": "t", "pid": 1, "tid": 2, "ts": 5.000, "cat": "request", "name": "request", "id": 0},
+    {"ph": "X", "pid": 1, "tid": 2, "ts": 7.500, "dur": 0.001, "cat": "request", "name": "complete", "args": {"seq": 0, "wave": 1, "tenant": 0}},
+    {"ph": "f", "pid": 1, "tid": 2, "ts": 7.500, "cat": "request", "name": "request", "id": 0, "bp": "e"}
   ]
 }
 )";
@@ -790,7 +744,7 @@ TEST(ChromeTrace, TolerantOfMissingChainPieces) {
   t.name = "orphan";
   t.tid = 1;
   // An ExecuteBegin with no End, a Complete with no Submit, a WaveCut
-  // with no assign, and a shed submit with no shed marker.
+  // with no ExecuteBegin, and a shed submit with no shed marker.
   TraceEvent e{};
   e.kind = EventKind::kExecuteBegin;
   e.ts_ns = 10;
