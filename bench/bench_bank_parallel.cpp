@@ -1,15 +1,11 @@
 // Bank-level parallelism (paper Sec. VI.A and the future-work note in
-// Sec. VII): independent NTTs in independent banks sharing one command bus —
-// plus the *host-side* throughput of the simulator stack itself.
+// Sec. VII): independent NTTs in independent banks sharing one command bus.
 //
-// Two kinds of numbers, deliberately kept apart:
-//  - Modeled hardware numbers (cycles, speedup): produced by the
-//    cycle-accurate engine, deterministic, guarded against drift by CI.
-//  - Host wall-clock throughput (transforms/sec): how fast the *simulator*
-//    chews through an FHE-shaped workload. `--json` emits both as
-//    BENCH_host.json; the wall-clock section is a per-machine snapshot
-//    (before/after the plan-cache + Barrett + batched-backend work), not a
-//    determinism baseline.
+// Every number is modeled hardware output of the cycle-accurate engine:
+// deterministic, functionally verified, and byte-identical on every run.
+// `--json` writes the BENCH_host.json object (schema, architecture and
+// modeled_bank_scaling) that bench_rns_limbs and bench_service append to.
+// Host speed is measured by the repo benchmark (benchmark/), not here.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -17,12 +13,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/random.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
-#include "fhe/cpu_backend.h"
-#include "fhe/pim_backend.h"
-#include "ntt/params.h"
 #include "sim/runner.h"
 
 namespace {
@@ -51,119 +42,9 @@ std::vector<ModeledPoint> modeled_scaling(bool& all_verified) {
   return points;
 }
 
-std::vector<std::vector<std::uint32_t>> random_polys(std::size_t count,
-                                                     std::uint32_t q,
-                                                     std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<std::uint32_t>> polys(count);
-  for (auto& p : polys) p = rng.residues(kN, q);
-  return polys;
-}
-
-bool verify_forward(const std::vector<std::vector<std::uint32_t>>& inputs,
-                    const std::vector<std::vector<std::uint32_t>>& outputs,
-                    const ntt::NttParams& params) {
-  fhe::CpuBackend cpu;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    auto expected = inputs[i];
-    cpu.forward(expected, params);
-    if (outputs[i] != expected) return false;
-  }
-  return true;
-}
-
-struct RepeatedResult {
-  std::size_t cold_transforms = 0;
-  std::size_t warm_transforms = 0;
-  double cold_tps = 0;  ///< transforms per second, pre-PR per-call path
-  double warm_tps = 0;  ///< transforms per second, persistent + plan cache
-  double speedup = 0;
-  bool verified = false;
-};
-
-/// Repeated-transform FHE workload: the same (N, q) forward negacyclic
-/// transform over and over — what a BFV multiply does limb by limb.
-/// "Cold" rebuilds the backend per transform, reproducing the pre-cache
-/// behavior (device reconstruction + mapper re-run per call); "warm" uses
-/// one persistent backend whose plan cache serves every call after the
-/// first. Both run the identical cycle-accurate simulation.
-RepeatedResult repeated_transform_throughput() {
-  const ntt::NttParams params = ntt::NttParams::create(kN);
-  RepeatedResult r;
-  r.cold_transforms = 16;
-  r.warm_transforms = 64;
-
-  {
-    const auto inputs = random_polys(r.cold_transforms, params.q(), 1);
-    auto outputs = inputs;
-    Stopwatch timer;
-    for (auto& poly : outputs) {
-      fhe::PimBackend backend(kNumBuffers);
-      backend.forward(poly, params);
-    }
-    r.cold_tps = static_cast<double>(r.cold_transforms) /
-                 (timer.elapsed_ns() / 1e9);
-    r.verified = verify_forward(inputs, outputs, params);
-  }
-  {
-    const auto inputs = random_polys(r.warm_transforms, params.q(), 2);
-    auto outputs = inputs;
-    fhe::PimBackend backend(kNumBuffers);
-    Stopwatch timer;
-    for (auto& poly : outputs) backend.forward(poly, params);
-    r.warm_tps = static_cast<double>(r.warm_transforms) /
-                 (timer.elapsed_ns() / 1e9);
-    r.verified = r.verified && verify_forward(inputs, outputs, params);
-  }
-  r.speedup = r.warm_tps / r.cold_tps;
-  return r;
-}
-
-struct BatchPoint {
-  std::size_t banks = 0;
-  std::size_t transforms = 0;
-  double tps = 0;                   ///< host transforms per second
-  std::uint64_t modeled_cycles = 0; ///< summed makespans of the waves
-  double modeled_speedup = 0;       ///< 1-bank cycles / B-bank cycles
-  bool verified = false;
-};
-
-/// Batched multi-bank throughput: a fixed pile of transforms sharded across
-/// B banks, B per engine pass. Host throughput rises both because one
-/// engine pass replaces B (amortized scheduling) and because the modeled
-/// makespan per wave grows far slower than B (bank-level parallelism).
-std::vector<BatchPoint> batch_throughput() {
-  const ntt::NttParams params = ntt::NttParams::create(kN);
-  constexpr std::size_t kTransforms = 16;
-  std::vector<BatchPoint> points;
-  for (const std::size_t banks : {1, 2, 4, 8}) {
-    BatchPoint p;
-    p.banks = banks;
-    p.transforms = kTransforms;
-    const auto inputs = random_polys(kTransforms, params.q(), 3);
-    auto outputs = inputs;
-    fhe::PimBackend backend(kNumBuffers, 1200.0,
-                            dram::hbm2e_geometry(banks));
-    Stopwatch timer;
-    backend.transform_batch(outputs, params);
-    p.tps = static_cast<double>(kTransforms) / (timer.elapsed_ns() / 1e9);
-    p.modeled_cycles = backend.total_cycles();
-    p.verified = verify_forward(inputs, outputs, params);
-    points.push_back(p);
-  }
-  for (auto& p : points)
-    p.modeled_speedup = static_cast<double>(points[0].modeled_cycles) /
-                        static_cast<double>(p.modeled_cycles);
-  return points;
-}
-
 int run_json(const std::string& path) {
   bool all_verified = true;
   const auto modeled = modeled_scaling(all_verified);
-  const RepeatedResult repeated = repeated_transform_throughput();
-  const auto batch = batch_throughput();
-  all_verified = all_verified && repeated.verified;
-  for (const auto& p : batch) all_verified = all_verified && p.verified;
 
   std::ostringstream os;
   bench::JsonWriter json(os);
@@ -185,36 +66,6 @@ int run_json(const std::string& path) {
     json.end_object();
   }
   json.end_array();
-
-  json.begin_object("host_throughput");
-  json.field("host_wall_clock", true);
-  json.field(
-      "note",
-      "per-machine snapshot, not a determinism baseline; transforms/sec of "
-      "the simulator stack on a repeated forward negacyclic NTT workload");
-  json.begin_object("repeated_transforms");
-  json.field("n", kN);
-  json.field("num_buffers", kNumBuffers);
-  json.field("cold_transforms", repeated.cold_transforms);
-  json.field("warm_transforms", repeated.warm_transforms);
-  json.field("cold_transforms_per_sec", repeated.cold_tps);
-  json.field("warm_transforms_per_sec", repeated.warm_tps);
-  json.field("warm_over_cold_speedup", repeated.speedup);
-  json.field("verified", repeated.verified);
-  json.end_object();
-  json.begin_array("batched_multi_bank");
-  for (const auto& p : batch) {
-    json.begin_object();
-    json.field("banks", p.banks);
-    json.field("transforms", p.transforms);
-    json.field("transforms_per_sec", p.tps);
-    json.field("modeled_cycles_total", p.modeled_cycles);
-    json.field("modeled_throughput_speedup", p.modeled_speedup);
-    json.field("verified", p.verified);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
   json.end_object();
 
   if (!all_verified) {
@@ -238,8 +89,8 @@ int run_json(const std::string& path) {
 
 constexpr const char* kUsage =
     "usage: bench_bank_parallel [--json [path]]\n"
-    "  Bank-level parallelism: modeled bank-scaling sweep plus host\n"
-    "  wall-clock throughput of the simulator stack.\n"
+    "  Bank-level parallelism: modeled bank-scaling sweep (cycle-accurate,\n"
+    "  deterministic).\n"
     "  --json [path]  write the BENCH_host.json-style report to path\n"
     "                 (\"-\"/no path = stdout)\n";
 
@@ -270,33 +121,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nNear-linear until the shared one-command-per-cycle bus "
                "saturates during the command-dense row-block phase — the "
-               "system-level effect the paper defers to future work.\n\n";
-
-  const RepeatedResult repeated = repeated_transform_throughput();
-  std::cout << "Host wall-clock, repeated forward NTT (N = " << kN
-            << "):\n  per-call rebuild (pre-cache): "
-            << TablePrinter::num(repeated.cold_tps, 1)
-            << " transforms/s\n  persistent + plan cache:      "
-            << TablePrinter::num(repeated.warm_tps, 1)
-            << " transforms/s  (" << TablePrinter::num(repeated.speedup)
-            << "x)\n\n";
-
-  TablePrinter host({"banks", "host transforms/s", "modeled cycles",
-                     "modeled speedup"});
-  const auto batch = batch_throughput();
-  bool batch_ok = repeated.verified;
-  for (const auto& p : batch) {
-    batch_ok = batch_ok && p.verified;
-    host.add_row({std::to_string(p.banks), TablePrinter::num(p.tps, 1),
-                  std::to_string(p.modeled_cycles),
-                  TablePrinter::num(p.modeled_speedup)});
-  }
-  std::cout << "Batched multi-bank backend (16 transforms, one engine pass "
-               "per wave of `banks`):\n";
-  host.print(std::cout);
-  if (!batch_ok) {
-    std::cerr << "verification FAILED in the host-throughput section\n";
-    return EXIT_FAILURE;
-  }
+               "system-level effect the paper defers to future work.\n";
   return EXIT_SUCCESS;
 }

@@ -88,15 +88,6 @@ inline std::optional<std::string> consume_value_flag(int& argc, char** argv,
   return value;
 }
 
-/// Scan argv for `--trace <path>` / `--trace=path`: where to write the
-/// Chrome trace-event JSON of the run's request lifecycles (load the file
-/// in Perfetto / chrome://tracing; see src/telemetry/). Returns the output
-/// path when the flag is present and strips it from argv — same contract
-/// as consume_value_flag, shared by bench_service and service_demo.
-inline std::optional<std::string> consume_trace_flag(int& argc, char** argv) {
-  return consume_value_flag(argc, argv, "--trace");
-}
-
 /// Shared tail of every bench flag parser, run after the known flags were
 /// consumed: `--help`/`-h` prints `usage` and exits 0; anything still left
 /// in argv is an unknown flag — rejected with the usage text and exit code

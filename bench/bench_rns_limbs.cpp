@@ -8,10 +8,10 @@
 // product grow far slower than the limb count, while every bank runs a
 // *different* NTT function (the paper's bank-heterogeneity claim).
 //
-// Same split as bench_bank_parallel: modeled cycles are deterministic
-// engine output; transforms/sec is host wall-clock (per-machine snapshot).
-// `--json <path>` appends an "rns_limb_scaling" section to an existing
-// BENCH_host.json-style object at <path> (or writes a standalone report).
+// Like bench_bank_parallel, every figure is deterministic engine output,
+// byte-identical on every run. `--json <path>` appends an
+// "rns_limb_scaling" section to an existing BENCH_host.json-style object
+// at <path> (or writes a standalone report).
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -21,7 +21,6 @@
 
 #include "bench_common.h"
 #include "common/random.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
 #include "fhe/cpu_backend.h"
 #include "fhe/pim_backend.h"
@@ -43,7 +42,6 @@ struct LimbPoint {
   std::uint64_t engine_passes = 0;    ///< 2 per product
   std::uint64_t modeled_cycles = 0;   ///< summed makespans of the waves
   double modeled_cycles_per_limb = 0; ///< cycles / (products * limbs)
-  double tps = 0;                     ///< host transforms per second
   bool verified = false;
 };
 
@@ -65,11 +63,9 @@ LimbPoint run_limbs(std::size_t limbs) {
     bs.push_back(rng.wide_coeffs(kN, basis.modulus_product()));
   }
 
-  Stopwatch timer;
   for (std::size_t i = 0; i < kProducts; ++i)
     results.push_back(fhe::rns_negacyclic_multiply(basis, as[i], bs[i],
                                                    backend));
-  const double seconds = timer.elapsed_ns() / 1e9;
 
   p.transforms = backend.transform_count();
   p.engine_passes = backend.engine_passes();
@@ -77,7 +73,6 @@ LimbPoint run_limbs(std::size_t limbs) {
   p.modeled_cycles_per_limb =
       static_cast<double>(p.modeled_cycles) /
       static_cast<double>(kProducts * limbs);
-  p.tps = static_cast<double>(p.transforms) / seconds;
 
   p.verified = true;
   for (std::size_t i = 0; i < kProducts && p.verified; ++i)
@@ -107,8 +102,6 @@ void write_section(bench::JsonWriter& json,
     json.field("products", p.products);
     json.field("transforms", p.transforms);
     json.field("engine_passes", p.engine_passes);
-    json.field("host_wall_clock", true);
-    json.field("transforms_per_sec", p.tps);
     json.field("modeled_cycles_total", p.modeled_cycles);
     json.field("modeled_cycles_per_limb", p.modeled_cycles_per_limb);
     json.field("verified", p.verified);
@@ -153,14 +146,13 @@ int main(int argc, char** argv) {
   bool all_verified = true;
   const auto points = sweep(all_verified);
   TablePrinter table({"limbs (=banks)", "products", "engine passes",
-                      "modeled cycles", "cycles/limb", "host transforms/s",
-                      "verified"});
+                      "modeled cycles", "cycles/limb", "verified"});
   for (const auto& p : points)
     table.add_row({std::to_string(p.limbs), std::to_string(p.products),
                    std::to_string(p.engine_passes),
                    std::to_string(p.modeled_cycles),
                    TablePrinter::num(p.modeled_cycles_per_limb, 1),
-                   TablePrinter::num(p.tps, 1), p.verified ? "YES" : "NO"});
+                   p.verified ? "YES" : "NO"});
   table.print(std::cout);
   std::cout << "\nEach product is two heterogeneous engine passes (all "
                "forward NTTs of both operands, then all inverse NTTs) with "

@@ -109,7 +109,7 @@ constexpr const char* kUsage =
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto trace_path = bench::consume_trace_flag(argc, argv);
+  const auto trace_path = bench::consume_value_flag(argc, argv, "--trace");
   bench::finish_flags(argc, argv, kUsage);
 
   const auto params =

@@ -2,54 +2,40 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/check.h"
 
 namespace nttpim::service {
 
-AdmissionController::AdmissionController(Config config)
-    : cfg_(std::move(config)), buckets_(cfg_.tenants.size()) {
-  const auto start = now();
-  for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
-    NTTPIM_EXPECT_MSG(cfg_.tenants[t].rate_per_sec >= 0,
+AdmissionController::AdmissionController(
+    std::vector<TokenBucketConfig> tenants)
+    : tenants_(std::move(tenants)), buckets_(tenants_.size()) {
+  for (std::size_t t = 0; t < tenants_.size(); ++t) {
+    NTTPIM_EXPECT_MSG(tenants_[t].rate_per_sec >= 0,
                       "token-bucket refill rate must be >= 0");
     // A fresh bucket is full: a tenant's first burst is always admitted.
-    buckets_[t].tokens = std::max(cfg_.tenants[t].burst, 0.0);
-    buckets_[t].last = start;
+    buckets_[t].tokens = std::max(tenants_[t].burst, 0.0);
   }
 }
 
-void AdmissionController::refill(std::size_t tenant, Bucket& b,
-                                 ServiceClock::time_point at) const {
-  const TokenBucketConfig& tc = cfg_.tenants[tenant];
-  if (at <= b.last) return;  // clock went nowhere (or a fake clock rewound)
-  const double elapsed_sec =
-      std::chrono::duration<double>(at - b.last).count();
-  b.tokens = std::min(tc.burst, b.tokens + tc.rate_per_sec * elapsed_sec);
-  b.last = at;
-}
-
-AdmissionController::Decision AdmissionController::admit(std::uint32_t tenant) {
-  if (tenant >= cfg_.tenants.size() || cfg_.tenants[tenant].unlimited())
+AdmissionController::Decision AdmissionController::admit(
+    std::uint32_t tenant, ServiceClock::time_point now) {
+  if (tenant >= tenants_.size() || tenants_[tenant].unlimited())
     return Decision::kAdmit;
-  const auto at = now();
+  const TokenBucketConfig& tc = tenants_[tenant];
   const sync::MutexLock lk(mu_);
   Bucket& b = buckets_[tenant];
-  refill(tenant, b, at);
+  if (now > b.last) {
+    // Refill for the time elapsed since the last refill, capped at burst.
+    const double elapsed_sec =
+        std::chrono::duration<double>(now - b.last).count();
+    b.tokens = std::min(tc.burst, b.tokens + tc.rate_per_sec * elapsed_sec);
+    b.last = now;
+  }
   if (b.tokens < 1.0) return Decision::kShed;
   b.tokens -= 1.0;
   return Decision::kAdmit;
-}
-
-double AdmissionController::tokens(std::uint32_t tenant) const {
-  if (tenant >= cfg_.tenants.size()) return 0;
-  if (cfg_.tenants[tenant].unlimited())
-    return std::max(cfg_.tenants[tenant].burst, 0.0);
-  const auto at = now();
-  const sync::MutexLock lk(mu_);
-  Bucket& b = buckets_[tenant];
-  refill(tenant, b, at);
-  return b.tokens;
 }
 
 }  // namespace nttpim::service

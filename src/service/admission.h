@@ -16,14 +16,12 @@
 // configured vector (and tenants whose entry is unlimited()) are always
 // admitted — admission is opt-in per tenant.
 //
-// The clock is injectable (same idiom as WaveFormer::Config::clock), so
-// the refill arithmetic is testable to exact token counts without
-// sleeping.
+// Time is a parameter: admit() takes the instant it judges at
+// (NttService passes the request's submit stamp), so the refill
+// arithmetic is testable to exact token counts without sleeping.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "service/request.h"
@@ -35,7 +33,7 @@ namespace nttpim::service {
 struct TokenBucketConfig {
   /// Sustained admission rate, tokens (requests) per second. 0 means the
   /// bucket never refills — the tenant gets exactly `burst` requests, a
-  /// deterministic cap tests and staged benches rely on. Must be >= 0.
+  /// deterministic cap the staged tests rely on. Must be >= 0.
   double rate_per_sec = 0;
   /// Bucket capacity: the burst a tenant can spend at once (and the level
   /// a fresh bucket starts at). <= 0 marks the tenant unlimited.
@@ -47,43 +45,29 @@ struct TokenBucketConfig {
 /// Thread-safe token-bucket bank, one bucket per configured tenant.
 class AdmissionController {
  public:
-  struct Config {
-    /// Bucket per tenant id; tenants at or beyond the end are unlimited.
-    std::vector<TokenBucketConfig> tenants;
-    /// Testing hook: refill time source (null = ServiceClock::now()).
-    std::function<ServiceClock::time_point()> clock;
-  };
-
   enum class Decision { kAdmit, kShed };
 
-  explicit AdmissionController(Config config);
+  /// Bucket per tenant id; tenants at or beyond the end are unlimited.
+  explicit AdmissionController(std::vector<TokenBucketConfig> tenants);
 
-  /// Charge one token to `tenant`'s bucket. kShed when the bucket (after
-  /// refill at the current clock) holds less than one token; unlimited
-  /// tenants always admit without touching any bucket.
-  Decision admit(std::uint32_t tenant);
-
-  /// Current token level of `tenant`'s bucket, refilled to the current
-  /// clock (burst for unlimited tenants). Testing/observability only.
-  double tokens(std::uint32_t tenant) const;
+  /// Charge one token to `tenant`'s bucket at time `now`. kShed when the
+  /// bucket, refilled to `now`, holds less than one token; unlimited
+  /// tenants always admit without touching any bucket. A `now` earlier
+  /// than the bucket's last refill refills nothing.
+  Decision admit(std::uint32_t tenant, ServiceClock::time_point now);
 
  private:
+  /// A bucket starts full and never refills above its burst, so it needs
+  /// no start time: the first admit, at any `now`, finds it full.
   struct Bucket {
     double tokens = 0;
     ServiceClock::time_point last{};  ///< refill high-water mark
   };
 
-  ServiceClock::time_point now() const {
-    return cfg_.clock ? cfg_.clock() : ServiceClock::now();
-  }
-  /// Refill `b` for the time elapsed since its last refill. Caller holds mu_.
-  void refill(std::size_t tenant, Bucket& b, ServiceClock::time_point at) const
-      NTTPIM_REQUIRES(mu_);
-
-  const Config cfg_;
-  mutable sync::Mutex mu_;
-  /// Parallel to cfg_.tenants.
-  mutable std::vector<Bucket> buckets_ NTTPIM_GUARDED_BY(mu_);
+  const std::vector<TokenBucketConfig> tenants_;
+  sync::Mutex mu_;
+  /// Parallel to tenants_.
+  std::vector<Bucket> buckets_ NTTPIM_GUARDED_BY(mu_);
 };
 
 }  // namespace nttpim::service

@@ -92,7 +92,7 @@ NttService::NttService(const ServiceConfig& config)
       cfg_.qos.admission.size() <= cfg_.qos.num_classes,
       "admission buckets beyond qos.num_classes can never be consulted");
   if (!cfg_.qos.admission.empty())
-    admission_.emplace(AdmissionController::Config{cfg_.qos.admission, {}});
+    admission_.emplace(cfg_.qos.admission);
   NTTPIM_EXPECT_MSG(cfg_.backend.banks_per_shard >= 1,
                     "wave sizing needs at least one bank per shard");
   NTTPIM_EXPECT_MSG(
@@ -187,13 +187,8 @@ void NttService::enqueue(Request&& request) {
   // Admission runs *before* the bounded queue: a tenant past its token
   // bucket is shed here, so a flooding tenant never consumes queue
   // capacity, coalescing delay, or a wave slot (see admission.h).
-  if (admission_ &&
-      admission_->admit(cls) == AdmissionController::Decision::kShed) {
-    {
-      const sync::MutexLock lk(stats_mu_);
-      ++ledgers_[cls].totals.submitted;
-      ++ledgers_[cls].totals.shed;
-    }
+  if (admission_ && admission_->admit(cls, submitted) ==
+                        AdmissionController::Decision::kShed) {
     if (collector_.enabled()) {
       // A shed request never received a seq; its Submit/Shed pair is
       // joined by adjacency on the client thread's ring instead.
@@ -206,7 +201,15 @@ void NttService::enqueue(Request&& request) {
       e.ts_ns = collector_.now_ns();
       collector_.emit(e);
     }
-    request.fail(std::make_exception_ptr(AdmissionShedError()));
+    // The shed books in one step, after its callback ran on this thread:
+    // it is never pending, and a throw from the callback lands with it.
+    const bool callback_threw =
+        request.fail(std::make_exception_ptr(AdmissionShedError()));
+    const sync::MutexLock lk(stats_mu_);
+    ClassStats& book = ledgers_[cls].totals;
+    ++book.submitted;
+    ++book.shed;
+    book.callback_errors += callback_threw;
     return;
   }
   {
@@ -240,15 +243,17 @@ void NttService::enqueue(Request&& request) {
     }
     return;
   }
+  // Only moved from on kAccepted -- the request is still whole here.
+  const bool callback_threw =
+      request.fail(result == WaveFormer::SubmitResult::kRejected
+                       ? std::make_exception_ptr(QueueFullError())
+                       : std::make_exception_ptr(ServiceStoppedError()));
   {
     const sync::MutexLock lk(stats_mu_);
     ++ledgers_[cls].totals.rejected;
+    ledgers_[cls].totals.callback_errors += callback_threw;
   }
   idle_cv_.notify_all();
-  // Only moved from on kAccepted -- the request is still whole here.
-  request.fail(result == WaveFormer::SubmitResult::kRejected
-                   ? std::make_exception_ptr(QueueFullError())
-                   : std::make_exception_ptr(ServiceStoppedError()));
 }
 
 void NttService::worker(std::size_t shard) {
@@ -369,12 +374,12 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
 
   // Deliveries run outside stats_mu_: a callback may call stats(). Every
   // rider ends in exactly one terminal event, Complete or Fail, which is
-  // what closes its flow in the trace.
-  for (Request& r : wave) {
-    if (error)
-      r.fail(error);
-    else
-      r.deliver(std::move(r.a));
+  // what closes its flow in the trace. A callback's throw is booked below,
+  // with the rider's terminal state.
+  std::vector<bool> callback_threw(wave.size());
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    Request& r = wave[i];
+    callback_threw[i] = error ? r.fail(error) : r.deliver(std::move(r.a));
     r.delivered = ServiceClock::now();
     if (collector_.enabled()) {
       telemetry::TraceEvent e{};
@@ -406,9 +411,11 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
     ss.requests += wave.size();
     ss.estimated_executed_cycles += estimated;
     ss.modeled_cycles = backend.modeled_cycles();
-    for (const Request& r : wave) {
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      const Request& r = wave[i];
       ClassLedger& ledger = ledgers_[r.qos.tenant];
       ClassStats& book = ledger.totals;
+      book.callback_errors += callback_threw[i];
       if (error) {
         ++book.failed;
         continue;
@@ -507,6 +514,7 @@ ServiceStats NttService::stats() const {
     s.rejected += cs.rejected;
     s.shed += cs.shed;
     s.deadline_misses += cs.deadline_misses;
+    s.callback_errors += cs.callback_errors;
     s.pending += unsettled(cs);
   }
   // The backend kind is re-stamped from the resolved descriptors so it

@@ -99,10 +99,12 @@ struct SubmitOptions {
 };
 
 /// Fire-and-forget completion hook. Exactly one of (result, error) is
-/// meaningful: error == nullptr on success. Runs on a shard worker thread;
-/// it must not throw (exceptions are swallowed to keep the shard alive) and
-/// must not call back into the submitting service's blocking APIs
-/// (drain/shutdown) — that would deadlock the worker on itself.
+/// meaningful: error == nullptr on success. Runs on a shard worker thread
+/// (or, for a request that never reached the queue, on the submitting
+/// thread); it must not throw (a throw is swallowed to keep the shard
+/// alive, and counted in ClassStats::callback_errors) and must not call
+/// back into the submitting service's blocking APIs (drain/shutdown) —
+/// that would deadlock the worker on itself.
 using Callback =
     std::function<void(std::vector<std::uint32_t>&& result,
                        std::exception_ptr error)>;
@@ -136,8 +138,8 @@ struct Request {
   ServiceClock::time_point delivered{};
   /// Arrival sequence number, stamped by the wave-former. The FIFO
   /// tie-break of every QoS ordering — (deadline, priority, seq) — so
-  /// classless traffic keeps exact submission order even under a fake
-  /// clock where many requests share one timestamp.
+  /// classless traffic keeps exact submission order even where many
+  /// requests share one timestamp.
   std::uint64_t seq = 0;
   /// Monotone id of the wave the former cut this request into (1-based;
   /// 0 = not cut yet). Every request of a wave shares it — the join key
@@ -150,28 +152,34 @@ struct Request {
     return kind == Kind::kMultiply ? 2 : 1;
   }
 
-  /// Complete the request with `result` (moves it out).
-  void deliver(std::vector<std::uint32_t>&& result) {
-    if (callback) {
-      try {
-        callback(std::move(result), nullptr);
-      } catch (...) {  // see Callback: must-not-throw contract
-      }
-    } else {
-      promise.set_value(std::move(result));
-    }
+  /// Complete the request with `result` (moves it out). Returns true when
+  /// the callback threw: the throw is swallowed (see Callback) and the
+  /// caller books it once, with the request's terminal state.
+  [[nodiscard]] bool deliver(std::vector<std::uint32_t>&& result) {
+    return complete(std::move(result), nullptr);
   }
 
-  /// Complete the request with an error.
-  void fail(std::exception_ptr error) {
-    if (callback) {
-      try {
-        callback({}, std::move(error));
-      } catch (...) {
-      }
-    } else {
-      promise.set_exception(std::move(error));
+  /// Complete the request with an error; returns what deliver() does.
+  [[nodiscard]] bool fail(std::exception_ptr error) {
+    return complete({}, std::move(error));
+  }
+
+ private:
+  bool complete(std::vector<std::uint32_t>&& result,
+                std::exception_ptr error) {
+    if (!callback) {
+      if (error)
+        promise.set_exception(std::move(error));
+      else
+        promise.set_value(std::move(result));
+      return false;
     }
+    try {
+      callback(std::move(result), std::move(error));
+    } catch (...) {
+      return true;
+    }
+    return false;
   }
 };
 

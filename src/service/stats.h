@@ -97,9 +97,14 @@ struct ClassStats {
   /// separately from `rejected` backpressure: shedding is a per-tenant
   /// policy verdict, rejection is aggregate queue pressure.
   std::uint64_t shed = 0;
-  /// Completed requests whose delivery happened after their deadline.
-  /// (Deadline-less requests can never miss.)
+  /// Completed requests whose wave's engine passes ended after their
+  /// deadline (judged when the passes end, before delivery).
+  /// Deadline-less requests can never miss.
   std::uint64_t deadline_misses = 0;
+  /// Requests whose fire-and-forget callback threw, booked once each
+  /// with the request's terminal state (the throw is swallowed; see
+  /// Callback). Orthogonal to the terminal counters above.
+  std::uint64_t callback_errors = 0;
   /// Former enqueue -> wave starts executing. Admission wait is not
   /// included; it is stages.admission_wait_us.
   LatencySummary queue_latency;
@@ -125,8 +130,9 @@ struct ShardStats {
   /// (benchmark/src/serve.cpp) still reads them.
   std::uint64_t stolen_waves = 0;
   std::uint64_t rebalanced_waves = 0;  ///< always 0 (see stolen_waves)
-  /// Requests this shard delivered after their deadline had passed (the
-  /// per-shard tile of ClassStats::deadline_misses summed over classes).
+  /// Requests of this shard's waves whose passes ended after their
+  /// deadline (the per-shard tile of ClassStats::deadline_misses summed
+  /// over classes).
   std::uint64_t deadline_missed_requests = 0;
   /// Sum of this shard's own price of every wave it executed:
   /// NttBackend::estimate_wave_cycles of the wave's passes, computed once
@@ -154,8 +160,10 @@ struct ServiceStats {
   /// Shed by per-tenant admission control before reaching the queue
   /// (disjoint from `rejected`).
   std::uint64_t shed = 0;
-  /// Completed after their deadline.
+  /// Completed, with the wave's passes ending after their deadline.
   std::uint64_t deadline_misses = 0;
+  /// Callbacks that threw (sum of ClassStats::callback_errors).
+  std::uint64_t callback_errors = 0;
 
   std::uint64_t waves = 0;
   std::uint64_t engine_passes = 0;

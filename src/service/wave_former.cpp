@@ -47,7 +47,7 @@ WaveFormer::SubmitResult WaveFormer::submit(Request&& request,
     if (pending_items_ + items > cfg_.capacity_items)
       return SubmitResult::kRejected;
   }
-  request.enqueued = now();
+  request.enqueued = ServiceClock::now();
   request.seq = next_seq_++;
   if (info != nullptr) {
     info->seq = request.seq;
@@ -82,7 +82,17 @@ ServiceClock::time_point WaveFormer::flush_deadline() const {
                   queue_.front().qos.edf_deadline());
 }
 
-std::vector<Request> WaveFormer::cut_wave(std::size_t max_items) {
+bool WaveFormer::due(ServiceClock::time_point now,
+                     std::size_t max_items) const {
+  // pause() re-gates cutting even mid-forming, so a staged backlog never
+  // leaks out as a partial wave while paused; close() flushes at once
+  // (drain fast).
+  if (queue_.empty() || (paused_ && !closed_)) return false;
+  return closed_ || pending_items_ >= max_items || now >= flush_deadline();
+}
+
+std::vector<Request> WaveFormer::cut_wave(ServiceClock::time_point now,
+                                          std::size_t max_items) {
   std::vector<Request> wave;
   std::size_t taken = 0;
   while (!queue_.empty()) {
@@ -105,12 +115,21 @@ std::vector<Request> WaveFormer::cut_wave(std::size_t max_items) {
   // wave (the trace/stats join key downstream), and the cut time the
   // stage breakdown splits former residency from shard-queue wait at.
   const std::uint64_t wave_id = next_wave_id_++;
-  const ServiceClock::time_point cut = now();
   for (Request& r : wave) {
     r.wave_id = wave_id;
-    r.cut_at = cut;
+    r.cut_at = now;
   }
+  space_cv_.notify_all();
   return wave;
+}
+
+std::vector<Request> WaveFormer::cut_if_due(ServiceClock::time_point now,
+                                            std::size_t max_items) {
+  NTTPIM_EXPECT_MSG(max_items >= 1,
+                    "a wave must hold at least one batch item");
+  const sync::MutexLock lk(mu_);
+  if (!due(now, max_items)) return {};
+  return cut_wave(now, max_items);
 }
 
 std::vector<Request> WaveFormer::next_wave(std::size_t max_items) {
@@ -119,40 +138,16 @@ std::vector<Request> WaveFormer::next_wave(std::size_t max_items) {
   sync::MutexLock lk(mu_);
   for (;;) {
     while (!closed_ && (paused_ || queue_.empty())) ready_cv_.wait(lk);
-    if (queue_.empty()) {
-      if (closed_) return {};
-      continue;  // paused was lifted with nothing queued, or a spurious wake
-    }
-
-    // Wave forming: flush when this caller's wave is full or when the
-    // *oldest* request has been waiting flush_window (the earliest
-    // pending deadline tightens that — see flush_deadline()). close()
-    // flushes immediately (drain fast); pause() re-gates a consumer even
-    // mid-forming, so a staged backlog never leaks out as a partial wave
-    // while paused.
-    //
-    // The deadline is recomputed against the *current* front after every
-    // wake. Computing it once per wait (the previous code) let a waiter
-    // whose wave was taken by another consumer time out against the
-    // departed front's deadline and flush the new front's requests before
-    // their window elapsed, shrinking coalesced waves.
-    for (;;) {
-      if (closed_ || paused_) break;
-      if (queue_.empty()) break;  // another consumer took the wave
-      if (pending_items_ >= max_items) break;
-      const auto deadline = flush_deadline();
-      if (now() >= deadline) break;
-      if (cfg_.clock)
-        ready_cv_.wait(lk);  // fake time: tick()/submit/close re-wakes us
-      else
-        ready_cv_.wait_until(lk, deadline);
-    }
-    if (paused_ && !closed_) continue;
-    if (queue_.empty()) continue;  // another consumer took the wave
-
-    std::vector<Request> wave = cut_wave(max_items);
-    space_cv_.notify_all();
-    return wave;
+    if (queue_.empty()) return {};  // closed and drained
+    const ServiceClock::time_point now = ServiceClock::now();
+    if (due(now, max_items)) return cut_wave(now, max_items);
+    // Sleep until the flush instant of the *current* backlog; every wake
+    // (that instant, a submit, resume or close) judges again against
+    // whatever is pending then. An instant computed once per wait would
+    // let a waiter whose wave another consumer took time out against the
+    // departed front's deadline and flush the new front before its
+    // window elapsed, shrinking coalesced waves.
+    ready_cv_.wait_until(lk, flush_deadline());
   }
 }
 
@@ -169,14 +164,6 @@ void WaveFormer::resume() {
   ready_cv_.notify_all();
 }
 
-void WaveFormer::tick() {
-  // Taking the lock (not just notifying) closes the race with a consumer
-  // that read the fake time before the caller advanced it but has not yet
-  // parked on the condition variable.
-  const sync::MutexLock lk(mu_);
-  ready_cv_.notify_all();
-}
-
 void WaveFormer::close() {
   {
     const sync::MutexLock lk(mu_);
@@ -185,16 +172,6 @@ void WaveFormer::close() {
   }
   ready_cv_.notify_all();
   space_cv_.notify_all();
-}
-
-std::size_t WaveFormer::pending_items() const {
-  const sync::MutexLock lk(mu_);
-  return pending_items_;
-}
-
-bool WaveFormer::closed() const {
-  const sync::MutexLock lk(mu_);
-  return closed_;
 }
 
 }  // namespace nttpim::service

@@ -3,7 +3,7 @@
 // Producers (client threads inside NttService::submit) push Requests into a
 // bounded queue; consumers (shard workers) pop *waves* — groups of requests
 // sized for one bank-parallel engine pass. Each consumer passes its own
-// wave cap to next_wave(), and its wave flushes when either
+// wave cap, and a wave is due when either
 //  - the pending pile reaches that cap (NttService passes a multiple of
 //    the shard device's bank count, so a full wave occupies every bank),
 //    or
@@ -13,6 +13,11 @@
 // whichever comes first. Consumers pull independently, so S shards drain
 // the queue in parallel and the wave former is the load balancer: a shard
 // takes a wave only once it is free to run it.
+//
+// Time is a parameter of the decision: cut_if_due(now, cap) judges the
+// rule at an explicit instant and never blocks, so tests drive it at exact
+// times on one thread. next_wave(cap) is the blocking form the shards use:
+// a wait loop over the same rule on the real clock.
 //
 // QoS: the pending queue is kept in cut order — earliest effective
 // deadline first, then priority descending, then arrival — and every wave
@@ -29,20 +34,20 @@
 // blocks or rejects per OverflowPolicy — the service's backpressure.
 //
 // pause()/resume() gate consumers only: while paused, submissions pile up
-// but no wave starts forming. This is how tests stage a deterministic
-// backlog (guaranteeing occupancy > 1 without sleep-based races) and how
-// an operator can stage work before opening the valve.
+// but no wave is cut. This is how tests stage a deterministic backlog
+// (guaranteeing occupancy > 1 without sleep-based races) and how an
+// operator can stage work before opening the valve.
 //
 // close() stops new submissions (blocked producers wake and see kClosed),
-// un-pauses, and lets consumers drain everything already accepted — the
-// graceful-shutdown half of NttService::shutdown(). Once the queue is
-// empty, next_wave() returns an empty vector, the consumers' exit signal.
+// un-pauses, and makes every pending request due at once, so consumers
+// drain everything already accepted — the graceful-shutdown half of
+// NttService::shutdown(). Once the queue is empty, next_wave() returns an
+// empty vector, the consumers' exit signal.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "service/request.h"
@@ -57,21 +62,16 @@ class WaveFormer {
     std::chrono::microseconds flush_window{200};  ///< flush deadline
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     bool start_paused = false;
-    /// Testing hook: when set, enqueue timestamps and flush-window
-    /// deadlines are read through this function instead of
-    /// ServiceClock::now(), and deadline waits become plain condition
-    /// waits — advance the fake time, then call tick() so parked
-    /// consumers re-read it. Null (the default) means the real clock.
-    std::function<ServiceClock::time_point()> clock;
   };
 
   enum class SubmitResult { kAccepted, kRejected, kClosed };
 
   /// Out-parameters of an accepted submit. The former stamps seq and the
-  /// enqueue time under its lock *after* the request is moved in, so a
-  /// caller that wants them back (telemetry emits the Submit /
-  /// FormerEnqueue events from the client thread) receives them here.
-  /// Only meaningful when submit() returned kAccepted.
+  /// enqueue time (ServiceClock::now(), read under its lock) *after* the
+  /// request is moved in, so a caller that wants them back (telemetry
+  /// emits the Submit / FormerEnqueue events from the client thread;
+  /// tests derive cut times from the stamp) receives them here. Only
+  /// meaningful when submit() returned kAccepted.
   struct SubmitInfo {
     std::uint64_t seq = 0;
     ServiceClock::time_point enqueued{};
@@ -84,42 +84,43 @@ class WaveFormer {
   /// kBlock blocks until space or close(); kReject never blocks.
   SubmitResult submit(Request&& request, SubmitInfo* info = nullptr);
 
-  /// Block until a wave of at most `max_items` batch items is ready per
-  /// the flush policy and return it (a lone multiply may exceed a cap of
-  /// 1). Returns an empty vector only when the former is closed and
-  /// drained. Safe to call from many consumer threads, each with its own
-  /// cap.
+  /// Cut a wave of at most `max_items` batch items (a lone multiply may
+  /// exceed a cap of 1) if one is due at `now`: the pile reached the cap,
+  /// `now` reached the flush instant, or the former is closed. Returns an
+  /// empty vector when nothing is due or pending, or while paused and not
+  /// closed. Never blocks; stamps the wave's cut_at = `now`.
+  std::vector<Request> cut_if_due(ServiceClock::time_point now,
+                                  std::size_t max_items);
+
+  /// Block until a wave of at most `max_items` batch items is due on the
+  /// real clock and return it. Returns an empty vector only when the
+  /// former is closed and drained. Safe to call from many consumer
+  /// threads, each with its own cap.
   std::vector<Request> next_wave(std::size_t max_items);
 
   void pause();
   void resume();
   void close();
 
-  /// Companion of Config::clock: wake every parked consumer so it
-  /// re-evaluates the (fake) time. A real clock needs no tick — the
-  /// deadline wait expires on its own.
-  void tick();
-
-  std::size_t pending_items() const;
-  bool closed() const;
-
  private:
-  ServiceClock::time_point now() const {
-    return cfg_.clock ? cfg_.clock() : ServiceClock::now();
-  }
-
   /// Earliest flush instant of the current backlog: the oldest pending
   /// request's window expiry, tightened by the earliest pending deadline.
   /// Caller holds mu_; queue_ must be non-empty.
   ServiceClock::time_point flush_deadline() const NTTPIM_REQUIRES(mu_);
 
+  /// The cut rule, shared by both entry points: is a wave of at most
+  /// `max_items` due at `now`? Caller holds mu_.
+  bool due(ServiceClock::time_point now, std::size_t max_items) const
+      NTTPIM_REQUIRES(mu_);
+
   /// Cut one wave of at most `max_items` batch items — a prefix of
-  /// queue_ — off the backlog, updating pending_items_. Caller holds mu_;
-  /// queue_ must be non-empty.
-  std::vector<Request> cut_wave(std::size_t max_items) NTTPIM_REQUIRES(mu_);
+  /// queue_ — off the backlog at `now`, and wake blocked producers.
+  /// Caller holds mu_; queue_ must be non-empty.
+  std::vector<Request> cut_wave(ServiceClock::time_point now,
+                                std::size_t max_items) NTTPIM_REQUIRES(mu_);
 
   const Config cfg_;
-  mutable sync::Mutex mu_;
+  sync::Mutex mu_;
   sync::CondVar ready_cv_;  ///< consumers: work / flush / close
   sync::CondVar space_cv_;  ///< blocked producers
   /// Pending requests in cut order (see the header comment).

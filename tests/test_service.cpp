@@ -2,8 +2,9 @@
 //
 // Every test is sleep-free: synchronization is futures, drain(), and the
 // pause()/resume() staging hook (submit a backlog while wave forming is
-// gated, then open the valve), so occupancy and backpressure assertions
-// are exact rather than timing-dependent.
+// gated, then open the valve), and the former and admission decide at
+// explicit times on the test's own thread, so occupancy, ordering and
+// backpressure assertions are exact rather than timing-dependent.
 #include <algorithm>
 #include <atomic>
 #include <future>
@@ -22,6 +23,7 @@
 #include "common/random.h"
 #include "fhe/cpu_backend.h"
 #include "fhe/pim_backend.h"
+#include "json_validator.h"
 #include "ntt/negacyclic.h"
 #include "ntt/params.h"
 #include "ntt/poly.h"
@@ -63,10 +65,10 @@ std::vector<std::future<std::vector<std::uint32_t>>> submit_wave(
 
 // Every snapshot tiles, whenever it is taken: per class, completed ==
 // stages.count == both latency counts and nothing is booked twice; the
-// global request counters are the class sums and submitted == completed
-// + failed + rejected + shed + pending; the shards ran exactly the
-// completed and failed requests, and (shards pull) none stole or
-// rebalanced a wave.
+// global request and callback-error counters are the class sums and
+// submitted == completed + failed + rejected + shed + pending; the shards
+// ran exactly the completed and failed requests, and (shards pull) none
+// stole or rebalanced a wave.
 void expect_tiles(const service::ServiceStats& s) {
   service::ClassStats sum;
   for (const service::ClassStats& c : s.classes) {
@@ -80,6 +82,7 @@ void expect_tiles(const service::ServiceStats& s) {
     sum.rejected += c.rejected;
     sum.shed += c.shed;
     sum.deadline_misses += c.deadline_misses;
+    sum.callback_errors += c.callback_errors;
   }
   EXPECT_EQ(s.submitted, sum.submitted);
   EXPECT_EQ(s.completed, sum.completed);
@@ -87,6 +90,7 @@ void expect_tiles(const service::ServiceStats& s) {
   EXPECT_EQ(s.rejected, sum.rejected);
   EXPECT_EQ(s.shed, sum.shed);
   EXPECT_EQ(s.deadline_misses, sum.deadline_misses);
+  EXPECT_EQ(s.callback_errors, sum.callback_errors);
   EXPECT_EQ(s.submitted,
             s.completed + s.failed + s.rejected + s.shed + s.pending);
   std::uint64_t shard_requests = 0;
@@ -320,6 +324,36 @@ TEST(ServiceUnit, CallbackVariantDeliversResultAndErrors) {
   EXPECT_TRUE(saw_error.load(std::memory_order_relaxed));
 }
 
+// A throwing callback is swallowed and booked once, with its request's
+// terminal state: one on a delivered request and one on a shed request
+// give callback_errors == 2, and each request still settles exactly once.
+TEST(ServiceUnit, ThrowingCallbacksAreCountedOnce) {
+  const auto params = make_params(256);
+  ServiceConfig cfg;
+  cfg.backend.banks_per_shard = 4;
+  cfg.qos.admission = {{.rate_per_sec = 0.0, .burst = 1.0}};
+  NttService svc(cfg);
+
+  Rng rng(107);
+  const auto throwing = [](std::vector<std::uint32_t>&&, std::exception_ptr) {
+    throw std::runtime_error("callback failure");
+  };
+  // The first takes the bucket's only token and is delivered by its
+  // window flush; the second is shed.
+  for (int i = 0; i < 2; ++i)
+    svc.submit(rng.residues(params->n(), params->q()), params, inv(false),
+               throwing);
+  svc.drain();
+
+  const auto stats = svc.stats();
+  expect_tiles(stats);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.callback_errors, 2u);
+  EXPECT_EQ(stats.classes[0].callback_errors, 2u);
+}
+
 // Synchronous argument validation happens at the submit() call site.
 TEST(ServiceUnit, SubmitValidatesArguments) {
   const auto params = make_params(256);
@@ -442,222 +476,145 @@ TEST(ServiceUnit, PercentilesUseNearestRank) {
   EXPECT_DOUBLE_EQ(s.p99_us, 7.0);
 }
 
-// Regression (PR 5): the wave-former's timeout flush must be judged
-// against the *current* front's deadline. The old code computed the
-// deadline once per wait; a waiter whose wave was taken by another
-// consumer then timed out against the departed front's deadline and
-// flushed fresh requests early, shrinking coalesced waves. Two consumers
-// and an injected clock make the schedule exact: no sleeps, no real time.
-TEST(ServiceUnit, WaveFormerTimeoutUsesCurrentFrontDeadline) {
-  std::atomic<std::int64_t> fake_us{0};
-  service::WaveFormer::Config cfg;
-  cfg.capacity_items = 16;
-  cfg.flush_window = std::chrono::microseconds(100);
-  cfg.clock = [&] {
-    return service::ServiceClock::time_point(
-        std::chrono::microseconds(fake_us.load(std::memory_order_relaxed)));
-  };
-  service::WaveFormer former(cfg);
-
-  sync::Mutex waves_mu;
-  std::vector<std::vector<std::uint32_t>> waves;  // request tags per wave
-  auto consume = [&] {
-    for (;;) {
-      auto wave = former.next_wave(2);
-      if (wave.empty()) return;
-      std::vector<std::uint32_t> tags;
-      for (const auto& r : wave) tags.push_back(r.a[0]);
-      {
-        const sync::MutexLock lk(waves_mu);
-        waves.push_back(std::move(tags));
-      }
-      // Promises resolve only after the wave is published, so a test
-      // thread blocked on a future knows `waves` already has its wave.
-      for (auto& r : wave) r.promise.set_value({});
-    }
-  };
-  std::thread c1(consume);
-  std::thread c2(consume);
-
-  auto submit = [&](std::uint32_t tag) {
-    service::Request r;
-    r.a = {tag};
-    auto f = r.promise.get_future();
-    EXPECT_EQ(former.submit(std::move(r)),
-              service::WaveFormer::SubmitResult::kAccepted);
-    return f;
-  };
-
-  // Front 0 flushes alone, but only once its own window has elapsed.
-  auto f0 = submit(0);
-  fake_us.store(100, std::memory_order_relaxed);
-  former.tick();
-  f0.get();
-
-  // Fresh front 1 (enqueued at t=100) must NOT flush before t=200 even
-  // though a consumer just serviced a deadline at t=100: request 2
-  // completes the full wave instead.
-  auto f1 = submit(1);
-  auto f2 = submit(2);
-  f1.get();
-  f2.get();
-
-  former.close();
-  c1.join();
-  c2.join();
-
-  ASSERT_EQ(waves.size(), 2u);
-  EXPECT_EQ(waves[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(waves[1], (std::vector<std::uint32_t>{1, 2}));
-}
-
 namespace former_test {
 
-// Single-consumer fake-clock harness: submit tagged requests (optionally
-// deadlined) before the consumer starts, so every cut is deterministic.
-// The consumer caps every wave at `max_items`.
-struct Harness {
-  Harness(service::WaveFormer::Config cfg, std::size_t max_items)
-      : max_items(max_items) {
-    cfg.clock = [this] {
-      return service::ServiceClock::time_point(
-          std::chrono::microseconds(fake_us.load(std::memory_order_relaxed)));
-    };
-    former.emplace(cfg);
-  }
+using service::ServiceClock;
+using Tags = std::vector<std::uint32_t>;
 
-  std::future<std::vector<std::uint32_t>> submit(std::uint32_t tag,
-                                std::optional<std::int64_t> deadline_us = {},
-                                int priority = 0) {
-    service::Request r;
-    r.a = {tag};
-    r.qos.priority = priority;
-    if (deadline_us)
-      r.qos.deadline = service::ServiceClock::time_point(
-          std::chrono::microseconds(*deadline_us));
-    auto f = r.promise.get_future();
-    EXPECT_EQ(former->submit(std::move(r)),
-              service::WaveFormer::SubmitResult::kAccepted);
-    return f;
-  }
+std::chrono::microseconds us(std::int64_t count) {
+  return std::chrono::microseconds(count);
+}
 
-  /// Drain every formed wave into `waves` (tags, in cut order).
-  std::vector<std::vector<std::uint32_t>> run_consumer_to_close() {
-    std::vector<std::vector<std::uint32_t>> waves;
-    for (;;) {
-      auto wave = former->next_wave(max_items);
-      if (wave.empty()) return waves;
-      std::vector<std::uint32_t> tags;
-      for (auto& r : wave) {
-        tags.push_back(r.a[0]);
-        r.promise.set_value({});
-      }
-      waves.push_back(std::move(tags));
-    }
-  }
+/// A former with room for 16 items and a 100 us flush window.
+service::WaveFormer::Config config(bool start_paused = false) {
+  return {.capacity_items = 16,
+          .flush_window = us(100),
+          .start_paused = start_paused};
+}
 
-  const std::size_t max_items;
-  std::atomic<std::int64_t> fake_us{0};
-  std::optional<service::WaveFormer> former;
-};
+/// Submits a request tagged `tag` (optionally deadlined and prioritized)
+/// and returns the former's enqueue stamp: every cut time of the former
+/// tests is derived from these stamps, so the tests run at exact times
+/// on one thread.
+ServiceClock::time_point submit(
+    service::WaveFormer& former, std::uint32_t tag,
+    std::optional<ServiceClock::time_point> deadline = {}, int priority = 0) {
+  service::Request r;
+  r.a = {tag};
+  r.qos.deadline = deadline;
+  r.qos.priority = priority;
+  service::WaveFormer::SubmitInfo info;
+  EXPECT_EQ(former.submit(std::move(r), &info),
+            service::WaveFormer::SubmitResult::kAccepted);
+  return info.enqueued;
+}
+
+/// The tags of a cut wave, in cut order.
+Tags tags(const std::vector<service::Request>& wave) {
+  Tags out;
+  for (const service::Request& r : wave) out.push_back(r.a[0]);
+  return out;
+}
+
+/// Spins on the clock (never sleeps) until it has passed `t`, so the next
+/// enqueue stamp is strictly later than `t`.
+void spin_past(ServiceClock::time_point t) {
+  while (ServiceClock::now() <= t) {
+  }
+}
 
 }  // namespace former_test
+
+// Regression: the wave-former's timeout flush must be judged against the
+// *current* front's deadline. Judging it against a front another
+// consumer already took flushed fresh requests early, shrinking coalesced
+// waves.
+TEST(ServiceUnit, WaveFormerTimeoutUsesCurrentFrontDeadline) {
+  using namespace former_test;
+  service::WaveFormer former(config());
+
+  // Front 0 flushes alone, but only once its own window has elapsed.
+  const auto t0 = submit(former, 0);
+  EXPECT_TRUE(former.cut_if_due(t0 + us(99), 2).empty());
+  EXPECT_EQ(tags(former.cut_if_due(t0 + us(100), 2)), Tags{0});
+
+  // Fresh front 1, enqueued after t0, is not due at the departed front's
+  // deadline: request 2 completes the full wave instead.
+  spin_past(t0);
+  submit(former, 1);
+  EXPECT_TRUE(former.cut_if_due(t0 + us(100), 2).empty());
+  submit(former, 2);
+  EXPECT_EQ(tags(former.cut_if_due(t0 + us(100), 2)), (Tags{1, 2}));
+}
 
 // EDF forming: with more pending than fits one wave, the cut takes
 // requests by (deadline, priority desc, arrival), not arrival order; the
 // deadline-less remainder flushes by the plain window.
 TEST(ServiceUnit, WaveFormerEdfCutsByDeadlineThenPriorityThenArrival) {
-  service::WaveFormer::Config cfg;
-  cfg.capacity_items = 16;
-  cfg.flush_window = std::chrono::microseconds(100);
-  former_test::Harness h(cfg, /*max_items=*/3);
+  using namespace former_test;
+  service::WaveFormer former(config());
 
   // Arrival order 0..4; urgency says otherwise: 3 (earliest deadline),
   // then 1 (later deadline), then 4 (no deadline but highest priority).
-  auto f0 = h.submit(0);
-  auto f1 = h.submit(1, /*deadline_us=*/1000);
-  auto f2 = h.submit(2);
-  auto f3 = h.submit(3, /*deadline_us=*/500);
-  auto f4 = h.submit(4, /*deadline_us=*/std::nullopt, /*priority=*/7);
+  const auto t0 = submit(former, 0);
+  submit(former, 1, t0 + us(1000));
+  submit(former, 2);
+  submit(former, 3, t0 + us(500));
+  submit(former, 4, std::nullopt, /*priority=*/7);
 
-  std::thread consumer;
-  std::vector<std::vector<std::uint32_t>> waves;
-  consumer = std::thread([&] { waves = h.run_consumer_to_close(); });
-  f3.get();  // first wave is out once the most-urgent request resolves
-  f1.get();
-  f4.get();
-
-  // Remainder {0, 2} has no deadline: it waits out the full window
-  // (enqueued at t=0) and flushes in arrival order.
-  h.fake_us.store(100, std::memory_order_relaxed);
-  h.former->tick();
-  f0.get();
-  f2.get();
-
-  h.former->close();
-  consumer.join();
-  ASSERT_EQ(waves.size(), 2u);
-  EXPECT_EQ(waves[0], (std::vector<std::uint32_t>{3, 1, 4}));
-  EXPECT_EQ(waves[1], (std::vector<std::uint32_t>{0, 2}));
+  // Five pending items fill a 3-item wave at once.
+  EXPECT_EQ(tags(former.cut_if_due(t0, 3)), (Tags{3, 1, 4}));
+  // Remainder {0, 2} has no deadline: it waits out request 0's full window
+  // and flushes in arrival order.
+  EXPECT_TRUE(former.cut_if_due(t0 + us(99), 3).empty());
+  EXPECT_EQ(tags(former.cut_if_due(t0 + us(100), 3)), (Tags{0, 2}));
 }
 
 // EDF forming: a pending deadline earlier than the front's window expiry
 // tightens the flush deadline, so a latency-critical request never waits
-// out the coalescing window behind bulk traffic. (The test completing at
-// fake time 40 — well before the 100 us window — is the assertion.)
+// out the coalescing window behind bulk traffic.
 TEST(ServiceUnit, WaveFormerEdfDeadlineTightensFlushWindow) {
-  service::WaveFormer::Config cfg;
-  cfg.capacity_items = 16;
-  cfg.flush_window = std::chrono::microseconds(100);
-  // A 16-item wave never fills: only a flush can cut.
-  former_test::Harness h(cfg, /*max_items=*/16);
+  using namespace former_test;
+  service::WaveFormer former(config());
 
-  auto f0 = h.submit(0);                        // bulk, window expires at 100
-  auto f1 = h.submit(1, /*deadline_us=*/40);    // tightens the flush to 40
+  const auto t0 = submit(former, 0);  // bulk, window expires at t0 + 100
+  submit(former, 1, t0 + us(40));     // tightens the flush to t0 + 40
 
-  std::thread consumer;
-  std::vector<std::vector<std::uint32_t>> waves;
-  consumer = std::thread([&] { waves = h.run_consumer_to_close(); });
-  h.fake_us.store(40, std::memory_order_relaxed);
-  h.former->tick();
-  f0.get();
-  f1.get();
-
-  h.former->close();
-  consumer.join();
-  ASSERT_EQ(waves.size(), 1u);
-  // One wave, EDF order: the deadlined request leads.
-  EXPECT_EQ(waves[0], (std::vector<std::uint32_t>{1, 0}));
+  // A 16-item wave never fills: only a flush can cut. One wave, EDF
+  // order: the deadlined request leads.
+  EXPECT_TRUE(former.cut_if_due(t0 + us(39), 16).empty());
+  EXPECT_EQ(tags(former.cut_if_due(t0 + us(40), 16)), (Tags{1, 0}));
 }
 
 // The flush window is anchored on the oldest pending request, not on the
 // front of the cut-ordered queue: a deadlined newcomer sorts ahead of an
 // older classless request, yet the older request's window still bounds
-// the flush. (The test completing at fake time 100 — before the
-// newcomer's own window (150) and deadline (1000) — is the assertion.)
+// the flush — well before the newcomer's own window and deadline.
 TEST(ServiceUnit, WaveFormerWindowAnchorsOnOldestPendingRequest) {
-  service::WaveFormer::Config cfg;
-  cfg.capacity_items = 16;
-  cfg.flush_window = std::chrono::microseconds(100);
-  // A 16-item wave never fills: only a flush can cut.
-  former_test::Harness h(cfg, /*max_items=*/16);
+  using namespace former_test;
+  service::WaveFormer former(config());
 
-  auto f0 = h.submit(0);  // classless, enqueued at t=0
-  h.fake_us.store(50, std::memory_order_relaxed);
-  auto f1 = h.submit(1, /*deadline_us=*/1000);  // cut first, enqueued at 50
+  const auto t0 = submit(former, 0);  // classless
+  spin_past(t0);  // the newcomer's own window ends strictly later
+  const auto t1 = submit(former, 1, t0 + us(1000));  // cut first
+  ASSERT_GT(t1, t0);
 
-  std::thread consumer;
-  std::vector<std::vector<std::uint32_t>> waves;
-  consumer = std::thread([&] { waves = h.run_consumer_to_close(); });
-  h.fake_us.store(100, std::memory_order_relaxed);
-  h.former->tick();
-  f0.get();
-  f1.get();
+  EXPECT_TRUE(former.cut_if_due(t0 + us(99), 16).empty());
+  EXPECT_EQ(tags(former.cut_if_due(t0 + us(100), 16)), (Tags{1, 0}));
+}
 
-  h.former->close();
-  consumer.join();
-  ASSERT_EQ(waves.size(), 1u);
-  EXPECT_EQ(waves[0], (std::vector<std::uint32_t>{1, 0}));
+// The two gates the window does not decide: a paused former cuts nothing,
+// even long after the window expired, and a closed one cuts at once,
+// before it.
+TEST(ServiceUnit, WaveFormerPauseHoldsAndCloseFlushes) {
+  using namespace former_test;
+  service::WaveFormer former(config(/*start_paused=*/true));
+
+  const auto t0 = submit(former, 0);
+  EXPECT_TRUE(former.cut_if_due(t0 + hour(), 16).empty());
+  former.close();
+  EXPECT_EQ(tags(former.cut_if_due(t0, 16)), Tags{0});
+  EXPECT_TRUE(former.cut_if_due(t0 + hour(), 16).empty());  // drained
 }
 
 // Property: every wave the former cuts equals the selection of an oracle
@@ -703,7 +660,6 @@ TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
       service::WaveFormer::Config cfg;
       cfg.capacity_items = 1 << 12;
       cfg.flush_window = std::chrono::microseconds(0);  // every call cuts
-      cfg.clock = [] { return service::ServiceClock::time_point{}; };
       service::WaveFormer former(cfg);
 
       std::vector<Pending> pending;
@@ -711,7 +667,7 @@ TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
       std::uint64_t fifo_tag = 0;
       auto cut_and_check = [&] {
         const std::size_t max_items = 1 + rng.next_below(8);
-        auto wave = former.next_wave(max_items);
+        auto wave = former.cut_if_due(service::ServiceClock::now(), max_items);
         std::vector<std::uint32_t> tags;
         for (const auto& r : wave) tags.push_back(r.a[0]);
         EXPECT_EQ(tags, oracle_cut(pending, max_items))
@@ -743,56 +699,54 @@ TEST(ServiceProperty, WaveFormerCutMatchesSortedSelectionOracle) {
           cut_and_check();
       }
       while (!pending.empty()) cut_and_check();
-      EXPECT_EQ(former.pending_items(), 0u);
+      // Nothing left to cut: under a 0 us window anything pending is due.
+      EXPECT_TRUE(
+          former.cut_if_due(service::ServiceClock::now(), 1 << 12).empty());
     }
   }
 }
 
-// Token-bucket arithmetic to exact counts under a fake clock: a fresh
+// Token-bucket arithmetic to exact counts at explicit times: a fresh
 // bucket admits its burst, refills continuously at rate_per_sec, rate 0
 // never refills, burst <= 0 and unconfigured tenants are unlimited.
 TEST(ServiceUnit, AdmissionTokenBucketRefillExactness) {
   using Decision = service::AdmissionController::Decision;
-  std::atomic<std::int64_t> fake_us{0};
-  service::AdmissionController::Config cfg;
-  cfg.tenants = {
+  const auto at_ms = [](std::int64_t ms) {
+    return service::ServiceClock::time_point(std::chrono::milliseconds(ms));
+  };
+  service::AdmissionController adm({
       {.rate_per_sec = 2.0, .burst = 2.0},  // tenant 0: 2-deep, 2/sec
       {.rate_per_sec = 0.0, .burst = 3.0},  // tenant 1: hard cap of 3
       {.rate_per_sec = 5.0, .burst = 0.0},  // tenant 2: unlimited
-  };
-  cfg.clock = [&] {
-    return service::ServiceClock::time_point(
-        std::chrono::microseconds(fake_us.load(std::memory_order_relaxed)));
-  };
-  service::AdmissionController adm(std::move(cfg));
+  });
 
   // Tenant 0: the initial burst admits exactly 2, then sheds.
-  EXPECT_EQ(adm.admit(0), Decision::kAdmit);
-  EXPECT_EQ(adm.admit(0), Decision::kAdmit);
-  EXPECT_EQ(adm.admit(0), Decision::kShed);
-  EXPECT_DOUBLE_EQ(adm.tokens(0), 0.0);
+  EXPECT_EQ(adm.admit(0, at_ms(0)), Decision::kAdmit);
+  EXPECT_EQ(adm.admit(0, at_ms(0)), Decision::kAdmit);
+  EXPECT_EQ(adm.admit(0, at_ms(0)), Decision::kShed);
 
-  // 500 ms at 2/sec refills exactly one token; 250 ms more only half.
-  fake_us.store(500000, std::memory_order_relaxed);
-  EXPECT_EQ(adm.admit(0), Decision::kAdmit);
-  EXPECT_EQ(adm.admit(0), Decision::kShed);
-  fake_us.store(750000, std::memory_order_relaxed);
-  EXPECT_EQ(adm.admit(0), Decision::kShed);
-  EXPECT_DOUBLE_EQ(adm.tokens(0), 0.5);
-  // A long idle stretch refills to the burst cap, never beyond.
-  fake_us.store(10000000, std::memory_order_relaxed);
-  EXPECT_DOUBLE_EQ(adm.tokens(0), 2.0);
+  // 500 ms at 2/sec refills exactly one token. 250 ms more refill only
+  // half a token, a shed at 750 ms; the next 250 ms complete it.
+  EXPECT_EQ(adm.admit(0, at_ms(500)), Decision::kAdmit);
+  EXPECT_EQ(adm.admit(0, at_ms(500)), Decision::kShed);
+  EXPECT_EQ(adm.admit(0, at_ms(750)), Decision::kShed);
+  EXPECT_EQ(adm.admit(0, at_ms(1000)), Decision::kAdmit);
+  // A long idle stretch refills to the burst cap, never beyond: exactly
+  // 2 admits.
+  EXPECT_EQ(adm.admit(0, at_ms(10000)), Decision::kAdmit);
+  EXPECT_EQ(adm.admit(0, at_ms(10000)), Decision::kAdmit);
+  EXPECT_EQ(adm.admit(0, at_ms(10000)), Decision::kShed);
 
   // Tenant 1: rate 0 is a deterministic lifetime cap of `burst`.
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(adm.admit(1), Decision::kAdmit);
-  EXPECT_EQ(adm.admit(1), Decision::kShed);
-  fake_us.store(20000000, std::memory_order_relaxed);
-  EXPECT_EQ(adm.admit(1), Decision::kShed);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(adm.admit(1, at_ms(0)), Decision::kAdmit);
+  EXPECT_EQ(adm.admit(1, at_ms(0)), Decision::kShed);
+  EXPECT_EQ(adm.admit(1, at_ms(20000)), Decision::kShed);
 
   // Tenant 2 (burst <= 0) and tenant 9 (unconfigured) always admit.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(adm.admit(2), Decision::kAdmit);
-    EXPECT_EQ(adm.admit(9), Decision::kAdmit);
+    EXPECT_EQ(adm.admit(2, at_ms(0)), Decision::kAdmit);
+    EXPECT_EQ(adm.admit(9, at_ms(0)), Decision::kAdmit);
   }
 }
 
@@ -1360,6 +1314,144 @@ TEST(ServiceE2E, QosShedsFloodingTenantAndCountsDeadlineMisses) {
   expect_tiles(stats);
 }
 
+// Multi-tenant QoS, staged and exact. 64 bulk N = 1024 transforms
+// (tenant 0) are staged ahead of 8 critical N = 256 transforms (tenant 1)
+// on one paused 4-bank shard. A one-hour window lets only size cut waves,
+// so the shard delivers the burst in cut order, and callbacks record it:
+//  - "fifo": the critical requests carry no deadline or priority, so they
+//    are the last 8 delivered;
+//  - "qos": with a deadline and priority they are the first 8 delivered,
+//    so class 1's service-latency p99 is below class 0's (each critical
+//    request enters after every bulk one and finishes first). Tracing is
+//    on, and the Chrome export parses strictly with exactly 72 flow
+//    starts, 72 flow ends and 72 complete slices;
+//  - "qos_overload": a rate-0 bucket of burst 32 on the bulk tenant sheds
+//    exactly bulk submits 32..63, and the critical requests still come
+//    first.
+// Every delivered result matches the CPU reference.
+TEST(ServiceE2E, QosCutsStagedCriticalTenantFirst) {
+  constexpr std::size_t kBulk = 64;
+  constexpr std::size_t kCritical = 8;
+  constexpr std::size_t kTotal = kBulk + kCritical;
+  const auto bulk_params = make_params(1024, 29);
+  const auto critical_params = make_params(256, 30);
+  const auto params_of = [&](std::size_t id) {
+    return id < kBulk ? bulk_params : critical_params;
+  };
+  Rng rng(53);
+  fhe::CpuBackend cpu;
+  std::vector<std::vector<std::uint32_t>> inputs;
+  std::vector<std::vector<std::uint32_t>> expected;
+  for (std::size_t id = 0; id < kTotal; ++id) {
+    inputs.push_back(rng.residues(params_of(id)->n(), params_of(id)->q()));
+    expected.push_back(inputs.back());
+    cpu.forward(expected.back(), *params_of(id));
+  }
+  const auto is_shed = [](const std::exception_ptr& error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const service::AdmissionShedError&) {
+      return true;
+    } catch (...) {
+      return false;
+    }
+  };
+
+  struct Staged {
+    std::vector<std::size_t> order;  ///< delivered stream ids, in order
+    std::vector<std::size_t> shed;   ///< stream ids shed at admission
+    std::size_t wrong_results = 0;   ///< mismatches or failures
+    service::ServiceStats stats;
+    std::string trace;  ///< Chrome export, when traced
+  };
+  const auto run = [&](bool qos, std::size_t bulk_burst, bool traced) {
+    ServiceConfig cfg;
+    cfg.backend.banks_per_shard = 4;
+    cfg.former.flush_window = hour();
+    cfg.former.start_paused = true;
+    cfg.qos.num_classes = 2;
+    if (bulk_burst > 0)
+      cfg.qos.admission = {{.rate_per_sec = 0.0,
+                            .burst = static_cast<double>(bulk_burst)}};
+    cfg.telemetry.enabled = traced;
+    NttService svc(cfg);
+
+    Staged staged;
+    sync::Mutex mu;
+    std::latch settled(kTotal);
+    service::SubmitOptions critical;
+    critical.qos.tenant = 1;
+    if (qos) {
+      critical.qos.priority = 10;
+      critical.qos.deadline = service::ServiceClock::now() + hour();
+    }
+    for (std::size_t id = 0; id < kTotal; ++id) {
+      svc.submit(inputs[id], params_of(id),
+                 id < kBulk ? service::SubmitOptions{} : critical,
+                 [&, id](std::vector<std::uint32_t>&& result,
+                         std::exception_ptr error) {
+                   {
+                     const sync::MutexLock lk(mu);
+                     if (error && is_shed(error)) {
+                       staged.shed.push_back(id);
+                     } else {
+                       staged.order.push_back(id);
+                       if (error || result != expected[id])
+                         ++staged.wrong_results;
+                     }
+                   }
+                   settled.count_down();
+                 });
+    }
+    svc.resume();
+    settled.wait();
+    svc.drain();  // the last wave's counters and trace events land
+    staged.stats = svc.stats();
+    if (traced) {
+      const auto snap = svc.trace_collector().drain();
+      EXPECT_EQ(snap.dropped_events, 0u);
+      staged.trace = telemetry::chrome_trace_json(snap);
+    }
+    expect_tiles(staged.stats);
+    EXPECT_EQ(staged.wrong_results, 0u);
+    EXPECT_EQ(staged.stats.failed, 0u);
+    return staged;
+  };
+  const auto ids = [](std::size_t from, std::size_t to) {
+    std::vector<std::size_t> out;
+    for (std::size_t id = from; id < to; ++id) out.push_back(id);
+    return out;
+  };
+  const auto concat = [](std::vector<std::size_t> a,
+                         const std::vector<std::size_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+
+  const Staged fifo = run(/*qos=*/false, /*bulk_burst=*/0, /*traced=*/false);
+  EXPECT_EQ(fifo.order, ids(0, kTotal));  // critical: the last 8
+  EXPECT_TRUE(fifo.shed.empty());
+
+  const Staged qos = run(/*qos=*/true, /*bulk_burst=*/0, /*traced=*/true);
+  EXPECT_EQ(qos.order, concat(ids(kBulk, kTotal), ids(0, kBulk)));
+  EXPECT_TRUE(qos.shed.empty());
+  ASSERT_EQ(qos.stats.classes.size(), 2u);
+  EXPECT_EQ(qos.stats.classes[1].service_latency.count, kCritical);
+  EXPECT_LT(qos.stats.classes[1].service_latency.p99_us,
+            qos.stats.classes[0].service_latency.p99_us);
+  using test_json::count_occurrences;
+  EXPECT_TRUE(test_json::JsonValidator::valid(qos.trace));
+  EXPECT_EQ(count_occurrences(qos.trace, "\"ph\": \"s\""), kTotal);
+  EXPECT_EQ(count_occurrences(qos.trace, "\"ph\": \"f\""), kTotal);
+  EXPECT_EQ(count_occurrences(qos.trace, "\"name\": \"complete\""), kTotal);
+
+  constexpr std::size_t kBulkBurst = 32;
+  const Staged overload = run(/*qos=*/true, kBulkBurst, /*traced=*/false);
+  EXPECT_EQ(overload.shed, ids(kBulkBurst, kBulk));
+  EXPECT_EQ(overload.stats.shed, kBulk - kBulkBurst);
+  EXPECT_EQ(overload.order, concat(ids(kBulk, kTotal), ids(0, kBulkBurst)));
+}
+
 // ------------------------------------------------------ fault injection
 
 namespace fault_test {
@@ -1422,15 +1514,6 @@ ServiceConfig faulty_config(const Faults& faults) {
   cfg.former.flush_window = hour();
   cfg.backend.descriptors = {faulty_descriptor(faults)};
   return cfg;
-}
-
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t count = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size()))
-    ++count;
-  return count;
 }
 
 }  // namespace fault_test
@@ -1505,15 +1588,17 @@ TEST(ServiceFault, FailedWaveClosesEveryFlow) {
   EXPECT_EQ(completes, 0u);
 
   const std::string json = telemetry::chrome_trace_json(snap);
-  EXPECT_EQ(fault_test::count_occurrences(json, "\"ph\": \"s\""), 4u);
-  EXPECT_EQ(fault_test::count_occurrences(json, "\"ph\": \"f\""), 4u);
+  EXPECT_EQ(test_json::count_occurrences(json, "\"ph\": \"s\""), 4u);
+  EXPECT_EQ(test_json::count_occurrences(json, "\"ph\": \"f\""), 4u);
 }
 
 // The free shard takes the pending work. Both shards park inside their
 // first wave, so the third staged wave waits in the former; releasing
 // shard 1 alone lets it pull and finish that wave while shard 0 is still
 // parked (were it assigned to shard 0, its futures would never resolve
-// before shard 0's release below).
+// before shard 0's release below). Pulling never reads a shard's
+// BackendKind, so a CPU shard beside a busy PIM shard takes waves the
+// same way.
 TEST(ServiceFault, FreeShardTakesPendingWave) {
   const auto params = make_params(256);
   std::latch parked0(1), release0(1), parked1(1), release1(1);
