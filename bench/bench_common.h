@@ -1,4 +1,4 @@
-// Shared helpers for the paper-reproduction benchmark binaries.
+// Shared flag parsing, table header and JSON helpers of the bench binaries.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ inline void print_table1_header(const char* title) {
 
 /// Scan argv for `--json [path]` / `--json=path`. Returns the output path
 /// ("-" = stdout) when the flag is present, and strips it from argv so the
-/// remaining arguments can go to another flag parser (e.g. google-benchmark).
+/// remaining arguments can go to the next flag parser (finish_flags last).
 inline std::optional<std::string> consume_json_flag(int& argc, char** argv) {
   std::optional<std::string> path;
   int out = 1;

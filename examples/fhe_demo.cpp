@@ -33,6 +33,8 @@ int main() {
   const auto ct1 = bfv.encrypt(m1);
   const auto ct2 = bfv.encrypt(m2);
 
+  const bool fresh_ok = bfv.decrypt(ct1) == m1;
+
   // Homomorphic addition.
   const auto sum = bfv.add(ct1, ct2);
   auto expected_sum = m1;
@@ -45,7 +47,7 @@ int main() {
   const bool mul_ok = bfv.decrypt(product) == bfv.plaintext_multiply(m1, m2);
 
   std::cout << "  decrypt(ct1)        == m1       : "
-            << (bfv.decrypt(ct1) == m1 ? "YES" : "NO") << "\n"
+            << (fresh_ok ? "YES" : "NO") << "\n"
             << "  decrypt(ct1 + ct2)  == m1 + m2  : "
             << (add_ok ? "YES" : "NO") << "\n"
             << "  decrypt(ct1 * ct2)  == m1 * m2  : "
@@ -60,5 +62,5 @@ int main() {
             << "  simulated energy : " << pim.total_energy_nj() / 1e3
             << " uJ\n";
 
-  return add_ok && mul_ok ? EXIT_SUCCESS : EXIT_FAILURE;
+  return fresh_ok && add_ok && mul_ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

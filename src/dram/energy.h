@@ -4,8 +4,9 @@
 // We charge per-event energies for row activation, column transfers and BU
 // operations plus a background (standby/peripheral) power term. Constants
 // are HBM2E-class values calibrated so the N=1024 / Nb=2 point lands in the
-// ballpark of the paper's Table III (see DESIGN.md substitution notes); the
-// *scaling shape* across N, Nb and designs is what the model reproduces.
+// ballpark of the paper's Table III; the *scaling shape* across N, Nb and
+// designs is what the model reproduces. bench_paper's Table III energy
+// group pins how far each point sits from the paper.
 #pragma once
 
 #include <cstdint>

@@ -16,7 +16,7 @@
 //  3. In-place update: every BU's outputs return to its input locations
 //     (Sec. III.C); with `in_place = false` the mapper instead ping-pongs
 //     between the data region and a shadow region, reproducing the paper's
-//     argument for why in-place matters (ablation A1 in DESIGN.md).
+//     argument for why in-place matters (bench_paper's Sec. III.C group).
 //
 // Pipelining (Sec. V): with S buffer slots the emission is software
 // pipelined — reads for op k+S are emitted while op k computes, and with

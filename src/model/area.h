@@ -9,8 +9,8 @@
 //     crossbar port growth, with marginal costs calibrated to the paper's
 //     published increments (synthesis shows decreasing marginal cost as the
 //     tool shares decode/control logic).
-// The Nb = 1 point and buffer increments reproduce Table II; other Nb
-// values inter/extrapolate. See DESIGN.md substitution notes.
+// The Nb = 1 point and buffer increments reproduce Table II (bench_paper's
+// Table II group checks it); other Nb values inter/extrapolate.
 #pragma once
 
 #include <cstddef>

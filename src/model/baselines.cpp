@@ -1,7 +1,5 @@
 #include "model/baselines.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace nttpim::model {
@@ -16,29 +14,6 @@ std::optional<double> ReferenceDesign::energy_at(std::size_t n) const {
   for (const auto& p : points)
     if (p.n == n) return p.energy_uj;
   return std::nullopt;
-}
-
-double ReferenceDesign::fitted_latency_us(std::size_t n) const {
-  // Least squares for y = a*x + b with x = N log2 N.
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  int count = 0;
-  for (const auto& p : points) {
-    if (!p.latency_us) continue;
-    const double x =
-        static_cast<double>(p.n) * std::log2(static_cast<double>(p.n));
-    sx += x;
-    sy += *p.latency_us;
-    sxx += x * x;
-    sxy += x * *p.latency_us;
-    ++count;
-  }
-  NTTPIM_CHECK_MSG(count >= 2, "need at least two points to fit");
-  const double denom = count * sxx - sx * sx;
-  const double a = (count * sxy - sx * sy) / denom;
-  const double b = (sy - a * sx) / count;
-  const double x =
-      static_cast<double>(n) * std::log2(static_cast<double>(n));
-  return a * x + b;
 }
 
 const std::vector<ReferenceDesign>& table3_designs() {

@@ -2,8 +2,7 @@
 //
 // MeNTT (6T-SRAM PIM), CryptoPIM (ReRAM PIM), the paper's x86 measurement
 // and the FPGA baseline are *quoted* numbers in the paper as well — no
-// hardware exists to re-run them. They are encoded here as reference data;
-// fitted a*N*log2(N) + b models provide interpolation for sweep plots.
+// hardware exists to re-run them. They are encoded here as reference data.
 //
 // Unit note: the paper's Table III column headers say "ns"/"nJ", but the
 // magnitudes (and Fig. 7's microsecond axis, which the NTT-PIM rows match
@@ -32,10 +31,6 @@ struct ReferenceDesign {
   /// Reported latency at exactly n, if the paper lists it.
   std::optional<double> latency_at(std::size_t n) const;
   std::optional<double> energy_at(std::size_t n) const;
-
-  /// Least-squares fit of latency = a * N log2 N + b over the reported
-  /// points, used to interpolate/extrapolate sweeps.
-  double fitted_latency_us(std::size_t n) const;
 };
 
 /// The comparison designs of Table III (excluding our simulated NTT-PIM).

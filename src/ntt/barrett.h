@@ -1,6 +1,5 @@
 // Barrett reduction for 32-bit moduli — used by the functional hot path
-// (the TFG and the CU butterfly datapath) and evaluated against Montgomery
-// and plain `%` in the kernel ablation benchmarks (bench_ntt_kernels).
+// (the TFG and the CU butterfly datapath).
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,8 @@
 // All NTT coefficients are 32-bit words (the paper's bitwidth); intermediate
 // products use 64-bit (or 128-bit for 64-bit moduli in parameter search).
 // Functions here are the straightforward, obviously-correct forms; the
-// performance-tuned reductions live in montgomery.h / barrett.h and are
-// cross-checked against these in the tests.
+// performance-tuned reduction lives in barrett.h and is cross-checked
+// against these in the tests.
 #pragma once
 
 #include <cstdint>

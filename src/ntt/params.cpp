@@ -33,28 +33,4 @@ std::uint32_t NttParams::stage_step(unsigned stage) const {
   return omega_pow(n_ >> stage);
 }
 
-const std::vector<std::uint32_t>& NttParams::twiddles() const {
-  if (twiddles_.empty()) {
-    twiddles_.resize(n_ / 2);
-    std::uint64_t w = 1;
-    for (auto& t : twiddles_) {
-      t = static_cast<std::uint32_t>(w);
-      w = mul_mod(w, omega_, q_);
-    }
-  }
-  return twiddles_;
-}
-
-const std::vector<std::uint32_t>& NttParams::inv_twiddles() const {
-  if (inv_twiddles_.empty()) {
-    inv_twiddles_.resize(n_ / 2);
-    std::uint64_t w = 1;
-    for (auto& t : inv_twiddles_) {
-      t = static_cast<std::uint32_t>(w);
-      w = mul_mod(w, omega_inv_, q_);
-    }
-  }
-  return inv_twiddles_;
-}
-
 }  // namespace nttpim::ntt

@@ -43,11 +43,6 @@ class NttParams {
   /// within a stage the butterfly at in-group offset j uses twiddle w_s^j.
   std::uint32_t stage_step(unsigned stage) const;
 
-  /// Precomputed twiddle table: tw[j] = omega^j for j in [0, n/2).
-  const std::vector<std::uint32_t>& twiddles() const;
-  /// Precomputed inverse twiddle table: itw[j] = omega^{-j}.
-  const std::vector<std::uint32_t>& inv_twiddles() const;
-
  private:
   std::size_t n_;
   unsigned log2n_;
@@ -57,8 +52,6 @@ class NttParams {
   std::uint32_t psi_;
   std::uint32_t psi_inv_;
   std::uint32_t n_inv_;
-  mutable std::vector<std::uint32_t> twiddles_;      // lazily built
-  mutable std::vector<std::uint32_t> inv_twiddles_;  // lazily built
 };
 
 }  // namespace nttpim::ntt

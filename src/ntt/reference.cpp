@@ -3,7 +3,6 @@
 #include "common/bitutil.h"
 #include "common/check.h"
 #include "ntt/modular.h"
-#include "ntt/montgomery.h"
 #include "ntt/twiddle_cache.h"
 
 namespace nttpim::ntt {
@@ -86,30 +85,6 @@ void intt_dit_bitrev_to_natural(std::span<std::uint32_t> a,
   dit_kernel(a, params, params.omega_inv());
 }
 
-void ntt_dif_natural_to_bitrev(std::span<std::uint32_t> a,
-                               const NttParams& params) {
-  NTTPIM_EXPECT(a.size() == params.n());
-  const std::uint64_t q = params.q();
-  const std::size_t n = params.n();
-  // Same stage-step exponents as the DIT kernel (n/(2m) = n >> s with
-  // 2^s = 2m), served from the shared per-(n, q, base) cache.
-  const auto steps = stage_steps(n, q, params.omega());
-  for (std::size_t m = n / 2; m >= 1; m >>= 1) {
-    const std::uint64_t step = (*steps)[exact_log2(2 * m) - 1];
-    for (std::size_t k = 0; k < n; k += 2 * m) {
-      std::uint64_t w = 1;
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint64_t u = a[k + j];
-        const std::uint64_t v = a[k + j + m];
-        a[k + j] = static_cast<std::uint32_t>(add_mod(u, v, q));
-        a[k + j + m] =
-            static_cast<std::uint32_t>(mul_mod(sub_mod(u, v, q), w, q));
-        w = mul_mod(w, step, q);
-      }
-    }
-  }
-}
-
 std::vector<std::uint32_t> ntt_recursive(std::span<const std::uint32_t> a,
                                          const NttParams& params) {
   NTTPIM_EXPECT(a.size() == params.n());
@@ -152,58 +127,6 @@ void inverse_ntt(std::vector<std::uint32_t>& a, const NttParams& params) {
   const std::uint64_t q = params.q();
   for (auto& x : a)
     x = static_cast<std::uint32_t>(mul_mod(x, params.n_inv(), q));
-}
-
-void forward_ntt_plain_mod(std::vector<std::uint32_t>& a, std::uint32_t q,
-                           std::uint32_t omega) {
-  NTTPIM_EXPECT(is_pow2(a.size()));
-  bit_reverse_permute(a);
-  const std::size_t n = a.size();
-  for (std::size_t m = 1; m < n; m <<= 1) {
-    // Twiddle step computed on the fly by repeated squaring-free powmod —
-    // deliberately unoptimized, mirroring plain software.
-    std::uint64_t step = omega;
-    for (std::size_t h = 2 * m; h < n; h <<= 1) step = step * step % q;
-    for (std::size_t k = 0; k < n; k += 2 * m) {
-      std::uint64_t w = 1;
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint64_t u = a[k + j];
-        const std::uint64_t t = a[k + j + m] * w % q;
-        a[k + j] = static_cast<std::uint32_t>((u + t) % q);
-        a[k + j + m] = static_cast<std::uint32_t>((u + q - t) % q);
-        w = w * step % q;
-      }
-    }
-  }
-}
-
-void forward_ntt_montgomery(std::vector<std::uint32_t>& a,
-                            const NttParams& params) {
-  NTTPIM_EXPECT(a.size() == params.n());
-  const Montgomery32 mont(params.q());
-  const std::size_t n = params.n();
-
-  // Twiddle table in Montgomery form, ordered for sequential stage access.
-  const auto& tw = params.twiddles();
-  std::vector<std::uint32_t> mtw(tw.size());
-  for (std::size_t i = 0; i < tw.size(); ++i) mtw[i] = mont.to_mont(tw[i]);
-
-  bit_reverse_permute(a);
-  for (auto& x : a) x = mont.to_mont(x);
-
-  for (std::size_t m = 1; m < n; m <<= 1) {
-    const std::size_t exponent_step = n / (2 * m);
-    for (std::size_t k = 0; k < n; k += 2 * m) {
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint32_t w = mtw[j * exponent_step];
-        const std::uint32_t u = a[k + j];
-        const std::uint32_t t = mont.mul(a[k + j + m], w);
-        a[k + j] = mont.add(u, t);
-        a[k + j + m] = mont.sub(u, t);
-      }
-    }
-  }
-  for (auto& x : a) x = mont.from_mont(x);
 }
 
 }  // namespace nttpim::ntt

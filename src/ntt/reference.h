@@ -1,11 +1,11 @@
-// Reference NTT implementations (golden models and CPU baselines).
+// Reference NTT implementations: the golden models the PIM results are
+// checked against, and the kernels the negacyclic CPU transforms build on.
 //
 // Conventions. All functions operate on vectors of residues in [0, q).
 //  - "bitrev -> natural": expects input permuted by bit reversal, produces
 //    output in natural index order (Cooley–Tukey / DIT dataflow, the one the
 //    PIM mapping uses; the paper assumes host software performs the bit
 //    reversal).
-//  - "natural -> bitrev": Gentleman–Sande / DIF dataflow.
 //  - forward_ntt / inverse_ntt are the natural->natural conveniences.
 #pragma once
 
@@ -36,11 +36,6 @@ void ntt_dit_bitrev_to_natural(std::span<std::uint32_t> a,
 void intt_dit_bitrev_to_natural(std::span<std::uint32_t> a,
                                 const NttParams& params);
 
-/// In-place iterative Gentleman–Sande (DIF): natural input -> bit-reversed
-/// output. Butterfly: (a, b) -> (a + b, (a - b) * w).
-void ntt_dif_natural_to_bitrev(std::span<std::uint32_t> a,
-                               const NttParams& params);
-
 /// Recursive Cooley–Tukey (even/odd split), natural -> natural. Slower, used
 /// to cross-check and to mirror the paper's recursive-decomposition argument
 /// (Sec. III.A).
@@ -52,16 +47,5 @@ void forward_ntt(std::vector<std::uint32_t>& a, const NttParams& params);
 
 /// Natural -> natural inverse NTT (bit-reverse + DIT(omega^-1) + scale 1/N).
 void inverse_ntt(std::vector<std::uint32_t>& a, const NttParams& params);
-
-/// Deliberately plain NTT used as the "x86 CPU software" baseline: 64-bit
-/// `%` reduction, twiddles by repeated multiplication, no precomputed tables.
-/// This approximates the unoptimized software the paper compares against.
-void forward_ntt_plain_mod(std::vector<std::uint32_t>& a, std::uint32_t q,
-                           std::uint32_t omega);
-
-/// Optimized CPU NTT: Montgomery arithmetic with precomputed tables (what a
-/// performance-conscious host implementation looks like).
-void forward_ntt_montgomery(std::vector<std::uint32_t>& a,
-                            const NttParams& params);
 
 }  // namespace nttpim::ntt

@@ -50,7 +50,7 @@ NttRunResult run_ntt_on_pim(const NttRunConfig& config) {
 
   // Host side: place the polynomial (bit-reversed; for the forward
   // negacyclic transform the host folds the psi^i pre-scaling into this
-  // pass, since it touches every word anyway — see DESIGN.md).
+  // pass, since it touches every word anyway).
   std::vector<std::uint32_t> to_load = input;
   if (config.negacyclic && config.direction == mapping::Direction::kForward)
     ntt::geometric_scale(to_load, params.psi(), 1, params.q());

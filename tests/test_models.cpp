@@ -2,7 +2,6 @@
 
 #include "model/area.h"
 #include "model/baselines.h"
-#include "model/cpu_baseline.h"
 
 namespace nttpim::model {
 namespace {
@@ -79,47 +78,6 @@ TEST(Baselines, PaperNttPimRows) {
   EXPECT_DOUBLE_EQ(*nb6.latency_at(256), 1.94);
   EXPECT_FALSE(nb6.energy_at(256).has_value());
   EXPECT_THROW(paper_nttpim(3), std::invalid_argument);
-}
-
-TEST(Baselines, FitInterpolatesReasonably) {
-  // The N log N fit should pass near the reported points.
-  const auto& x86 = table3_designs()[2];
-  for (const std::size_t n : {256u, 1024u, 4096u}) {
-    const double fitted = x86.fitted_latency_us(n);
-    const double reported = *x86.latency_at(n);
-    EXPECT_NEAR(fitted, reported, 0.25 * reported) << "n=" << n;
-  }
-  // Extrapolation grows monotonically.
-  EXPECT_GT(x86.fitted_latency_us(8192), x86.fitted_latency_us(4096));
-}
-
-#if defined(__SANITIZE_ADDRESS__)
-#define NTTPIM_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(undefined_behavior_sanitizer)
-#define NTTPIM_TEST_SANITIZED 1
-#endif
-#endif
-
-TEST(CpuBaseline, MeasurementsArePositiveAndOrdered) {
-  const auto plain = measure_cpu_plain(1024, 3);
-  const auto mont = measure_cpu_montgomery(1024, 3);
-  EXPECT_GT(plain.latency_us, 0.0);
-  EXPECT_GT(mont.latency_us, 0.0);
-  EXPECT_GT(plain.energy_uj, 0.0);
-  // The Montgomery path should not be slower than the plain-mod path.
-  // Relative wall-clock ratios are only meaningful in optimized,
-  // uninstrumented builds; sanitizers and -O0 skew the two paths
-  // differently.
-#if defined(NDEBUG) && !defined(NTTPIM_TEST_SANITIZED)
-  EXPECT_LE(mont.latency_us, plain.latency_us * 1.5);
-#endif
-}
-
-TEST(CpuBaseline, ScalesWithN) {
-  const auto small = measure_cpu_plain(256, 3);
-  const auto large = measure_cpu_plain(8192, 3);
-  EXPECT_GT(large.latency_us, small.latency_us);
 }
 
 }  // namespace

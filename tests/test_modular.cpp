@@ -4,7 +4,6 @@
 
 #include "common/random.h"
 #include "ntt/barrett.h"
-#include "ntt/montgomery.h"
 
 namespace nttpim::ntt {
 namespace {
@@ -77,81 +76,6 @@ TEST(NegMod, Identities) {
     EXPECT_EQ(add_mod(a, neg_mod(a, 17), 17), 0u);
 }
 
-// ------------------------------------------------------------- Montgomery
-
-TEST(Montgomery, RoundTrip) {
-  Rng rng(5);
-  for (const auto q64 : kPrimes) {
-    if (q64 < 3 || q64 >= (1ULL << 31)) continue;
-    const auto q = static_cast<std::uint32_t>(q64);
-    const Montgomery32 mont(q);
-    for (int i = 0; i < 100; ++i) {
-      const auto a = static_cast<std::uint32_t>(rng.next_below(q));
-      EXPECT_EQ(mont.from_mont(mont.to_mont(a)), a);
-    }
-  }
-}
-
-TEST(Montgomery, MulMatchesReference) {
-  Rng rng(6);
-  for (const auto q64 : kPrimes) {
-    if (q64 < 3 || q64 >= (1ULL << 31)) continue;
-    const auto q = static_cast<std::uint32_t>(q64);
-    const Montgomery32 mont(q);
-    for (int i = 0; i < 200; ++i) {
-      const auto a = static_cast<std::uint32_t>(rng.next_below(q));
-      const auto b = static_cast<std::uint32_t>(rng.next_below(q));
-      const auto got =
-          mont.from_mont(mont.mul(mont.to_mont(a), mont.to_mont(b)));
-      EXPECT_EQ(got, mul_mod(a, b, q));
-    }
-  }
-}
-
-TEST(Montgomery, AddSubMatchReference) {
-  const std::uint32_t q = 998244353;
-  const Montgomery32 mont(q);
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const auto a = static_cast<std::uint32_t>(rng.next_below(q));
-    const auto b = static_cast<std::uint32_t>(rng.next_below(q));
-    // add/sub act identically in either domain (they are linear).
-    EXPECT_EQ(mont.add(a, b), add_mod(a, b, q));
-    EXPECT_EQ(mont.sub(a, b), sub_mod(a, b, q));
-  }
-}
-
-TEST(Montgomery, PowMatchesReference) {
-  const std::uint32_t q = 2147473409;
-  const Montgomery32 mont(q);
-  Rng rng(8);
-  for (int i = 0; i < 50; ++i) {
-    const auto a = static_cast<std::uint32_t>(1 + rng.next_below(q - 1));
-    const std::uint64_t e = rng.next_below(1 << 20);
-    EXPECT_EQ(mont.from_mont(mont.pow(mont.to_mont(a), e)), pow_mod(a, e, q));
-  }
-}
-
-TEST(Montgomery, OneIsMontgomeryOne) {
-  const Montgomery32 mont(12289);
-  EXPECT_EQ(mont.from_mont(mont.one()), 1u);
-}
-
-TEST(Montgomery, RejectsBadModuli) {
-  EXPECT_THROW(Montgomery32(16), std::invalid_argument);  // even
-  EXPECT_THROW(Montgomery32(1), std::invalid_argument);
-  EXPECT_THROW(Montgomery32(0x80000001u), std::invalid_argument);  // >= 2^31
-}
-
-TEST(Montgomery, EdgeOperands) {
-  const std::uint32_t q = 2147473409;  // close to 2^31
-  const Montgomery32 mont(q);
-  const std::uint32_t qm1 = q - 1;
-  EXPECT_EQ(mont.from_mont(mont.mul(mont.to_mont(qm1), mont.to_mont(qm1))),
-            mul_mod(qm1, qm1, q));
-  EXPECT_EQ(mont.from_mont(mont.mul(mont.to_mont(0), mont.to_mont(qm1))), 0u);
-}
-
 // ---------------------------------------------------------------- Barrett
 
 TEST(Barrett, ReduceMatchesModulo) {
@@ -199,21 +123,18 @@ TEST(Barrett, RejectsBadModuli) {
   EXPECT_THROW(Barrett32(0x80000001u), std::invalid_argument);
 }
 
-// Property sweep: the three reduction paths agree on random triples.
+// Property sweep: Barrett (the CU's reducer) agrees with mul_mod on random
+// pairs.
 class ReductionAgreement : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ReductionAgreement, AllPathsAgree) {
   const std::uint32_t q = GetParam();
-  const Montgomery32 mont(q);
   const Barrett32 barrett(q);
   Rng rng(q);
   for (int i = 0; i < 100; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.next_below(q));
     const auto b = static_cast<std::uint32_t>(rng.next_below(q));
-    const auto reference = mul_mod(a, b, q);
-    EXPECT_EQ(barrett.mul(a, b), reference);
-    EXPECT_EQ(mont.from_mont(mont.mul(mont.to_mont(a), mont.to_mont(b))),
-              reference);
+    EXPECT_EQ(barrett.mul(a, b), mul_mod(a, b, q));
   }
 }
 

@@ -49,19 +49,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ParamsInvariants,
                          ::testing::Values(2, 4, 8, 16, 64, 256, 1024, 4096,
                                            8192));
 
-TEST(Params, TwiddleTablesMatchPowers) {
-  const NttParams p = NttParams::create(64);
-  const auto& tw = p.twiddles();
-  const auto& itw = p.inv_twiddles();
-  ASSERT_EQ(tw.size(), 32u);
-  ASSERT_EQ(itw.size(), 32u);
-  for (std::size_t j = 0; j < tw.size(); ++j) {
-    EXPECT_EQ(tw[j], p.omega_pow(j));
-    EXPECT_EQ(itw[j], pow_mod(p.omega_inv(), j, p.q()));
-    EXPECT_EQ(mul_mod(tw[j], itw[j], p.q()), 1u);
-  }
-}
-
 TEST(Params, ExplicitModulus) {
   const NttParams p(256, 12289);
   EXPECT_EQ(p.q(), 12289u);

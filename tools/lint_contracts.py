@@ -13,9 +13,12 @@ instead of it):
   2. atomic-order   -- every atomic member-function op (.load/.store/
      .exchange/.fetch_*/.compare_exchange_*) names an explicit
      std::memory_order, and no atomic declared in the file is touched
-     through its implicit-seq_cst operator sugar (++, --, +=, -=, plain
-     assignment, or implicit-conversion read). Orderings are part of the
-     contract; defaults hide them.
+     through its implicit-seq_cst operator sugar (prefix or postfix ++
+     and --, +=, -=, &=, |=, ^=, or plain assignment). A bare `name`
+     counts inside the block that declares the atomic; `.name`/`->name`
+     counts only when the atomic is a struct or class member.
+     Implicit-conversion reads (`if (flag)`) are not detected. Orderings
+     are part of the contract; defaults hide them.
   3. no-test-sleep  -- no sleep_for / sleep_until in tests/. A sleeping
      test is a race with a timeout; the repo's test idioms (pause/resume
      staging, explicit times passed to the former and admission, drain())
@@ -54,6 +57,20 @@ ATOMIC_METHODS = re.compile(
 ATOMIC_DECL = re.compile(
     r"std\s*::\s*(?:atomic\s*<[^;{}()]*>|atomic_flag|atomic_bool"
     r"|atomic_int|atomic_uint|atomic_size_t|atomic_uint64_t)\s+(\w+)"
+)
+
+# A struct/class/union body's head: class key, name tokens (attribute
+# macros with arguments allowed) and an optional base clause.
+CLASS_HEAD = re.compile(
+    r"\b(?:struct|class|union)\b(?:\s+\w+(?:\s*\([^()]*\))?)*\s*(?::[^{};]*)?$"
+)
+
+# Operator sugar: ++x / --x (group 2 the name, group 1 an object chain
+# such as `s.`, `p->` or `v[i].`), or x++ / x-- / x op= y (group 4 the
+# name, group 3 a leading `.` or `->`), x optionally subscripted.
+ATOMIC_SUGAR = re.compile(
+    r"(?:\+\+|--)\s*((?:\w+\s*(?:\[[^\]]*\]\s*)*(?:\.|->)\s*)*)(\w+)\b"
+    r"|(\.|->)?\s*(?<!\w)(\w+)(?:\s*\[[^\]]*\])?\s*(?:\+\+|--|[+\-&|^]?=(?!=))"
 )
 
 SLEEP = re.compile(r"\b(?:std\s*::\s*this_thread\s*::\s*)?sleep_(for|until)\s*\(")
@@ -131,22 +148,37 @@ def check_atomic_order(rel: str, code: str, findings: list[str]) -> None:
             f"an explicit std::memory_order"
         )
     # Operator sugar on atomics declared in this file is implicit seq_cst.
-    atomics = {m.group(1) for m in ATOMIC_DECL.finditer(code)}
-    for name in atomics:
-        sugar = re.compile(
-            rf"(?:\+\+|--)\s*{name}\b|\b{name}(?:\s*\[[^\]]*\])?\s*"
-            rf"(?:\+\+|--|(?<![<>=!+\-*/&|^]))(?:[+\-&|^]?=)(?!=)"
+    # Each declaration's scope: its innermost enclosing {...} block, and
+    # whether that block is a class body (a member atomic).
+    blocks: list[tuple[int, int]] = []
+    opens: list[int] = []
+    for i, c in enumerate(code):
+        if c == "{":
+            opens.append(i)
+        elif c == "}" and opens:
+            blocks.append((opens.pop(), i))
+    scopes: dict[str, list[tuple[int, int, int, bool]]] = {}
+    for m in ATOMIC_DECL.finditer(code):
+        pos = m.start(1)
+        start, end = max(
+            (b for b in blocks if b[0] < pos < b[1]), default=(-1, len(code))
         )
-        for m in sugar.finditer(code):
-            # Skip the declaration itself (member init like {0} / = 0).
-            decl = ATOMIC_DECL.search(code[: m.end()])
-            if decl and decl.group(1) == name and decl.end() >= m.start():
-                continue
-            findings.append(
-                f"{rel}:{line_of(code, m.start())}: [atomic-order] operator op on "
-                f"atomic '{name}' (implicit seq_cst) — use "
-                f".load/.store/.fetch_* with an explicit ordering"
-            )
+        head = code[max(code.rfind(c, 0, start) for c in ";{}") + 1 : start]
+        member = start >= 0 and CLASS_HEAD.search(head) is not None
+        scopes.setdefault(m.group(1), []).append((pos, start, end, member))
+    for m in ATOMIC_SUGAR.finditer(code):
+        group = 2 if m.group(2) else 4
+        name, pos = m.group(group), m.start(group)
+        through_object = bool(m.group(1) or m.group(3))
+        for decl, start, end, member in scopes.get(name, ()):
+            in_scope = member if through_object else start < pos < end
+            if pos != decl and in_scope:
+                findings.append(
+                    f"{rel}:{line_of(code, pos)}: [atomic-order] operator op on "
+                    f"atomic '{name}' (implicit seq_cst) — use "
+                    f".load/.store/.fetch_* with an explicit ordering"
+                )
+                break
 
 
 def check_test_sleep(rel: str, code: str, findings: list[str]) -> None:
