@@ -6,9 +6,10 @@
 //     pass; each item's PARAM prologue re-parameterizes the CU between
 //     calls (the flexibility MeNTT/CryptoPIM lack, Sec. VI.E).
 //  2. Through the throughput-shaped FHE backend: PimBackend::transform_batch
-//     shards a pile of same-parameter polynomials across a multi-bank
-//     device, one cached plan replicated per bank, one engine pass per
-//     wave — bank-level parallelism end-to-end.
+//     runs a pile of same-parameter polynomials as one wave on a
+//     multi-bank device: items rotate across the banks, a bank's further
+//     items stack at disjoint base rows, and the whole pile is one stacked
+//     engine pass — bank-level parallelism end-to-end.
 #include <cstdlib>
 #include <iostream>
 
@@ -19,7 +20,7 @@
 
 namespace {
 
-// Part 2: batched same-parameter transforms across a 4-bank device.
+// Part 2: batched same-parameter transforms, one stacked pass on 4 banks.
 int run_backend_batch() {
   using namespace nttpim;
 
@@ -41,7 +42,7 @@ int run_backend_batch() {
   const bool ok = polys == expected;
   std::cout << "\nBatched backend: 10 forward negacyclic NTTs (N = 1024) "
                "over 4 banks:\n  "
-            << backend.engine_passes() << " engine passes (waves), "
+            << backend.engine_passes() << " stacked engine pass, "
             << backend.total_cycles() << " modeled cycles total, plan cache "
             << backend.plan_cache_misses() << " misses / "
             << backend.plan_cache_hits() << " hits, verified: "

@@ -68,13 +68,6 @@ struct DramTiming {
   unsigned burst = 2;   ///< data transfer beats per 32B atom
   unsigned trefi = 4680; ///< refresh interval (3.9 us at 1200 MHz)
   unsigned trfc = 420;  ///< refresh cycle time (350 ns at 1200 MHz)
-  /// Stagger refresh across channels (HBM-style): channel c's tREFI clock
-  /// is offset by trefi * c / num_channels, so at most one channel's banks
-  /// hit their refresh deadline at a time and a multi-channel wave never
-  /// sees every command bus stall for tRFC at once. Off by default — the
-  /// paper's single-channel device has nothing to stagger, and the seed
-  /// baseline stays bit-identical.
-  bool stagger_refresh = false;
 
   // --- CU (digital logic) latencies, cycle-fixed (paper Sec. VI.B) ---
   unsigned c1_latency = 15;        ///< C1 result latency

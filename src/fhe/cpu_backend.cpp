@@ -12,6 +12,17 @@
 
 namespace nttpim::fhe {
 
+namespace {
+
+void transform(const BatchItem& item) {
+  if (item.inverse)
+    ntt::inverse_negacyclic_ntt(*item.poly, *item.params);
+  else
+    ntt::forward_negacyclic_ntt(*item.poly, *item.params);
+}
+
+}  // namespace
+
 CpuBackend::CpuBackend(const Config& config)
     : cfg_(config), lanes_(std::max<std::size_t>(1, config.threads)) {
   NTTPIM_EXPECT_MSG(cfg_.freq_mhz > 0, "the modeled clock must be positive");
@@ -31,35 +42,12 @@ CpuBackend::~CpuBackend() {
   for (std::thread& t : pool_) t.join();
 }
 
-void CpuBackend::forward(std::vector<std::uint32_t>& a,
-                         const ntt::NttParams& params) {
-  ntt::forward_negacyclic_ntt(a, params);
-  modeled_cycles_.fetch_add(item_cycles(params.n()),
-                            std::memory_order_relaxed);
-  transforms_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CpuBackend::inverse(std::vector<std::uint32_t>& a,
-                         const ntt::NttParams& params) {
-  ntt::inverse_negacyclic_ntt(a, params);
-  modeled_cycles_.fetch_add(item_cycles(params.n()),
-                            std::memory_order_relaxed);
-  transforms_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void CpuBackend::run_lane(std::size_t lane) noexcept {
   // Lanes touch disjoint polynomials (validated), so the only shared
-  // writes are the relaxed counters and the mutex-guarded first error.
+  // write is the mutex-guarded first error.
   for (std::size_t j = lane; j < batch_.size(); j += lanes_) {
-    const BatchItem& item = batch_[j];
     try {
-      if (item.inverse)
-        ntt::inverse_negacyclic_ntt(*item.poly, *item.params);
-      else
-        ntt::forward_negacyclic_ntt(*item.poly, *item.params);
-      modeled_cycles_.fetch_add(item_cycles(item.params->n()),
-                                std::memory_order_relaxed);
-      transforms_.fetch_add(1, std::memory_order_relaxed);
+      transform(batch_[j]);
     } catch (...) {
       const sync::MutexLock lk(mu_);
       if (!batch_error_) batch_error_ = std::current_exception();
@@ -85,17 +73,10 @@ void CpuBackend::pool_main(std::size_t lane) {
   }
 }
 
-void CpuBackend::transform_batch_mixed(std::span<const BatchItem> items) {
-  validate_batch_items(items);
-  if (items.empty()) return;
+std::uint64_t CpuBackend::run_wave(std::span<const BatchItem> items) {
   if (lanes_ == 1 || items.size() == 1) {
     // Serial tight loop; let a single item's error propagate directly.
-    for (const auto& item : items) {
-      if (item.inverse)
-        inverse(*item.poly, *item.params);
-      else
-        forward(*item.poly, *item.params);
-    }
+    for (const auto& item : items) transform(item);
   } else {
     {
       const sync::MutexLock lk(mu_);
@@ -115,26 +96,18 @@ void CpuBackend::transform_batch_mixed(std::span<const BatchItem> items) {
     }
     if (error) std::rethrow_exception(error);
   }
+  // Elapsed time: the busiest lane's total, item j having run on lane
+  // j % lanes_.
+  std::vector<std::uint64_t> lane_cycles(std::min(lanes_, items.size()), 0);
+  for (std::size_t j = 0; j < items.size(); ++j)
+    lane_cycles[j % lanes_] += item_cycles(items[j].params->n());
+  return *std::max_element(lane_cycles.begin(), lane_cycles.end());
 }
 
 std::uint64_t CpuBackend::item_cycles(std::size_t n) const {
   const auto log2n = static_cast<double>(exact_log2(n));
   return static_cast<std::uint64_t>(cfg_.cycles_per_point_stage *
                                     static_cast<double>(n) * log2n);
-}
-
-std::uint64_t CpuBackend::estimate_wave_cycles(
-    std::span<const BatchItem> items) const {
-  if (items.empty()) return 0;
-  std::vector<std::uint64_t> lane_cycles(std::min(lanes_, items.size()), 0);
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    NTTPIM_EXPECT_MSG(items[j].params != nullptr,
-                      "estimating a wave needs each item's parameter set");
-    lane_cycles[j % lanes_] += item_cycles(items[j].params->n());
-  }
-  std::uint64_t makespan = 0;
-  for (const std::uint64_t c : lane_cycles) makespan = std::max(makespan, c);
-  return makespan;
 }
 
 double CpuBackend::measure_cycles_per_point_stage(double freq_mhz,

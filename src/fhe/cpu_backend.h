@@ -9,29 +9,19 @@
 //
 // Two things make it production-shaped rather than a loop around the
 // golden model:
-//  - transform_batch_mixed() dispatches the wave's items over a small
-//    worker pool (Config::threads lanes, item j on lane j % lanes; the
-//    calling thread drives lane 0), preserving the distinct-vector
-//    contract — lanes touch disjoint polynomials, so the only shared state
-//    is the relaxed transform counter. threads <= 1 degrades to the tight
-//    serial loop.
-//  - estimate_wave_cycles() is a fitted cost model in the same
-//    modeled-cycle unit as the PIM backend's (see NttBackend): one item
-//    costs cycles_per_point_stage * n * log2(n) modeled cycles — the
-//    classic n log n fit, from the documented default fit of the
-//    reference kernel or a measure_cycles_per_point_stage() boot
-//    measurement. A wave's price replays the pool's lane placement and
-//    returns the busiest lane's total, mirroring how PimBackend prices
-//    its bank placement. The modeled_cycles() account charges the same
-//    constant, so it is deterministic for a fixed Config.
-//
-// Thread-safety follows the NttBackend contract: single driver for the
-// transform methods (the pool is internal), share-readable monotone
-// counters, and estimate_wave_cycles safe from any thread (pure arithmetic
-// on immutable config).
+//  - run_wave() dispatches the wave's items over a small worker pool
+//    (Config::threads lanes, item j on lane j % lanes; the calling thread
+//    drives lane 0), preserving the distinct-vector contract — lanes touch
+//    disjoint polynomials and no counter. threads <= 1 degrades to the
+//    tight serial loop.
+//  - its modeled account is elapsed time in the PIM backend's
+//    modeled-cycle unit (see NttBackend::modeled_cycles): one item costs
+//    cycles_per_point_stage * n * log2(n) modeled cycles — the classic
+//    n log n fit of the reference kernel — and a wave costs its busiest
+//    lane's total, computed once on the calling thread after the lanes
+//    finish. It is deterministic for a fixed Config.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <thread>
@@ -45,12 +35,13 @@ namespace nttpim::fhe {
 class CpuBackend final : public NttBackend {
  public:
   struct Config {
-    /// Worker-pool lanes for transform_batch_mixed (the calling thread
-    /// drives lane 0, so `threads` lanes spawn threads-1 pool threads).
-    /// <= 1 means the serial tight loop.
+    /// Worker-pool lanes for a wave (the calling thread drives lane 0, so
+    /// `threads` lanes spawn threads-1 pool threads). <= 1 means the
+    /// serial tight loop.
     std::size_t threads = 1;
     /// Modeled device clock the cost model normalizes to, in MHz. Keep it
-    /// equal to the PIM shards' freq_mhz so estimates share one unit.
+    /// equal to the PIM shards' freq_mhz so every shard's modeled cycles
+    /// share one unit.
     double freq_mhz = 1200.0;
     /// Fitted cost constant: one n-point transform is priced at
     /// cycles_per_point_stage * n * log2(n) modeled cycles. The default is
@@ -67,30 +58,6 @@ class CpuBackend final : public NttBackend {
   CpuBackend(const CpuBackend&) = delete;
   CpuBackend& operator=(const CpuBackend&) = delete;
 
-  void forward(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override;
-  void inverse(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override;
-
-  /// One wave, item j executed on lane j % threads. The wave fails as a
-  /// unit: if any item's transform throws, the first error is rethrown
-  /// after every lane finished and the wave's output state is unspecified
-  /// (same contract as a mid-pass PIM failure).
-  void transform_batch_mixed(std::span<const BatchItem> items) override;
-
-  /// Busiest-lane makespan of the fitted per-item prices (see Config).
-  /// Items may carry a null poly; safe from any thread at any time (pure
-  /// arithmetic on the immutable config).
-  std::uint64_t estimate_wave_cycles(
-      std::span<const BatchItem> items) const override;
-
-  /// Cost-model price of everything executed so far — the CPU has no cycle
-  /// simulator, so its modeled-hardware account *is* the fitted model
-  /// (deterministic for a fixed Config, unlike wall-clock).
-  std::uint64_t modeled_cycles() const noexcept override {
-    return modeled_cycles_.load(std::memory_order_relaxed);
-  }
-
   const Config& config() const noexcept { return cfg_; }
   std::size_t lanes() const noexcept { return lanes_; }
 
@@ -104,6 +71,12 @@ class CpuBackend final : public NttBackend {
                                                int reps = 9);
 
  private:
+  /// One wave, item j executed on lane j % threads; returns the busiest
+  /// lane's modeled cycles. The wave fails as a unit: if any item's
+  /// transform throws, the first error is rethrown after every lane
+  /// finished and the wave's output state is unspecified (same contract as
+  /// a mid-pass PIM failure).
+  std::uint64_t run_wave(std::span<const BatchItem> items) override;
   /// Price of one n-point transform in modeled cycles (Config's fit).
   std::uint64_t item_cycles(std::size_t n) const;
   /// Execute every item of batch_ whose index % lanes_ == lane.
@@ -112,9 +85,8 @@ class CpuBackend final : public NttBackend {
 
   const Config cfg_;
   const std::size_t lanes_;
-  std::atomic<std::uint64_t> modeled_cycles_{0};
 
-  // Batch rendezvous: transform_batch_mixed publishes the wave under mu_,
+  // Batch rendezvous: run_wave publishes the wave under mu_,
   // bumps the epoch, runs lane 0 itself, and waits for the pool lanes.
   sync::Mutex mu_;
   sync::CondVar work_cv_;  ///< pool: new epoch / stop

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
-#include "common/bitutil.h"
 #include "common/check.h"
 
 namespace nttpim::fhe {
 
-void NttBackend::validate_batch_items(std::span<const BatchItem> items) {
+void NttBackend::transform_batch_mixed(std::span<const BatchItem> items) {
   std::vector<const std::vector<std::uint32_t>*> polys;
   polys.reserve(items.size());
   for (const auto& item : items) {
@@ -20,21 +19,9 @@ void NttBackend::validate_batch_items(std::span<const BatchItem> items) {
       std::adjacent_find(polys.begin(), polys.end()) == polys.end(),
       "batch items must not alias the same polynomial (write-back order "
       "of aliased outputs is unspecified)");
-}
-
-std::uint64_t NttBackend::default_item_cycles(std::size_t n) {
-  const auto log2n = static_cast<std::uint64_t>(exact_log2(n));
-  return 4 * static_cast<std::uint64_t>(n) * (log2n + 2);
-}
-
-void NttBackend::transform_batch_mixed(std::span<const BatchItem> items) {
-  validate_batch_items(items);
-  for (const auto& item : items) {
-    if (item.inverse)
-      inverse(*item.poly, *item.params);
-    else
-      forward(*item.poly, *item.params);
-  }
+  if (items.empty()) return;
+  modeled_cycles_ += run_wave(items);
+  transforms_ += items.size();
 }
 
 void NttBackend::transform_batch(std::span<std::vector<std::uint32_t>> polys,
@@ -43,17 +30,6 @@ void NttBackend::transform_batch(std::span<std::vector<std::uint32_t>> polys,
   items.reserve(polys.size());
   for (auto& poly : polys) items.push_back({&poly, &params, inverse});
   transform_batch_mixed(items);
-}
-
-std::uint64_t NttBackend::estimate_wave_cycles(
-    std::span<const BatchItem> items) const {
-  std::uint64_t cycles = 0;
-  for (const auto& item : items) {
-    NTTPIM_EXPECT_MSG(item.params != nullptr,
-                      "estimating a wave needs each item's parameter set");
-    cycles += default_item_cycles(item.params->n());
-  }
-  return cycles;
 }
 
 }  // namespace nttpim::fhe

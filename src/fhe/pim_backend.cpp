@@ -18,6 +18,14 @@ sim::EngineConfig engine_config(double freq_mhz) {
   return ec;
 }
 
+/// Conservative price of one never-mapped n-point transform:
+/// 4 * n * (log2 n + 2) modeled cycles, well above what a mapped plan
+/// prices at, so unknown work prices as heavy.
+std::uint64_t unmapped_item_cycles(std::size_t n) {
+  const auto log2n = static_cast<std::uint64_t>(exact_log2(n));
+  return 4 * static_cast<std::uint64_t>(n) * (log2n + 2);
+}
+
 /// Replays the channel-major wave placement shared by run_wave and
 /// estimate_wave_cycles: each item takes the next channel round-robin, and
 /// each channel rotates across its own banks. With one channel this is
@@ -58,16 +66,6 @@ PimBackend::PimBackend(std::size_t num_buffers, double freq_mhz,
                     "banks must divide evenly across channels");
 }
 
-void PimBackend::forward(std::vector<std::uint32_t>& a,
-                         const ntt::NttParams& params) {
-  transform(a, params, /*inverse_direction=*/false);
-}
-
-void PimBackend::inverse(std::vector<std::uint32_t>& a,
-                         const ntt::NttParams& params) {
-  transform(a, params, /*inverse_direction=*/true);
-}
-
 std::shared_ptr<const mapping::MappedNtt> PimBackend::plan_for(
     const ntt::NttParams& params, bool inverse_direction, std::uint16_t bank,
     std::uint32_t base_row) {
@@ -81,32 +79,6 @@ std::shared_ptr<const mapping::MappedNtt> PimBackend::plan_for(
                                     : mapping::Direction::kForward;
   job.negacyclic = inverse_direction;  // psi^{-i} post-scale on the PIM
   return plans_.get_or_map(geometry_, params, config, job);
-}
-
-void PimBackend::transform(std::vector<std::uint32_t>& a,
-                           const ntt::NttParams& params,
-                           bool inverse_direction) {
-  const BatchItem item{&a, &params, inverse_direction};
-  run_wave({&item, 1});
-}
-
-void PimBackend::transform_batch(std::span<std::vector<std::uint32_t>> polys,
-                                 const ntt::NttParams& params, bool inverse) {
-  const std::size_t banks = device_.num_banks();
-  std::vector<BatchItem> items;
-  items.reserve(std::min(banks, polys.size()));
-  for (std::size_t first = 0; first < polys.size(); first += banks) {
-    const std::size_t count = std::min(banks, polys.size() - first);
-    items.clear();
-    for (std::size_t i = 0; i < count; ++i)
-      items.push_back({&polys[first + i], &params, inverse});
-    run_wave(items);
-  }
-}
-
-void PimBackend::transform_batch_mixed(std::span<const BatchItem> items) {
-  validate_batch_items(items);
-  if (!items.empty()) run_wave(items);
 }
 
 std::uint64_t PimBackend::estimate_wave_cycles(
@@ -139,7 +111,7 @@ std::uint64_t PimBackend::estimate_wave_cycles(
       // Every command holds its bus one cycle; PARAM holds it two.
       item_bus_cycles = counts->total + counts->params;
     } else {
-      cycles = default_item_cycles(item.params->n());
+      cycles = unmapped_item_cycles(item.params->n());
     }
     const std::uint16_t bank = placer.place();
     bank_cycles[bank] += cycles;
@@ -153,8 +125,7 @@ std::uint64_t PimBackend::estimate_wave_cycles(
   return makespan;
 }
 
-void PimBackend::run_wave(std::span<const BatchItem> wave) {
-  NTTPIM_EXPECT(!wave.empty());
+std::uint64_t PimBackend::run_wave(std::span<const BatchItem> wave) {
   const std::size_t banks = device_.num_banks();
   const std::size_t words_per_row = geometry_.words_per_row();
 
@@ -211,10 +182,9 @@ void PimBackend::run_wave(std::span<const BatchItem> wave) {
                                      plans[j]->result_base_row,
                                      wave[j].params->n());
 
-  cycles_.fetch_add(stats.cycles, std::memory_order_relaxed);
   energy_nj_ += stats.energy.total_nj();
-  engine_passes_.fetch_add(1, std::memory_order_relaxed);
-  transforms_.fetch_add(wave.size(), std::memory_order_relaxed);
+  ++engine_passes_;
+  return stats.cycles;
 }
 
 double PimBackend::total_us() const {

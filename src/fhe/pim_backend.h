@@ -4,21 +4,16 @@
 //
 // PimBackend is throughput-shaped: it owns one persistent simulated device
 // (constructed once, not per transform), memoizes mapped command traces in
-// a mapping::PlanCache keyed by (geometry, params, config, job), and offers
-// two batch entry points:
-//  - transform_batch(): a pile of same-parameter polynomials sharded across
-//    the device's banks, one engine pass per wave of num_banks();
-//  - transform_batch_mixed(): a *heterogeneous* wave in which every
-//    polynomial carries its own parameter set (modulus) and direction —
-//    the paper's "running different NTT functions in each bank" — executed
-//    as a single engine pass; items beyond num_banks() are stacked at
-//    disjoint base rows of the same bank and run back-to-back within the
-//    pass (parallel across banks, sequential within one).
-// Simulated *hardware* numbers are unchanged by any of this — only host
-// wall-clock drops.
+// a mapping::PlanCache keyed by (geometry, params, config, job), and runs
+// every wave — a *heterogeneous* one, in which each polynomial carries its
+// own parameter set (modulus) and direction, the paper's "running
+// different NTT functions in each bank" — as a single engine pass; items
+// beyond num_banks() are stacked at disjoint base rows of the same bank
+// and run back-to-back within the pass (parallel across banks, sequential
+// within one). Simulated *hardware* numbers are unchanged by any of this —
+// only host wall-clock drops.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -53,55 +48,24 @@ class PimBackend final : public NttBackend {
 
   /// `geometry` fixes the simulated device for the backend's lifetime; the
   /// default is the paper's single-bank Table-I configuration. Use
-  /// dram::hbm2e_geometry(B) to enable B-way transform_batch sharding.
+  /// dram::hbm2e_geometry(B) to run a wave's items on B banks in parallel.
   explicit PimBackend(std::size_t num_buffers = 4, double freq_mhz = 1200.0,
                       const dram::DramGeometry& geometry =
                           dram::hbm2e_geometry(1));
 
-  void forward(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override;
-  void inverse(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override;
-
-  /// Batched transform: shard `polys` across the device's banks, one
-  /// polynomial per bank, and simulate each wave of num_banks() transforms
-  /// in a single engine pass (per-bank traces are cached plans replicated
-  /// with rewritten bank ids). Semantics per polynomial are identical to
-  /// forward()/inverse(); total_cycles() advances by the *makespan* of each
-  /// shared pass, which is what makes this a throughput API.
-  void transform_batch(std::span<std::vector<std::uint32_t>> polys,
-                       const ntt::NttParams& params,
-                       bool inverse = false) override;
-
-  /// Heterogeneous wave: ONE engine pass for the whole span. Items are
-  /// placed channel-major: item j goes to channel j % num_channels(), and
-  /// within a channel items rotate across that channel's
-  /// banks_per_channel() banks; when a bank receives several items they
-  /// are placed at disjoint base rows and execute back-to-back within the
-  /// pass. (A single-channel device reduces to the classic item j -> bank
-  /// j % num_banks() placement.) Per-bank command traces come from the
-  /// plan cache (one plan per (params, direction, bank, base_row),
-  /// bank-retargeted from the bank-0 twin); each bank's cached traces, in
-  /// item order, are that bank's engine program, passed without copying.
-  /// Rejects aliased items (see BatchItem).
-  void transform_batch_mixed(std::span<const BatchItem> items) override;
-
   /// Price the wave `items` in modeled device cycles WITHOUT touching the
-  /// device: items are placed exactly as transform_batch_mixed would place
-  /// them (channel-major round-robin); an item whose plan
-  /// is already in the plan cache costs its exact command counts priced
-  /// through ActModel::estimate_pass_cycles, an unmapped item costs a
-  /// deliberately conservative default (so unknown work repels further
-  /// load until a shard has actually mapped it). Each channel's makespan
-  /// is the busier of its busiest bank's back-to-back total and its
-  /// command bus's total occupancy (mapped counts only — the bus is the
-  /// resource banks of one channel share); the wave's estimate is the
-  /// busiest *channel's* makespan, since channels run on independent
-  /// buses. Unlike the transform methods this is safe to call from
-  /// another thread while this backend executes (PlanCache::peek_counts
-  /// contract).
-  std::uint64_t estimate_wave_cycles(
-      std::span<const BatchItem> items) const override;
+  /// device: items are placed exactly as a wave would place them
+  /// (channel-major round-robin); an item whose plan is already in the
+  /// plan cache costs its exact command counts priced through
+  /// ActModel::estimate_pass_cycles, an unmapped item costs a deliberately
+  /// conservative 4 * n * (log2 n + 2) cycles. Each channel's makespan is
+  /// the busier of its busiest bank's back-to-back total and its command
+  /// bus's total occupancy (mapped counts only — the bus is the resource
+  /// banks of one channel share); the wave's estimate is the busiest
+  /// *channel's* makespan, since channels run on independent buses.
+  /// Nothing in the library calls it; it stays for the repo benchmark
+  /// (benchmark/src), which times it. Single-driver, like every member.
+  std::uint64_t estimate_wave_cycles(std::span<const BatchItem> items) const;
 
   const dram::DramGeometry& geometry() const noexcept { return geometry_; }
   std::size_t num_banks() const noexcept { return device_.num_banks(); }
@@ -110,24 +74,12 @@ class PimBackend final : public NttBackend {
     return geometry_.banks_per_channel();
   }
 
-  /// Counter accessors (total_cycles/engine_passes/plan_cache_*,
-  /// transform_count) follow the NttBackend contract: safe to read while
-  /// another thread drives the backend. Everything else — transforms,
-  /// total_energy_nj(), last_wave(), recorded_waves() — requires the
-  /// backend to be quiescent or externally synchronized.
-  std::uint64_t total_cycles() const noexcept {
-    return cycles_.load(std::memory_order_relaxed);
-  }
-  /// The simulated engine cycles ARE this backend's modeled account.
-  std::uint64_t modeled_cycles() const noexcept override {
-    return total_cycles();
-  }
+  /// Simulated engine cycles of every pass so far: the modeled account.
+  std::uint64_t total_cycles() const noexcept { return modeled_cycles(); }
   double total_energy_nj() const noexcept { return energy_nj_; }
   double total_us() const;
-  /// Engine passes executed (one per single transform or batch wave).
-  std::uint64_t engine_passes() const noexcept {
-    return engine_passes_.load(std::memory_order_relaxed);
-  }
+  /// Engine passes executed (one per wave).
+  std::uint64_t engine_passes() const noexcept { return engine_passes_; }
   std::uint64_t plan_cache_hits() const noexcept { return plans_.hits(); }
   std::uint64_t plan_cache_misses() const noexcept { return plans_.misses(); }
 
@@ -156,11 +108,17 @@ class PimBackend final : public NttBackend {
   }
 
  private:
-  void transform(std::vector<std::uint32_t>& a, const ntt::NttParams& params,
-                 bool inverse_direction);
-  /// One engine pass over `wave` (any item count; banks assigned
-  /// round-robin, rows packed per bank).
-  void run_wave(std::span<const BatchItem> wave);
+  /// ONE engine pass for the whole wave; returns its makespan. Items are
+  /// placed channel-major: item j goes to channel j % num_channels(), and
+  /// within a channel items rotate across that channel's
+  /// banks_per_channel() banks; when a bank receives several items they
+  /// are placed at disjoint base rows and execute back-to-back within the
+  /// pass. (A single-channel device reduces to the classic item j -> bank
+  /// j % num_banks() placement.) Per-bank command traces come from the
+  /// plan cache (one plan per (params, direction, bank, base_row),
+  /// bank-retargeted from the bank-0 twin); each bank's cached traces, in
+  /// item order, are that bank's engine program, passed without copying.
+  std::uint64_t run_wave(std::span<const BatchItem> wave) override;
   std::shared_ptr<const mapping::MappedNtt> plan_for(
       const ntt::NttParams& params, bool inverse_direction,
       std::uint16_t bank, std::uint32_t base_row);
@@ -171,18 +129,12 @@ class PimBackend final : public NttBackend {
   pim::PimDevice device_;
   sim::Engine engine_;
   mapping::PlanCache plans_;
-  /// Single-driver written, share-readable (NttBackend counter contract):
-  /// relaxed suffices because readers sample monotone totals for stats and
-  /// never derive synchronization from them.
-  std::atomic<std::uint64_t> cycles_{0};
-  double energy_nj_ = 0;  ///< single-driver, quiescent-read (see accessors)
-  std::atomic<std::uint64_t> engine_passes_{0};
+  double energy_nj_ = 0;
+  std::uint64_t engine_passes_ = 0;
 
   /// Wave capture state mutated by every engine pass. Confined to the
-  /// driving thread like the transform methods themselves; the wrapper
-  /// asserts that contract on every access in debug builds (the accessors
-  /// above therefore require quiescence *or the owner thread*, as the
-  /// counter-contract comment documents).
+  /// driving thread like the backend itself; the wrapper asserts that
+  /// contract on every access in debug builds.
   struct WaveLog {
     std::vector<WaveSlot> last_wave;
     std::vector<RecordedWave> recorded;

@@ -76,7 +76,7 @@ struct ActModel {
   /// the engine's software pipelining wins and stalls it pays, but it is
   /// deterministic, O(1) from cached TraceCounts, and ranks plans the same
   /// way the simulator does — which is all a wave's price
-  /// (fhe::NttBackend::estimate_wave_cycles) needs.
+  /// (fhe::PimBackend::estimate_wave_cycles) needs.
   /// (Validated against engine cycles in test_fhe; stays within a small
   /// constant factor across the paper's problem sizes.)
   static std::uint64_t estimate_pass_cycles(const TraceCounts& counts,

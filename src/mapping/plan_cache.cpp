@@ -28,11 +28,12 @@ std::shared_ptr<const MappedNtt> PlanCache::get_or_map(
     const dram::DramGeometry& geometry, const ntt::NttParams& params,
     const MapperConfig& config, const NttJob& job) {
   const PlanKey key = PlanKey::make(geometry, params, config, job);
-  if (const auto it = plans_->find(key); it != plans_->end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+  auto& plans = plans_->plans;
+  if (const auto it = plans.find(key); it != plans.end()) {
+    ++hits_;
     return it->second;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
 
   std::shared_ptr<const MappedNtt> plan;
   if (config.bank != 0) {
@@ -44,13 +45,13 @@ std::shared_ptr<const MappedNtt> PlanCache::get_or_map(
     // bank 0 itself.
     PlanKey twin_key = key;
     twin_key.bank = 0;
-    auto twin = plans_->find(twin_key);
-    if (twin == plans_->end()) {
+    auto twin = plans.find(twin_key);
+    if (twin == plans.end()) {
       MapperConfig base_config = config;
       base_config.bank = 0;
       const RowCentricMapper mapper(geometry, params, base_config);
-      twin = plans_
-                 ->emplace(twin_key,
+      twin = plans
+                 .emplace(twin_key,
                           std::make_shared<const MappedNtt>(mapper.map(job)))
                  .first;
       record_counts(twin_key, *twin->second);
@@ -62,29 +63,19 @@ std::shared_ptr<const MappedNtt> PlanCache::get_or_map(
     plan = std::make_shared<const MappedNtt>(mapper.map(job));
     record_counts(key, *plan);
   }
-  plans_->emplace(key, plan);
+  plans.emplace(key, plan);
   return plan;
 }
 
 void PlanCache::record_counts(const PlanKey& key, const MappedNtt& plan) {
-  const TraceCounts counts = count_commands(plan.trace);
-  const sync::MutexLock lk(counts_mu_);
-  counts_.emplace(key.cost_key(), counts);
+  plans_->counts.emplace(key.cost_key(), count_commands(plan.trace));
 }
 
 std::optional<TraceCounts> PlanCache::peek_counts(const PlanKey& key) const {
-  const sync::MutexLock lk(counts_mu_);
-  if (const auto it = counts_.find(key.cost_key()); it != counts_.end())
+  const auto& counts = plans_->counts;
+  if (const auto it = counts.find(key.cost_key()); it != counts.end())
     return it->second;
   return std::nullopt;
-}
-
-void PlanCache::clear() {
-  plans_->clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  const sync::MutexLock lk(counts_mu_);
-  counts_.clear();
 }
 
 }  // namespace nttpim::mapping

@@ -15,7 +15,6 @@
 // a fresh mapper run — the building block of the batched multi-bank backend.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -25,7 +24,6 @@
 #include "mapping/mapper.h"
 #include "mapping/trace.h"
 #include "ntt/params.h"
-#include "sync/mutex.h"
 #include "sync/thread_confined.h"
 
 namespace nttpim::mapping {
@@ -85,42 +83,29 @@ class PlanCache {
   /// Command counts of the cached plan for `key`, or nullopt when no plan
   /// with that cost_key() has been mapped yet. Unlike get_or_map this
   /// never runs the mapper, so a wave can be priced without mapping it.
-  /// It is also thread-safe against the owning thread: the counts live in
-  /// a side map under their own mutex, touched once per fresh mapper run.
   /// Returns counts, never cycles — pricing them against a clock is
   /// ActModel::estimate_pass_cycles's job.
   std::optional<TraceCounts> peek_counts(const PlanKey& key) const;
 
-  /// hits()/misses() are relaxed atomics: safe to sample from another
-  /// thread while the owning thread maps (a serving shard's stats reader).
-  /// get_or_map/size/clear still require external synchronization — the
-  /// cache itself is single-driver, only the counters (and peek_counts)
-  /// are share-readable.
-  std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  std::size_t size() const noexcept { return plans_->size(); }
-  void clear();
+  std::uint64_t hits() const noexcept { return hits_; }
+  std::uint64_t misses() const noexcept { return misses_; }
+  std::size_t size() const noexcept { return plans_->plans.size(); }
 
  private:
-  using PlanMap = std::map<PlanKey, std::shared_ptr<const MappedNtt>>;
+  /// Everything a lookup reads or writes: the plans, and the command
+  /// counts filed under each mapped plan's cost_key().
+  struct Plans {
+    std::map<PlanKey, std::shared_ptr<const MappedNtt>> plans;
+    std::map<PlanKey, TraceCounts> counts;
+  };
 
   void record_counts(const PlanKey& key, const MappedNtt& plan);
 
-  /// The single-driver half of the contract above, now checked: debug
-  /// builds assert every plans_ access comes from the owning (worker)
-  /// thread. Counters and counts_ stay share-readable on purpose.
-  sync::ThreadConfined<PlanMap> plans_;
-  /// Single-driver written, share-readable: relaxed is sufficient because
-  /// readers only sample monotone counters (stats), never infer plan
-  /// visibility from them.
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  mutable sync::Mutex counts_mu_;  ///< guards counts_ only (see peek_counts)
-  std::map<PlanKey, TraceCounts> counts_ NTTPIM_GUARDED_BY(counts_mu_);
+  /// The cache is single-driver, every member included: debug builds
+  /// assert that each access to this state comes from the owning thread.
+  sync::ThreadConfined<Plans> plans_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace nttpim::mapping

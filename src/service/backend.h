@@ -47,7 +47,7 @@ struct BackendDescriptor {
   std::function<std::unique_ptr<fhe::NttBackend>()> factory;
   /// Independent command channels of the shard's device (see
   /// dram::DramGeometry::num_channels). The shard pulls waves of up to one
-  /// channel's bank set per channel (see FormerConfig::wave_multiple); the
+  /// channel's bank set per channel (see FormerConfig::flush_window); the
   /// device spreads each wave's items round-robin over its channels. 1
   /// for backends without a channel hierarchy (CPU).
   std::size_t channels = 1;
@@ -69,8 +69,8 @@ BackendDescriptor make_pim_descriptor(std::size_t banks_per_shard = 8,
 /// `threads` lanes). cycles_per_point_stage <= 0 keeps the documented
 /// default fit of the reference kernel; pass
 /// CpuBackend::measure_cycles_per_point_stage() for a host-calibrated
-/// model. freq_mhz must match the PIM shards' clock so every estimate
-/// shares one modeled-cycle unit.
+/// model. freq_mhz must match the PIM shards' clock so every shard's
+/// modeled cycles share one unit.
 BackendDescriptor make_cpu_descriptor(std::size_t threads = 1,
                                       double freq_mhz = 1200.0,
                                       double cycles_per_point_stage = 0.0);

@@ -55,7 +55,7 @@ std::uint64_t unsettled(const ClassStats& c) {
 /// its requested direction plus both operands of every multiply forward;
 /// pass 2 runs the multiplies' inverse transforms. Items reference the
 /// wave's request buffers (stable addresses — the Request objects live in
-/// `wave`), so the same items serve pricing and execution.
+/// `wave`).
 struct WavePasses {
   std::vector<fhe::BatchItem> forward;
   std::vector<fhe::BatchItem> inverse;
@@ -99,8 +99,6 @@ NttService::NttService(const ServiceConfig& config)
       cfg_.backend.channels_per_shard >= 1 &&
           cfg_.backend.banks_per_shard % cfg_.backend.channels_per_shard == 0,
       "banks_per_shard must split evenly across channels_per_shard");
-  NTTPIM_EXPECT_MSG(cfg_.former.wave_multiple >= 1,
-                    "wave_multiple must be >= 1");
   workers_.reserve(resolved_.size());
   for (std::size_t s = 0; s < resolved_.size(); ++s)
     workers_.emplace_back([this, s] { worker(s); });
@@ -280,10 +278,9 @@ void NttService::worker(std::size_t shard) {
   if (!backend) return;
 
   // Pull whenever free: a wave sized to the whole device, one channel's
-  // bank set (see FormerConfig::wave_multiple) per channel.
+  // bank set per channel.
   const std::size_t max_items =
-      cfg_.former.wave_multiple *
-      (cfg_.backend.banks_per_shard / cfg_.backend.channels_per_shard) *
+      cfg_.backend.banks_per_shard / cfg_.backend.channels_per_shard *
       resolved_[shard].channels;
   for (;;) {
     std::vector<Request> wave = former_.next_wave(max_items);
@@ -303,11 +300,7 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
   // already point at each multiply's `a` buffer, which the pointwise
   // product overwrites in place.
   const WavePasses passes = wave_passes(wave);
-  // The shard's own price of the wave. A multiply wave runs two passes
-  // back-to-back, so its price is the sum of both makespans.
-  std::uint64_t estimated = backend.estimate_wave_cycles(passes.forward);
-  if (!passes.inverse.empty())
-    estimated += backend.estimate_wave_cycles(passes.inverse);
+  const std::uint64_t cycles_before = backend.modeled_cycles();
 
   const std::uint64_t wave_id = wave.front().wave_id;
   const auto shard_id = static_cast<std::uint16_t>(shard);
@@ -329,7 +322,6 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
     begin.ts_ns = collector_.to_ns(wave_start);
     begin.wave_id = wave_id;
     begin.shard = shard_id;
-    begin.cycles = estimated;
     collector_.emit(begin);
   }
 
@@ -357,6 +349,10 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
   }
 
   const auto done = ServiceClock::now();
+  // The wave's modeled device time: every pass that completed (a pass
+  // that throws books nothing), so a multiply wave's two makespans add.
+  const std::uint64_t modeled_cycles = backend.modeled_cycles();
+  const std::uint64_t wave_cycles = modeled_cycles - cycles_before;
   const auto missed = [done](const Request& r) {
     return r.qos.deadline && done > *r.qos.deadline;
   };
@@ -368,7 +364,7 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
     e.ts_ns = collector_.to_ns(done);
     e.wave_id = wave_id;
     e.shard = shard_id;
-    e.cycles = estimated;
+    e.cycles = wave_cycles;
     collector_.emit(e);
   }
 
@@ -409,8 +405,7 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
     ss.engine_passes += engine_passes;
     ss.batch_items += items;
     ss.requests += wave.size();
-    ss.estimated_executed_cycles += estimated;
-    ss.modeled_cycles = backend.modeled_cycles();
+    ss.modeled_cycles = modeled_cycles;
     for (std::size_t i = 0; i < wave.size(); ++i) {
       const Request& r = wave[i];
       ClassLedger& ledger = ledgers_[r.qos.tenant];

@@ -36,15 +36,15 @@
 //    one second pass.
 //
 // Shards pull: whenever a worker is free it asks the former for its next
-// wave, capped at its whole device (FormerConfig::wave_multiple), and runs
-// it as one engine pass. Nothing is assigned to a shard before it is free
-// to run it, so the shards balance by construction — an idle shard takes
-// the next wave, a busy one takes nothing — and the former's queue is the
-// only place work waits, in (deadline, priority, arrival) order. Items
-// travel unpinned: a multi-channel PIM device (one independent command bus
-// per dram::DramGeometry channel) spreads them round-robin over its
-// channels, so the buses overlap. Every wave executes entirely on one
-// thread-confined backend.
+// wave, capped at its whole device (one channel's bank set per channel),
+// and runs it as one engine pass. Nothing is assigned to a shard before
+// it is free to run it, so the shards balance by construction — an idle
+// shard takes the next wave, a busy one takes nothing — and the former's
+// queue is the only place work waits, in (deadline, priority, arrival)
+// order. Items travel unpinned: a multi-channel PIM device (one
+// independent command bus per dram::DramGeometry channel) spreads them
+// round-robin over its channels, so the buses overlap. Every wave executes
+// entirely on one thread-confined backend.
 //
 // Results come back through a std::future or a fire-and-forget Callback.
 // Backpressure is a bounded queue with block/reject policies; shutdown()
@@ -78,15 +78,12 @@ namespace nttpim::service {
 struct FormerConfig {
   /// Bounded-queue capacity, in batch items (a multiply counts 2).
   std::size_t queue_capacity = 1024;
-  /// A shard's wave holds up to wave_multiple * (banks_per_shard /
+  /// A wave is cut when a free shard's cap fills — (banks_per_shard /
   /// channels_per_shard) batch items per channel of its device (see
-  /// BackendDescriptor::channels): 1 fills every bank of a default PIM
-  /// shard once, k > 1 additionally stacks k items per bank (amortizing
-  /// pass overhead at the cost of latency). A CPU shard has one channel,
-  /// so it takes one channel's bank set per wave and its lanes split
-  /// whatever arrives.
-  std::size_t wave_multiple = 1;
-  /// ... or flush when the oldest pending request has waited this long.
+  /// BackendDescriptor::channels), which fills every bank of a default PIM
+  /// shard once; a CPU shard has one channel, so it takes one channel's
+  /// bank set per wave and its lanes split whatever arrives — or when the
+  /// oldest pending request has waited this long.
   std::chrono::microseconds flush_window{200};
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Start with wave forming gated; call resume() to open the valve.
@@ -100,14 +97,14 @@ struct BackendConfig {
   /// from the three fields below. Ignored otherwise.
   std::size_t shards = 1;
   /// Banks per default PIM shard device — with channels_per_shard, also
-  /// the wave-sizing unit of the former (see FormerConfig::wave_multiple),
+  /// what every shard's wave cap counts in (see FormerConfig::flush_window),
   /// regardless of the descriptor list.
   std::size_t banks_per_shard = 8;
   /// Independent command channels per default PIM shard device; the banks
   /// split evenly across them (banks_per_shard must be a multiple). One
-  /// channel's bank set is the unit a shard's wave cap counts in (see
-  /// FormerConfig::wave_multiple); PimBackend spreads each pulled wave's
-  /// items round-robin over the device's channels.
+  /// channel's bank set is the unit a shard's wave cap counts in;
+  /// PimBackend spreads each pulled wave's items round-robin over the
+  /// device's channels.
   std::size_t channels_per_shard = 1;
   /// Per-bank CU buffers (Nb) of each default PIM shard device.
   std::size_t num_buffers = 4;
@@ -248,9 +245,6 @@ class NttService {
     return resolved_;
   }
   std::size_t shards() const noexcept { return resolved_.size(); }
-  /// Banks of each default PIM shard device == batch items of a full
-  /// wave_multiple=1 wave.
-  std::size_t num_banks() const noexcept { return cfg_.backend.banks_per_shard; }
   /// Request classes the service accepts (>= 1; see QosConfig).
   std::size_t num_classes() const noexcept { return cfg_.qos.num_classes; }
 

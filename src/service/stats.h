@@ -126,24 +126,22 @@ struct ShardStats {
   std::uint64_t batch_items = 0;    ///< transforms issued across all passes
   std::uint64_t requests = 0;       ///< requests completed (or failed)
   /// Always 0: a shard pulls its waves from the former and no wave moves
-  /// between shards or channels. Kept only because the repo benchmark
-  /// (benchmark/src/serve.cpp) still reads them.
+  /// between shards or channels, and no shard prices a wave. Kept only
+  /// because the repo benchmark (benchmark/src/serve.cpp) still reads
+  /// them.
   std::uint64_t stolen_waves = 0;
   std::uint64_t rebalanced_waves = 0;  ///< always 0 (see stolen_waves)
+  std::uint64_t estimated_executed_cycles = 0;  ///< always 0 (see above)
   /// Requests of this shard's waves whose passes ended after their
   /// deadline (the per-shard tile of ClassStats::deadline_misses summed
   /// over classes).
   std::uint64_t deadline_missed_requests = 0;
-  /// Sum of this shard's own price of every wave it executed:
-  /// NttBackend::estimate_wave_cycles of the wave's passes, computed once
-  /// on the shard's thread before the pass. A wall-clock-free makespan
-  /// proxy, epoch-reset by reset_stats() like the other counters.
-  std::uint64_t estimated_executed_cycles = 0;
-  /// The shard backend's cumulative modeled cycles (simulated engine
-  /// cycles for PIM, cost-model price for CPU — see
-  /// NttBackend::modeled_cycles) — backend lifetime total, deliberately
-  /// NOT re-based by NttService::reset_stats() (the modeled-hardware
-  /// account has no epochs).
+  /// The shard backend's cumulative modeled elapsed device cycles (engine
+  /// makespans for PIM, the busiest lane at the committed cost constant
+  /// for CPU — see NttBackend::modeled_cycles), read on the shard's own
+  /// thread after each wave — backend lifetime total, deliberately NOT
+  /// re-based by NttService::reset_stats() (the modeled-hardware account
+  /// has no epochs).
   std::uint64_t modeled_cycles = 0;
 };
 

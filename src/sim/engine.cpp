@@ -30,10 +30,10 @@ struct Segment {
 /// Per-bank scheduling state.
 struct BankState {
   BankState(const dram::DramTiming& timing, std::size_t num_buffers,
-            std::uint64_t refresh_offset, pim::PimBank& pim)
+            pim::PimBank& pim)
       : timing(timing),
         buf_avail(num_buffers, 0),
-        next_refresh(timing.trefi + refresh_offset),
+        next_refresh(timing.trefi),
         pim(&pim) {}
 
   dram::BankTiming timing;
@@ -81,16 +81,8 @@ class Scheduler {
     banks_.reserve(banks);
     channel_.reserve(banks);
     for (std::size_t b = 0; b < banks; ++b) {
-      // With stagger_refresh, channel c's tREFI clock runs offset by
-      // trefi * c / num_channels so the channels' refresh windows
-      // interleave instead of landing on every command bus at once.
-      const std::size_t c = g.channel_of(b);
-      const std::uint64_t offset =
-          t_.stagger_refresh
-              ? static_cast<std::uint64_t>(t_.trefi) * c / g.num_channels
-              : 0;
-      banks_.emplace_back(t_, device.num_buffers(), offset, device.bank(b));
-      channel_.push_back(c);
+      banks_.emplace_back(t_, device.num_buffers(), device.bank(b));
+      channel_.push_back(g.channel_of(b));
     }
     for (std::size_t i = 0; i < segments.size(); ++i) {
       BankState& bs = banks_[segments[i].bank];

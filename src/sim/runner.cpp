@@ -105,66 +105,4 @@ NttRunResult run_ntt_on_pim(const NttRunConfig& config) {
   return result;
 }
 
-ParallelRunResult run_parallel_ntts(std::size_t banks,
-                                    const NttRunConfig& config) {
-  NTTPIM_EXPECT(banks >= 1);
-  const ntt::NttParams params = make_params(config);
-
-  const dram::DramGeometry geometry = dram::hbm2e_geometry(banks);
-  pim::PimDevice device(geometry, config.num_buffers);
-
-  // Independent polynomials per bank (the FHE use case: e.g. one RNS limb
-  // or one ciphertext polynomial per bank).
-  std::vector<std::vector<std::uint32_t>> inputs(banks);
-  std::vector<dram::Command> merged;
-  std::vector<std::uint32_t> result_rows(banks);
-  for (std::size_t b = 0; b < banks; ++b) {
-    Rng rng(config.seed + b);
-    inputs[b] = rng.residues(config.n, params.q());
-    pim::load_polynomial(device.bank(b), 0, inputs[b]);
-
-    mapping::MapperConfig mc;
-    mc.num_buffers = config.num_buffers;
-    mc.pipelined = config.pipelined;
-    mc.in_place = config.in_place;
-    mc.row_centric = config.row_centric;
-    mc.bank = static_cast<std::uint16_t>(b);
-    const mapping::RowCentricMapper mapper(geometry, params, mc);
-    auto mapped = mapper.map(mapping::NttJob{});
-    result_rows[b] = mapped.result_base_row;
-    merged.insert(merged.end(), mapped.trace.begin(), mapped.trace.end());
-  }
-
-  EngineConfig ec;
-  ec.timing = dram::hbm2e_timing().at_frequency(config.freq_mhz);
-  ec.energy = config.energy;
-  ec.enable_refresh = config.enable_refresh;
-  const Engine engine(ec);
-  const RunStats stats = engine.run(device, merged);
-
-  bool all_ok = true;
-  for (std::size_t b = 0; b < banks; ++b) {
-    auto expected = inputs[b];
-    ntt::forward_ntt(expected, params);
-    const auto produced =
-        pim::read_result(device.bank(b), result_rows[b], config.n);
-    all_ok = all_ok && produced == expected;
-  }
-
-  // Single-bank reference run for the speedup metric.
-  NttRunConfig single = config;
-  single.validate_trace = false;
-  const auto single_result = run_ntt_on_pim(single);
-
-  ParallelRunResult out;
-  out.cycles = stats.cycles;
-  out.single_bank_cycles = single_result.stats.cycles;
-  out.all_verified = all_ok && single_result.verified;
-  out.throughput_speedup =
-      static_cast<double>(banks) *
-      static_cast<double>(single_result.stats.cycles) /
-      static_cast<double>(stats.cycles);
-  return out;
-}
-
 }  // namespace nttpim::sim

@@ -45,16 +45,4 @@ struct NttRunResult {
 /// check the result against the CPU reference transform.
 NttRunResult run_ntt_on_pim(const NttRunConfig& config);
 
-/// Bank-level parallelism (paper Sec. VI.A / VII): run `banks` independent
-/// NTTs, one per bank, sharing the command bus.
-struct ParallelRunResult {
-  std::uint64_t cycles = 0;          ///< makespan of all banks
-  std::uint64_t single_bank_cycles = 0;  ///< one NTT alone
-  bool all_verified = false;
-  double throughput_speedup = 0;  ///< banks * single / makespan
-};
-
-ParallelRunResult run_parallel_ntts(std::size_t banks,
-                                    const NttRunConfig& config);
-
 }  // namespace nttpim::sim

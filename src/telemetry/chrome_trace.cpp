@@ -129,6 +129,7 @@ struct RequestIndex {
 struct WaveIndex {
   std::int64_t exec_begin_ts = -1;
   std::int64_t exec_end_ts = -1;
+  std::uint64_t cycles = 0;  ///< modeled cycles, booked on ExecuteEnd
   std::vector<std::uint64_t> seqs;
 };
 
@@ -157,6 +158,7 @@ void write_chrome_trace(std::ostream& os,
           break;
         case EventKind::kExecuteEnd:
           waves[e.wave_id].exec_end_ts = e.ts_ns;
+          waves[e.wave_id].cycles = e.cycles;
           break;
         default:
           break;
@@ -231,14 +233,14 @@ void write_chrome_trace(std::ostream& os,
                 Args()
                     .add("wave", e.wave_id)
                     .add("shard", e.shard)
-                    .add("cycles", e.cycles)
+                    .add("cycles", wave.cycles)
                     .str());
           for (const std::uint64_t seq : wave.seqs)
             flow(out, tid, "t", e.ts_ns, seq);
           break;
         }
         case EventKind::kExecuteEnd:
-          break;  // consumed as the ExecuteBegin slice's duration
+          break;  // consumed as the ExecuteBegin slice's duration and cycles
         case EventKind::kDeadlineMiss:
           instant(out, tid, "request", "deadline miss", e.ts_ns,
                   Args().add("seq", e.seq).add("tenant", e.tenant).str());

@@ -55,7 +55,7 @@ struct TraceEvent {
   std::int64_t ts_ns = 0;      ///< ns since the collector's epoch
   std::uint64_t seq = kNoSeq;  ///< request arrival seq (kNoSeq = none)
   std::uint64_t wave_id = 0;   ///< monotone wave id (0 = not cut yet)
-  std::uint64_t cycles = 0;    ///< priced modeled cycles (wave events)
+  std::uint64_t cycles = 0;    ///< ExecuteEnd: the wave's modeled cycles
   EventKind kind = EventKind::kSubmit;
   std::uint16_t shard = 0;   ///< shard that pulled the wave
   std::uint32_t tenant = 0;  ///< RequestClass::tenant of the request/wave

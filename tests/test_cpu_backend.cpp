@@ -1,8 +1,8 @@
 // CpuBackend as a first-class serving backend: pool-vs-serial equivalence,
-// the shared batch-validation contract (including the NttBackend default
-// path a minimal backend inherits), the fitted n log n cost model, and
-// a CPU-only NttService round trip. Labeled `service` alongside `unit` so
-// the TSan CI job exercises the worker-pool rendezvous.
+// the shared batch-validation contract (enforced by the NttBackend base for
+// any backend), the elapsed modeled account on the fitted n log n cost
+// model, and a CPU-only NttService round trip. Labeled `service` alongside
+// `unit` so the TSan CI job exercises the worker-pool rendezvous.
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -34,19 +34,22 @@ fhe::CpuBackend::Config pool_config(std::size_t threads) {
   return cfg;
 }
 
-// A backend that implements nothing beyond the pure virtuals, so every
-// batch entry point runs through the NttBackend defaults.
+// A backend that implements only run_wave, so validation and booking are
+// the NttBackend base's alone. Each wave takes one modeled cycle per item.
 class MinimalBackend final : public fhe::NttBackend {
  public:
-  void forward(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override {
-    ntt::forward_negacyclic_ntt(a, params);
-    transforms_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void inverse(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override {
-    ntt::inverse_negacyclic_ntt(a, params);
-    transforms_.fetch_add(1, std::memory_order_relaxed);
+  std::size_t waves = 0;  ///< run_wave calls
+
+ private:
+  std::uint64_t run_wave(std::span<const BatchItem> items) override {
+    ++waves;
+    for (const BatchItem& item : items) {
+      if (item.inverse)
+        ntt::inverse_negacyclic_ntt(*item.poly, *item.params);
+      else
+        ntt::forward_negacyclic_ntt(*item.poly, *item.params);
+    }
+    return items.size();
   }
 };
 
@@ -91,7 +94,9 @@ TEST(CpuBackendUnit, PoolMatchesSerialMixedBatch) {
 
   EXPECT_EQ(serial_wave.polys, pool_wave.polys);
   EXPECT_EQ(serial.transform_count(), pool.transform_count());
-  EXPECT_EQ(serial.modeled_cycles(), pool.modeled_cycles());
+  // Elapsed time: three lanes finish the wave before one lane does.
+  EXPECT_GT(pool.modeled_cycles(), 0u);
+  EXPECT_LT(pool.modeled_cycles(), serial.modeled_cycles());
 }
 
 TEST(CpuBackendUnit, PoolMatchesSingleTransforms) {
@@ -153,10 +158,12 @@ TEST(CpuBackendUnit, RejectsAliasedAndIncompleteItems) {
   EXPECT_THROW(pool.transform_batch_mixed(null_params), std::invalid_argument);
 }
 
-// Regression for the distinct-vector precondition on the *base* default
-// path: a minimal backend that never overrides transform_batch_mixed must
-// reject aliased items too, not silently double-transform the vector.
-TEST(CpuBackendUnit, BaseDefaultBatchValidatesAndLoops) {
+// The base validates every wave before any backend runs it: a minimal
+// backend that implements only run_wave rejects aliased and incomplete
+// items without running or booking anything, skips an empty wave, and
+// books each wave it runs once — forward(), inverse() and transform_batch()
+// included.
+TEST(CpuBackendUnit, BaseValidatesAndBooksMinimalBackend) {
   const auto params = make_params(256);
   Rng rng(13);
   auto poly = rng.residues(params.n(), params.q());
@@ -165,75 +172,81 @@ TEST(CpuBackendUnit, BaseDefaultBatchValidatesAndLoops) {
   std::vector<BatchItem> aliased{{&poly, &params, false},
                                  {&poly, &params, false}};
   EXPECT_THROW(minimal.transform_batch_mixed(aliased), std::invalid_argument);
+  std::vector<BatchItem> null_poly{{nullptr, &params, false}};
+  EXPECT_THROW(minimal.transform_batch_mixed(null_poly), std::invalid_argument);
+  minimal.transform_batch_mixed({});
+  EXPECT_EQ(minimal.waves, 0u);
   EXPECT_EQ(minimal.transform_count(), 0u);
+  EXPECT_EQ(minimal.modeled_cycles(), 0u);
 
-  // The default path itself serves correctly: same outputs as CpuBackend.
+  // A wave runs once and is booked whole: same outputs as CpuBackend.
   auto base_wave = make_mixed_wave(17);
   auto cpu_wave = make_mixed_wave(17);
   minimal.transform_batch_mixed(base_wave.items);
   CpuBackend cpu;
   cpu.transform_batch_mixed(cpu_wave.items);
   EXPECT_EQ(base_wave.polys, cpu_wave.polys);
+  EXPECT_EQ(minimal.waves, 1u);
   EXPECT_EQ(minimal.transform_count(), base_wave.items.size());
+  EXPECT_EQ(minimal.modeled_cycles(), base_wave.items.size());
 
-  // And the same-parameter convenience funnels into the mixed default.
+  // The conveniences are one wave each.
   std::vector<std::vector<std::uint32_t>> polys;
   for (int j = 0; j < 3; ++j) polys.push_back(rng.residues(params.n(), params.q()));
   auto expected = polys;
   minimal.transform_batch(polys, params);
   for (auto& p : expected) cpu.forward(p, params);
   EXPECT_EQ(polys, expected);
+  minimal.inverse(polys[0], params);
+  cpu.inverse(expected[0], params);
+  EXPECT_EQ(polys[0], expected[0]);
+  EXPECT_EQ(minimal.waves, 3u);
+  EXPECT_EQ(minimal.transform_count(), base_wave.items.size() + 4);
 }
 
 // ------------------------------------------------------------ cost model
 
-TEST(CpuBackendUnit, EstimateReplaysLanePlacement) {
+// The modeled account is elapsed time: a wave books its busiest lane's
+// total at the fitted constant, replaying the pool's placement (item j on
+// lane j % lanes), and successive waves add up.
+TEST(CpuBackendUnit, ModeledCyclesBookBusiestLane) {
   const auto p1024 = make_params(1024, 29);
   const auto p256 = make_params(256);
   // item_cycles(n) = 6.0 * n * log2(n) with the default fit.
   constexpr std::uint64_t kBig = 6 * 1024 * 10;   // 61440
   constexpr std::uint64_t kSmall = 6 * 256 * 8;   // 12288
-  std::vector<BatchItem> items{{nullptr, &p1024, false},
-                               {nullptr, &p256, false},
-                               {nullptr, &p256, true}};
+  const auto one_wave = [&](CpuBackend& cpu) {
+    Rng rng(19);
+    auto big = rng.residues(p1024.n(), p1024.q());
+    auto a = rng.residues(p256.n(), p256.q());
+    auto b = rng.residues(p256.n(), p256.q());
+    const std::vector<BatchItem> items{
+        {&big, &p1024, false}, {&a, &p256, false}, {&b, &p256, true}};
+    const std::uint64_t before = cpu.modeled_cycles();
+    cpu.transform_batch_mixed(items);
+    return cpu.modeled_cycles() - before;
+  };
 
-  // Two lanes: lane 0 gets items 0 and 2, lane 1 gets item 1.
+  // Two lanes: lane 0 runs items 0 and 2, lane 1 runs item 1.
   CpuBackend two_lanes(pool_config(2));
-  EXPECT_EQ(two_lanes.estimate_wave_cycles(items), kBig + kSmall);
+  EXPECT_EQ(one_wave(two_lanes), kBig + kSmall);
 
   // Serial: the plain sum.
   CpuBackend serial;
-  EXPECT_EQ(serial.estimate_wave_cycles(items), kBig + 2 * kSmall);
+  EXPECT_EQ(one_wave(serial), kBig + 2 * kSmall);
 
   // More lanes than items: the single biggest item dominates.
   CpuBackend four_lanes(pool_config(4));
-  EXPECT_EQ(four_lanes.estimate_wave_cycles(items), kBig);
+  EXPECT_EQ(one_wave(four_lanes), kBig);
+  EXPECT_EQ(four_lanes.transform_count(), 3u);
 
-  EXPECT_EQ(serial.estimate_wave_cycles({}), 0u);
-}
-
-TEST(CpuBackendUnit, ModeledCyclesAccrueCostModelPrice) {
-  const auto params = make_params(256);
-  constexpr std::uint64_t kItem = 6 * 256 * 8;
-  Rng rng(19);
-
-  CpuBackend cpu(pool_config(2));
-  EXPECT_EQ(cpu.modeled_cycles(), 0u);
-
-  auto poly = rng.residues(params.n(), params.q());
-  cpu.forward(poly, params);
-  EXPECT_EQ(cpu.modeled_cycles(), kItem);
-  EXPECT_EQ(cpu.transform_count(), 1u);
-
-  auto a = rng.residues(params.n(), params.q());
-  auto b = rng.residues(params.n(), params.q());
-  std::vector<BatchItem> items{{&a, &params, false}, {&b, &params, true}};
-  cpu.transform_batch_mixed(items);
-  EXPECT_EQ(cpu.modeled_cycles(), 3 * kItem);
-  EXPECT_EQ(cpu.transform_count(), 3u);
-  // Executed work never moves the price: estimates and the account share
-  // the one fitted constant (one item per lane here).
-  EXPECT_EQ(cpu.estimate_wave_cycles(items), kItem);
+  // Waves add up: a one-item wave, then the mixed wave again.
+  auto poly = Rng(23).residues(p256.n(), p256.q());
+  four_lanes.forward(poly, p256);
+  EXPECT_EQ(four_lanes.modeled_cycles(), kBig + kSmall);
+  EXPECT_EQ(one_wave(four_lanes), kBig);
+  EXPECT_EQ(four_lanes.modeled_cycles(), 2 * kBig + kSmall);
+  EXPECT_EQ(four_lanes.transform_count(), 7u);
 }
 
 TEST(CpuBackendUnit, CalibrationReturnsPositiveFiniteFit) {
@@ -246,8 +259,9 @@ TEST(CpuBackendUnit, CalibrationReturnsPositiveFiniteFit) {
   cfg.cycles_per_point_stage = fit;
   CpuBackend calibrated(cfg);
   const auto params = make_params(256);
-  std::vector<BatchItem> items{{nullptr, &params, false}};
-  EXPECT_GT(calibrated.estimate_wave_cycles(items), 0u);
+  auto poly = Rng(29).residues(params.n(), params.q());
+  calibrated.forward(poly, params);
+  EXPECT_GT(calibrated.modeled_cycles(), 0u);
 
   EXPECT_THROW(CpuBackend::measure_cycles_per_point_stage(-1.0),
                std::invalid_argument);
@@ -308,7 +322,6 @@ TEST(CpuServiceE2E, CpuOnlyServiceMatchesReference) {
   ASSERT_EQ(stats.shards.size(), 1u);
   EXPECT_EQ(stats.shards[0].kind, service::BackendKind::kCpu);
   EXPECT_GT(stats.shards[0].modeled_cycles, 0u);
-  EXPECT_GT(stats.shards[0].estimated_executed_cycles, 0u);
 }
 
 }  // namespace

@@ -269,74 +269,6 @@ TEST(Engine, RefreshPreservesFunctionalCorrectness) {
   EXPECT_EQ(pim::read_result(device.bank(0), 0, 2048), expected);
 }
 
-// Per-channel refresh staggering: channel c's tREFI clock is offset by
-// trefi * c / num_channels. With tREFI tuned so the run ends inside the
-// second channel's (shifted) first window, the staggered run performs
-// strictly fewer refreshes; a single-channel device has nothing to
-// stagger, so the flag is exactly a no-op there.
-TEST(Engine, StaggeredRefreshOffsetsChannelWindows) {
-  const dram::DramGeometry g = dram::hbm2e_geometry(2, 2);
-  const ntt::NttParams params = ntt::NttParams::create(2048);
-
-  std::vector<std::vector<std::uint32_t>> inputs;
-  std::vector<Command> merged;
-  Rng rng(17);
-  for (std::uint16_t b = 0; b < 2; ++b) {
-    inputs.push_back(rng.residues(2048, params.q()));
-    const auto mapped = map_ntt(g, params, 4, b);
-    merged.insert(merged.end(), mapped.trace.begin(), mapped.trace.end());
-  }
-  auto load = [&](pim::PimDevice& device) {
-    for (std::uint16_t b = 0; b < 2; ++b)
-      pim::load_polynomial(device.bank(b), 0, inputs[b]);
-  };
-
-  // Size one refresh window at ~90% of the refresh-free makespan: aligned
-  // clocks refresh once per channel, while channel 1's staggered deadline
-  // (1.5 * trefi) falls beyond the end of the run.
-  EngineConfig probe;
-  probe.enable_refresh = false;
-  pim::PimDevice dry(g, 4);
-  load(dry);
-  const std::uint64_t no_refresh_cycles =
-      Engine(probe).run(dry, merged).cycles;
-
-  std::uint64_t refreshes[2];
-  const bool flags[2] = {false, true};
-  for (int i = 0; i < 2; ++i) {
-    EngineConfig config;
-    config.timing.trefi =
-        static_cast<unsigned>(no_refresh_cycles * 9 / 10);
-    config.timing.stagger_refresh = flags[i];
-    pim::PimDevice device(g, 4);
-    load(device);
-    const RunStats stats = Engine(config).run(device, merged);
-    refreshes[i] = stats.refreshes;
-
-    // Refresh (staggered or not) never perturbs the results.
-    for (std::uint16_t b = 0; b < 2; ++b) {
-      auto expected = inputs[b];
-      ntt::forward_ntt(expected, params);
-      EXPECT_EQ(pim::read_result(device.bank(b), 0, 2048), expected);
-    }
-  }
-  EXPECT_GT(refreshes[0], 0u);
-  EXPECT_LT(refreshes[1], refreshes[0]);
-
-  // Single channel: offset trefi * 0 / 1 == 0 — bit-identical schedules.
-  const dram::DramGeometry g1 = dram::hbm2e_geometry();
-  const auto mapped1 = map_ntt(g1, params, 4);
-  std::uint64_t cycles1[2];
-  for (int i = 0; i < 2; ++i) {
-    EngineConfig config;
-    config.timing.stagger_refresh = flags[i];
-    pim::PimDevice device(g1, 4);
-    pim::load_polynomial(device.bank(0), 0, inputs[0]);
-    cycles1[i] = Engine(config).run(device, mapped1.trace).cycles;
-  }
-  EXPECT_EQ(cycles1[0], cycles1[1]);
-}
-
 TEST(Engine, EnergyAccountingConsistent) {
   const dram::DramGeometry g = dram::hbm2e_geometry();
   const ntt::NttParams params = ntt::NttParams::create(512);

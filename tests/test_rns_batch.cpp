@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "common/random.h"
 #include "fhe/cpu_backend.h"
@@ -297,18 +298,22 @@ TEST(PlanCache, NonZeroBankMissMapsAtBankZeroAndCachesTheTwin) {
 }
 
 // A 4-bank wave through the backend: one mapper-visible miss per bank key,
-// all subsequent waves pure hits.
+// all subsequent waves pure hits. Each transform_batch call is one pass.
 TEST(PlanCache, FourBankWaveHitsAfterFirstUse) {
   const ntt::NttParams params = ntt::NttParams::create(256, 30);
   PimBackend pim(4, 1200.0, dram::hbm2e_geometry(4));
   Rng rng(81);
   std::vector<std::vector<std::uint32_t>> polys(8);
   for (auto& p : polys) p = rng.residues(256, params.q());
+  const std::span<std::vector<std::uint32_t>> all(polys);
 
-  pim.transform_batch(polys, params);
-  EXPECT_EQ(pim.engine_passes(), 2u);
+  pim.transform_batch(all.first(4), params);
+  EXPECT_EQ(pim.engine_passes(), 1u);
   EXPECT_EQ(pim.plan_cache_misses(), 4u);  // banks 0..3, mapped once
-  EXPECT_EQ(pim.plan_cache_hits(), 4u);    // the second wave
+  pim.transform_batch(all.last(4), params);
+  EXPECT_EQ(pim.engine_passes(), 2u);
+  EXPECT_EQ(pim.plan_cache_misses(), 4u);
+  EXPECT_EQ(pim.plan_cache_hits(), 4u);  // the second wave
 }
 
 // ------------------------------------------------------ RNS input validation

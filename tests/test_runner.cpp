@@ -41,31 +41,6 @@ TEST(Runner, FrequencySweepMatchesPaperShape) {
   EXPECT_LT(small_n, 4.0);
 }
 
-TEST(Runner, ParallelBanksScaleNearLinearly) {
-  // Near-linear until the shared command bus saturates: at 8 banks the
-  // command-dense row-block phase oversubscribes the one-command-per-cycle
-  // bus, so efficiency rolls off (the "system-level investigation" the
-  // paper defers to future work).
-  NttRunConfig config;
-  config.n = 1024;
-  config.num_buffers = 4;
-  const struct {
-    std::size_t banks;
-    double min_efficiency;
-  } cases[] = {{2, 0.95}, {4, 0.85}, {8, 0.70}};
-  double prev_speedup = 1.0;
-  for (const auto& c : cases) {
-    const auto r = run_parallel_ntts(c.banks, config);
-    EXPECT_TRUE(r.all_verified) << c.banks;
-    EXPECT_GT(r.throughput_speedup,
-              c.min_efficiency * static_cast<double>(c.banks)) << c.banks;
-    EXPECT_LE(r.throughput_speedup, static_cast<double>(c.banks) * 1.001)
-        << c.banks;
-    EXPECT_GT(r.throughput_speedup, prev_speedup);
-    prev_speedup = r.throughput_speedup;
-  }
-}
-
 TEST(Runner, RejectsDegenerateConfig) {
   NttRunConfig config;
   config.n = 1;

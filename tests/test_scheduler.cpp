@@ -204,7 +204,7 @@ TEST(SchedulerEquivalence, SeededPropertySweep) {
     std::size_t banks, n, num_buffers;
     bool inverse, negacyclic;
     std::size_t channels = 1, stacked = 1;
-    bool stagger = false, refresh = true;
+    bool refresh = true;
   };
   const Case cases[] = {
       {1, 256, 2, false, false},  {2, 256, 4, true, true},
@@ -214,14 +214,14 @@ TEST(SchedulerEquivalence, SeededPropertySweep) {
       // Per-channel buses: each channel's bus_free gates only its banks.
       {4, 1024, 4, false, false, 2},
       {8, 512, 4, true, true, 4},
-      // Staggered refresh windows, and no refresh at all.
-      {4, 1024, 4, false, false, 2, 1, true},
-      {8, 1024, 4, true, false, 4, 1, true},
-      {4, 512, 4, false, false, 2, 1, false, false},
+      // Multi-channel refresh windows, and no refresh at all.
+      {4, 1024, 4, false, false, 2, 1},
+      {8, 1024, 4, true, false, 4, 1},
+      {4, 512, 4, false, false, 2, 1, false},
       // Several stacked items (program segments) per bank.
       {2, 512, 4, false, false, 1, 3},
-      {4, 256, 4, true, true, 2, 4, true},
-      {8, 256, 2, false, false, 2, 2, false, false},
+      {4, 256, 4, true, true, 2, 4},
+      {8, 256, 2, false, false, 2, 2, false},
   };
   std::uint64_t seed = 100;
   for (const Case& c : cases) {
@@ -229,15 +229,14 @@ TEST(SchedulerEquivalence, SeededPropertySweep) {
                  << "banks=" << c.banks << " channels=" << c.channels
                  << " n=" << c.n << " nb=" << c.num_buffers
                  << " inverse=" << c.inverse << " negacyclic=" << c.negacyclic
-                 << " stacked=" << c.stacked << " stagger=" << c.stagger
-                 << " refresh=" << c.refresh << " seed=" << seed);
+                 << " stacked=" << c.stacked << " refresh=" << c.refresh
+                 << " seed=" << seed);
     const Workload w = make_workload(c.banks, c.n, c.num_buffers, c.inverse,
                                      c.negacyclic, seed++, c.channels,
                                      c.stacked);
     EngineConfig config;
     config.record_timeline = true;
     config.enable_refresh = c.refresh;
-    config.timing.stagger_refresh = c.stagger;
     run_both_and_compare(w, config);
   }
 }

@@ -10,6 +10,7 @@
 #include <future>
 #include <latch>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <span>
@@ -431,10 +432,10 @@ TEST(ServiceUnit, ResetStatsKeepsModeledCycles) {
   EXPECT_EQ(svc.stats().shards.at(0).modeled_cycles, 2 * one_wave);
 }
 
-// A shard books its own estimate of each wave it runs: one 4-request wave
-// on a 2-lane CPU shard is two lanes of two N = 256 items at the default
-// 6 cycles per point-stage.
-TEST(ServiceUnit, ShardBooksItsOwnWaveEstimate) {
+// A shard books each wave's modeled elapsed cycles: one 4-request wave on
+// a 2-lane CPU shard is two lanes of two N = 256 items at the default 6
+// cycles per point-stage.
+TEST(ServiceUnit, ShardBooksItsWaveElapsedCycles) {
   const auto params = make_params(256);
   ServiceConfig cfg;
   cfg.backend.banks_per_shard = 4;
@@ -446,7 +447,7 @@ TEST(ServiceUnit, ShardBooksItsOwnWaveEstimate) {
   svc.drain();
   const auto stats = svc.stats();
   EXPECT_EQ(stats.waves, 1u);
-  EXPECT_EQ(stats.shards.at(0).estimated_executed_cycles, 2u * 6 * 256 * 8);
+  EXPECT_EQ(stats.shards.at(0).modeled_cycles, 2u * 6 * 256 * 8);
 }
 
 // Regression (PR 5): nearest-rank percentiles. The old floor() rank was
@@ -907,12 +908,13 @@ TEST(ServiceProperty, SkewedDispatchBeatsRoundRobinReplay) {
 
 // Property: pulling alone routes part of a bulk (N = 1024) / small
 // (N = 256) wave stream to a CPU pool and cuts the busiest backend's
-// modeled makespan below PIM-only (5 of 24 waves to the CPU; 159744 vs
-// 181584 cycles). The replay runs no worker, so nothing races the cycle
+// modeled makespan below PIM-only (9 of 24 waves to the CPU; 258048 vs
+// 342180 cycles). The replay runs no worker, so nothing races the cycle
 // simulator: it cuts the staged stream with a real WaveFormer, closed so
 // that every cut is immediate, and at each step the shard whose modeled
 // clock is lowest (ties to the first) pulls the next wave under its own
-// cap and advances by its own estimate_wave_cycles.
+// cap, runs it, and advances by its backend's modeled-cycle delta — the
+// wave's elapsed device time, whichever kind ran it.
 TEST(ServiceProperty, HeteroReplayMixedTierBeatsPimOnly) {
   constexpr std::size_t kBanks = 4;
   constexpr std::size_t kWaves = 24;
@@ -929,24 +931,6 @@ TEST(ServiceProperty, HeteroReplayMixedTierBeatsPimOnly) {
     std::vector<std::unique_ptr<fhe::NttBackend>> backends;
     for (const auto& d : descriptors) backends.push_back(d.factory());
 
-    // Warm the PIM's plan cache with one wave per size class, so prices
-    // come from mapped traces instead of the conservative default.
-    Rng warm_rng(31);
-    fhe::CpuBackend cpu;
-    for (const auto& params : {bulk, small}) {
-      std::vector<std::vector<std::uint32_t>> polys;
-      std::vector<std::vector<std::uint32_t>> expected;
-      for (std::size_t i = 0; i < kBanks; ++i) {
-        polys.push_back(warm_rng.residues(params->n(), params->q()));
-        expected.push_back(polys.back());
-        cpu.forward(expected.back(), *params);
-      }
-      std::vector<fhe::BatchItem> items;
-      for (auto& p : polys) items.push_back({&p, params.get(), false});
-      backends.front()->transform_batch_mixed(items);
-      EXPECT_EQ(polys, expected);
-    }
-
     service::WaveFormer former(service::WaveFormer::Config{});
     Rng rng(29);
     for (std::size_t w = 0; w < kWaves; ++w) {
@@ -960,6 +944,7 @@ TEST(ServiceProperty, HeteroReplayMixedTierBeatsPimOnly) {
       }
     }
     former.close();
+    fhe::CpuBackend cpu;
     std::vector<std::uint64_t> clock(backends.size(), 0);
     Replay result;
     for (;;) {
@@ -968,8 +953,17 @@ TEST(ServiceProperty, HeteroReplayMixedTierBeatsPimOnly) {
       auto wave = former.next_wave(kBanks * descriptors[s].channels);
       if (wave.empty()) break;
       std::vector<fhe::BatchItem> items;
-      for (auto& r : wave) items.push_back({&r.a, r.params.get(), r.inverse});
-      clock[s] += backends[s]->estimate_wave_cycles(items);
+      std::vector<std::vector<std::uint32_t>> expected;
+      for (auto& r : wave) {
+        items.push_back({&r.a, r.params.get(), r.inverse});
+        expected.push_back(r.a);
+        cpu.forward(expected.back(), *r.params);
+      }
+      const std::uint64_t before = backends[s]->modeled_cycles();
+      backends[s]->transform_batch_mixed(items);
+      clock[s] += backends[s]->modeled_cycles() - before;
+      for (std::size_t j = 0; j < wave.size(); ++j)
+        EXPECT_EQ(wave[j].a, expected[j]);
       if (descriptors[s].kind == service::BackendKind::kCpu)
         ++result.cpu_waves;
     }
@@ -1466,22 +1460,15 @@ struct Faults {
   std::latch* release = nullptr;
 };
 
-/// Test double for the fault paths: the base class's reference path (the
-/// CPU kernels, item by item), except that one pass can throw and one can
+/// Test double for the fault paths: the CPU kernels, item by item, at one
+/// modeled cycle per item, except that one pass can throw and one can
 /// park on a latch, so the tests need no sleeps.
 class FaultyBackend final : public fhe::NttBackend {
  public:
   explicit FaultyBackend(const Faults& faults) : faults_(faults) {}
 
-  void forward(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override {
-    ntt::forward_negacyclic_ntt(a, params);
-  }
-  void inverse(std::vector<std::uint32_t>& a,
-               const ntt::NttParams& params) override {
-    ntt::inverse_negacyclic_ntt(a, params);
-  }
-  void transform_batch_mixed(std::span<const fhe::BatchItem> items) override {
+ private:
+  std::uint64_t run_wave(std::span<const fhe::BatchItem> items) override {
     ++passes_;
     if (passes_ == faults_.park_on_pass) {
       faults_.parked->count_down();
@@ -1489,10 +1476,15 @@ class FaultyBackend final : public fhe::NttBackend {
     }
     if (passes_ == faults_.throw_on_pass)
       throw std::runtime_error("injected pass failure");
-    NttBackend::transform_batch_mixed(items);
+    for (const fhe::BatchItem& item : items) {
+      if (item.inverse)
+        ntt::inverse_negacyclic_ntt(*item.poly, *item.params);
+      else
+        ntt::forward_negacyclic_ntt(*item.poly, *item.params);
+    }
+    return items.size();
   }
 
- private:
   const Faults faults_;
   std::size_t passes_ = 0;
 };
@@ -1517,6 +1509,59 @@ ServiceConfig faulty_config(const Faults& faults) {
 }
 
 }  // namespace fault_test
+
+// The trace and the stats book the same modeled cycles: per shard, the
+// ExecuteEnd events' cycles sum to ShardStats::modeled_cycles, for a PIM
+// and a CPU shard serving transforms of both directions and a multiply
+// (whose two passes add). A pass that throws carries 0, and the next wave
+// its own cycles.
+TEST(ServiceE2E, TraceAndStatsAgreeOnModeledCycles) {
+  const auto params = make_params(256);
+  const auto execute_end_cycles = [](NttService& svc) {
+    std::vector<std::uint64_t> cycles;
+    for (const auto& thread : svc.trace_collector().drain().threads)
+      for (const telemetry::TraceEvent& e : thread.events)
+        if (e.kind == telemetry::EventKind::kExecuteEnd)
+          cycles.push_back(e.cycles);
+    return cycles;
+  };
+  for (const service::BackendDescriptor& d :
+       {service::make_pim_descriptor(4), service::make_cpu_descriptor(2)}) {
+    SCOPED_TRACE(d.label);
+    ServiceConfig cfg;
+    cfg.backend.banks_per_shard = 4;
+    cfg.backend.descriptors = {d};
+    cfg.telemetry.enabled = true;
+    NttService svc(cfg);
+    Rng rng(107);
+    std::vector<std::future<std::vector<std::uint32_t>>> futures;
+    for (int i = 0; i < 6; ++i)
+      futures.push_back(svc.submit(rng.residues(params->n(), params->q()),
+                                   params, inv(i % 2 == 1)));
+    futures.push_back(
+        svc.submit_multiply(rng.residues(params->n(), params->q()),
+                            rng.residues(params->n(), params->q()), params));
+    for (auto& f : futures) f.get();
+    svc.drain();
+    const std::vector<std::uint64_t> cycles = execute_end_cycles(svc);
+    const auto stats = svc.stats();
+    EXPECT_EQ(cycles.size(), stats.waves);
+    EXPECT_GT(stats.shards.at(0).modeled_cycles, 0u);
+    EXPECT_EQ(std::accumulate(cycles.begin(), cycles.end(), std::uint64_t{0}),
+              stats.shards.at(0).modeled_cycles);
+  }
+
+  ServiceConfig cfg = fault_test::faulty_config({.throw_on_pass = 1});
+  cfg.telemetry.enabled = true;
+  NttService svc(cfg);
+  Rng rng(109);
+  for (auto& f : submit_wave(svc, params, rng))
+    EXPECT_THROW(f.get(), std::runtime_error);
+  for (auto& f : submit_wave(svc, params, rng)) EXPECT_NO_THROW(f.get());
+  svc.drain();
+  EXPECT_EQ(execute_end_cycles(svc), (std::vector<std::uint64_t>{0, 4}));
+  EXPECT_EQ(svc.stats().shards.at(0).modeled_cycles, 4u);
+}
 
 // A pass that throws fails every rider of its group exactly once: each
 // future throws, each rider books `failed` and nothing else (no latency or

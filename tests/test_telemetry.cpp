@@ -530,10 +530,10 @@ TEST(ChromeTrace, GoldenFile) {
     e.kind = EventKind::kExecuteBegin;
     e.ts_ns = 5000;
     e.seq = telemetry::kNoSeq;
-    e.cycles = 10;
     shard.events.push_back(e);
     e.kind = EventKind::kExecuteEnd;
     e.ts_ns = 7000;
+    e.cycles = 10;  // the wave's modeled cycles ride on its ExecuteEnd
     shard.events.push_back(e);
     e.kind = EventKind::kComplete;
     e.ts_ns = 7500;
