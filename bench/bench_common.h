@@ -11,8 +11,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "dram/config.h"
 
@@ -188,11 +186,20 @@ class JsonWriter {
   bool first_ = true;
 };
 
-/// Emit the shared architecture block (paper Table I) every JSON report
-/// carries, so a baseline is interpretable without the producing binary.
-inline void write_architecture(JsonWriter& json) {
+/// Render one JSON report: {schema, bench, architecture, sections...}.
+/// Every report carries the paper's Table I architecture block, so a
+/// committed record is interpretable without the producing binary;
+/// `write_sections` writes the report's own top-level members after it.
+template <typename WriteSections>
+std::string render_report(std::string_view schema, std::string_view bench_name,
+                          WriteSections&& write_sections) {
   const dram::DramTiming t = dram::hbm2e_timing();
   const dram::DramGeometry g = dram::hbm2e_geometry();
+  std::ostringstream os;
+  JsonWriter json(os);
+  json.begin_object();
+  json.field("schema", schema);
+  json.field("bench", bench_name);
   json.begin_object("architecture");
   json.field("name", "HBM2E (paper Table I)");
   json.field("atom_bytes", g.atom_bytes);
@@ -201,111 +208,21 @@ inline void write_architecture(JsonWriter& json) {
   json.field("banks", g.banks);
   json.field("freq_mhz", t.freq_mhz);
   json.end_object();
-}
-
-/// Splice `fragment` (one or more already-rendered depth-1 members, leading
-/// separator excluded) into the top-level JSON object held in `text`,
-/// first deleting every existing `section_keys` member so re-runs are
-/// idempotent. Returns false when `text` is not an appendable object (no
-/// trailing '}', or a present section whose comma/bracketing cannot be
-/// matched) — the caller falls back to a standalone report.
-inline bool splice_json_sections(
-    std::string& text, const std::vector<std::string_view>& section_keys,
-    std::string fragment) {
-  for (const std::string_view key : section_keys) {
-    const std::string quoted = '"' + std::string(key) + '"';
-    const std::size_t prev = text.find(quoted);
-    if (prev == std::string::npos) continue;
-    // Drop the previous section, ending at its value's *matching* close
-    // bracket (a hand-merged file may have members after it).
-    const std::size_t comma = text.rfind(',', prev);
-    const std::size_t open = text.find_first_of("[{", prev);
-    std::size_t close = std::string::npos;
-    if (open != std::string::npos) {
-      const char open_bracket = text[open];
-      const char close_bracket = open_bracket == '[' ? ']' : '}';
-      int depth = 0;
-      for (std::size_t i = open; i < text.size(); ++i) {
-        if (text[i] == open_bracket) ++depth;
-        if (text[i] == close_bracket && --depth == 0) {
-          close = i;
-          break;
-        }
-      }
-    }
-    if (comma == std::string::npos || close == std::string::npos) return false;
-    text.erase(comma, close + 1 - comma);
-  }
-  const std::size_t tail = text.find_last_not_of(" \t\r\n");
-  const std::size_t last_member =
-      tail != std::string::npos && tail > 0 && text[tail] == '}'
-          ? text.find_last_not_of(" \t\r\n", tail - 1)
-          : std::string::npos;
-  if (last_member == std::string::npos) return false;
-  while (!fragment.empty() && fragment.back() == '\n') fragment.pop_back();
-  // No separating comma after an empty object's '{'.
-  const char* separator = text[last_member] == '{' ? "" : ",";
-  text.insert(last_member + 1, separator + fragment);
-  return true;
-}
-
-/// Emit a bench's sections BENCH_host.json-style, as one JSON document.
-/// `write_sections` renders the depth-1 members named `section_keys` into
-/// a JsonWriter positioned inside the top-level object. When `path` holds
-/// an existing JSON object (the file bench_bank_parallel --json wrote),
-/// the members are spliced in, replacing any previous run's; otherwise
-/// ("-" or absent/unappendable file) a standalone {schema, bench,
-/// architecture, sections...} report is written. Returns a process exit
-/// code.
-template <typename WriteSections>
-int write_host_sections(const std::string& path, std::string_view bench_name,
-                       const std::vector<std::string_view>& section_keys,
-                       WriteSections&& write_sections) {
-  if (path != "-") {
-    std::string existing;
-    if (std::ifstream in(path); in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      existing = buf.str();
-    }
-    if (!existing.empty()) {
-      std::ostringstream os;
-      JsonWriter json(os);
-      json.begin_object();
-      write_sections(json);
-      json.end_object();
-      // Render to a fragment for splicing at depth 1.
-      const std::string text = os.str();
-      const std::size_t open = text.find('{');
-      const std::size_t close = text.rfind('}');
-      std::string fragment = text.substr(open + 1, close - open - 1);
-      if (splice_json_sections(existing, section_keys, std::move(fragment))) {
-        std::ofstream file(path);
-        if (!(file << existing)) {
-          std::cerr << "cannot write " << path << "\n";
-          return 1;
-        }
-        return 0;
-      }
-      std::cerr << "warning: " << path << " has an unappendable "
-                << bench_name
-                << " section; writing a standalone report instead\n";
-    }
-  }
-  std::ostringstream os;
-  JsonWriter json(os);
-  json.begin_object();
-  json.field("schema", "nttpim-bench-host-v1");
-  json.field("bench", bench_name);
-  write_architecture(json);
   write_sections(json);
   json.end_object();
+  return os.str();
+}
+
+/// Write a rendered report to `path` ("-" = stdout). Returns a process exit
+/// code. Callers render and verify first, so a failed run never leaves a
+/// plausible-looking record on disk.
+inline int write_output(const std::string& path, const std::string& text) {
   if (path == "-") {
-    std::cout << os.str();
+    std::cout << text;
     return 0;
   }
   std::ofstream file(path);
-  if (!(file << os.str())) {
+  if (!(file << text)) {
     std::cerr << "cannot write " << path << "\n";
     return 1;
   }

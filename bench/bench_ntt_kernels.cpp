@@ -1,10 +1,8 @@
 // Modeled-hardware baseline: runs each kernel configuration through the
 // cycle-accurate PIM simulation and writes the cycle / ACT / energy counts
 // that BENCH_seed.json commits. Host-side speedups must leave the output
-// byte-identical; CI diffs it against the committed file.
-#include <fstream>
+// byte-identical; ctest `seed_record` compares it with the committed file.
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.h"
 #include "sim/runner.h"
@@ -13,18 +11,8 @@ namespace {
 
 using namespace nttpim;
 
-int run_json_baseline(const std::string& path) {
-  // Buffer the report and only write the output file once every config has
-  // verified, so a broken sim never leaves a plausible-looking baseline on
-  // disk for a script that ignores the exit status.
-  std::ostringstream os;
-  bench::JsonWriter json(os);
-  json.begin_object();
-  json.field("schema", "nttpim-bench-v1");
-  json.field("bench", "bench_ntt_kernels");
-  bench::write_architecture(json);
+void write_kernels(bench::JsonWriter& json, bool& all_verified) {
   json.begin_array("kernels");
-  bool all_verified = true;
   for (const std::size_t n : {256, 1024, 4096, 16384}) {
     for (const std::size_t num_buffers : {2, 4}) {
       for (const bool negacyclic : {false, true}) {
@@ -62,22 +50,6 @@ int run_json_baseline(const std::string& path) {
     }
   }
   json.end_array();
-  json.end_object();
-  if (!all_verified) {
-    std::cerr << "baseline aborted: a simulated NTT failed functional "
-                 "verification against the reference transform\n";
-    return 1;
-  }
-  if (path == "-") {
-    std::cout << os.str();
-  } else {
-    std::ofstream file(path);
-    if (!(file << os.str())) {
-      std::cerr << "cannot write " << path << "\n";
-      return 1;
-    }
-  }
-  return 0;
 }
 
 }  // namespace
@@ -92,5 +64,14 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   const auto json_path = bench::consume_json_flag(argc, argv);
   bench::finish_flags(argc, argv, kUsage);
-  return run_json_baseline(json_path.value_or("-"));
+  bool all_verified = true;
+  const std::string report = bench::render_report(
+      "nttpim-bench-v1", "bench_ntt_kernels",
+      [&](bench::JsonWriter& json) { write_kernels(json, all_verified); });
+  if (!all_verified) {
+    std::cerr << "baseline aborted: a simulated NTT failed functional "
+                 "verification against the reference transform\n";
+    return 1;
+  }
+  return bench::write_output(json_path.value_or("-"), report);
 }

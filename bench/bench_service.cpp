@@ -6,14 +6,18 @@
 // since no client ever hands the service a pre-formed batch), each result
 // is checked against the CPU reference, and each section reports rows of
 // one shape (named fields, in order). One table lists the sections, one
-// writer emits them into one JSON document, and one renderer prints them
-// as text tables:
+// renderer prints them as text tables, and `--json` writes them as one
+// standalone JSON document (wall-clock single samples, so not part of the
+// committed BENCH_host.json record that bench_paper writes):
 //  - service_throughput: client count x shard count x flush window.
 //    Reports requests/sec, mean wave occupancy, latency percentiles and
 //    the busiest shard's modeled cycles; CI checks that a second shard
 //    buys requests/sec at >= 8 clients.
 //  - service_telemetry: identical runs with lifecycle tracing off and on,
 //    interleaved; CI holds the on/off throughput ratio >= 0.95.
+//
+// The text mode exits 1 on any unverified result; ctest runs it as
+// `smoke_bench_service` (`--requests 1`).
 //
 // Everything that does not need the wall clock is an exact ctest instead
 // (tests/test_service.cpp): staged multi-tenant QoS and its trace export
@@ -343,9 +347,8 @@ constexpr const char* kUsage =
     "  client x shard x flush-window throughput sweep and tracing off vs\n"
     "  on. Every result is checked against the CPU reference.\n"
     "  --json [path]       write service_throughput and service_telemetry\n"
-    "                      into the BENCH_host.json-style object at path\n"
-    "                      (or write one standalone report; \"-\"/no path\n"
-    "                      = stdout)\n"
+    "                      as one JSON document to path (\"-\"/no path =\n"
+    "                      stdout)\n"
     "  --requests <count>  requests per client (default 32)\n";
 
 }  // namespace
@@ -379,11 +382,11 @@ int main(int argc, char** argv) {
                  "against the CPU backend\n";
     return 1;
   }
-  std::vector<std::string_view> keys;
-  for (const Scenario& s : kScenarios) keys.push_back(s.key);
-  return bench::write_host_sections(
-      *json_path, "bench_service", keys, [&](bench::JsonWriter& json) {
-        for (std::size_t i = 0; i < keys.size(); ++i)
-          write_section(json, kScenarios[i], results[i]);
-      });
+  return bench::write_output(
+      *json_path, bench::render_report(
+                      "nttpim-bench-host-v1", "bench_service",
+                      [&](bench::JsonWriter& json) {
+                        for (std::size_t i = 0; i < results.size(); ++i)
+                          write_section(json, kScenarios[i], results[i]);
+                      }));
 }

@@ -58,7 +58,6 @@ class CpuBackend final : public NttBackend {
   CpuBackend(const CpuBackend&) = delete;
   CpuBackend& operator=(const CpuBackend&) = delete;
 
-  const Config& config() const noexcept { return cfg_; }
   std::size_t lanes() const noexcept { return lanes_; }
 
   /// Microbenchmark the reference negacyclic kernel on this host and

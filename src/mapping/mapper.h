@@ -62,8 +62,6 @@ class RowCentricMapper {
   RowCentricMapper(const dram::DramGeometry& geometry,
                    const ntt::NttParams& params, MapperConfig config);
 
-  const MapperConfig& config() const noexcept { return config_; }
-
   MappedNtt map(const NttJob& job) const;
 
  private:

@@ -1,9 +1,10 @@
 #include "ntt/reference.h"
 
+#include <array>
+
 #include "common/bitutil.h"
 #include "common/check.h"
 #include "ntt/modular.h"
-#include "ntt/twiddle_cache.h"
 
 namespace nttpim::ntt {
 
@@ -54,12 +55,20 @@ void dit_kernel(std::span<std::uint32_t> a, const NttParams& params,
   NTTPIM_EXPECT(a.size() == params.n());
   const std::size_t n = a.size();
   const std::uint64_t q = params.q();
-  const auto steps = stage_steps(n, q, twiddle_base % q);
+  // steps[s - 1] = base^(n >> s) for stage s in [1, log2 n]: the last stage
+  // uses base^1, and each earlier stage squares the next one's step.
+  const unsigned log2n = exact_log2(n);
+  std::array<std::uint64_t, 64> steps{};
+  if (log2n > 0) {
+    steps[log2n - 1] = twiddle_base % q;
+    for (unsigned s = log2n - 1; s >= 1; --s)
+      steps[s - 1] = mul_mod(steps[s], steps[s], q);
+  }
   unsigned s = 1;
   for (std::size_t m = 1; m < n; m <<= 1, ++s) {
     // Stage with span m: butterfly pairs (k+j, k+j+m); twiddle step
     // w_s = base^(n/(2m)), twiddles w_s^j reset at each group.
-    const std::uint64_t step = (*steps)[s - 1];
+    const std::uint64_t step = steps[s - 1];
     for (std::size_t k = 0; k < n; k += 2 * m) {
       std::uint64_t w = 1;
       for (std::size_t j = 0; j < m; ++j) {

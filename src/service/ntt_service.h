@@ -230,23 +230,20 @@ class NttService {
   /// total and carries over.
   void reset_stats();
 
-  /// The lifecycle trace rings (inert unless config().telemetry.enabled).
-  /// drain() a Snapshot at a quiesce point and hand it to
-  /// telemetry::write_chrome_trace for a Perfetto-loadable timeline.
+  /// The lifecycle trace rings (inert unless the service was built with
+  /// telemetry enabled). drain() a Snapshot at a quiesce point and hand it
+  /// to telemetry::write_chrome_trace for a Perfetto-loadable timeline.
   telemetry::TraceCollector& trace_collector() noexcept { return collector_; }
   const telemetry::TraceCollector& trace_collector() const noexcept {
     return collector_;
   }
 
-  const ServiceConfig& config() const noexcept { return cfg_; }
   /// Resolved shard descriptors, in worker order (the defaults-expanded
-  /// form of config().backend).
+  /// form of ServiceConfig::backend).
   const std::vector<BackendDescriptor>& shard_descriptors() const noexcept {
     return resolved_;
   }
   std::size_t shards() const noexcept { return resolved_.size(); }
-  /// Request classes the service accepts (>= 1; see QosConfig).
-  std::size_t num_classes() const noexcept { return cfg_.qos.num_classes; }
 
  private:
   void enqueue(Request&& request);
@@ -258,8 +255,8 @@ class NttService {
   void validate(const Request& request) const;
 
   const ServiceConfig cfg_;
-  /// One descriptor per shard: config().backend.descriptors, or `shards`
-  /// copies of the default PIM descriptor.
+  /// One descriptor per shard: the configured backend descriptors, or
+  /// `shards` copies of the default PIM descriptor.
   const std::vector<BackendDescriptor> resolved_;
   /// Lifecycle trace rings (see TelemetryConfig). Before the worker
   /// threads in declaration order, so it outlives every emitting thread.

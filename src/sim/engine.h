@@ -113,8 +113,6 @@ class Engine {
  public:
   explicit Engine(EngineConfig config) : config_(config) {}
 
-  const EngineConfig& config() const noexcept { return config_; }
-
   /// Execute per-bank command programs on `device` (functionally and
   /// temporally): programs[b] is bank b's program, and banks beyond
   /// programs.size() stay idle. Returns the run statistics including the

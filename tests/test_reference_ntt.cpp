@@ -41,8 +41,10 @@ TEST_P(AlgorithmAgreement, EveryAlgorithmMatchesNaiveDft) {
   }
 }
 
+// 1024, a served transform size, also runs against the O(N^2) DFT.
 INSTANTIATE_TEST_SUITE_P(Sizes, AlgorithmAgreement,
-                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256));
+                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256,
+                                           1024));
 
 class RoundTrip : public ::testing::TestWithParam<std::size_t> {};
 
