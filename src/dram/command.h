@@ -63,6 +63,8 @@ struct Command {
   ParamReg param_reg = ParamReg::kModulus;
   std::uint32_t param_value = 0;
   Regime regime = Regime::kNone;
+
+  friend bool operator==(const Command&, const Command&) = default;
 };
 
 const char* to_string(CmdKind kind);

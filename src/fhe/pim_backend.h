@@ -10,8 +10,11 @@
 // different NTT functions in each bank" — as a single engine pass; items
 // beyond num_banks() are stacked at disjoint base rows of the same bank
 // and run back-to-back within the pass (parallel across banks, sequential
-// within one). Simulated *hardware* numbers are unchanged by any of this —
-// only host wall-clock drops.
+// within one). A pass's schedule depends only on which plan shapes sit in
+// which bank, in which order, so a bounded schedule memo keyed on exactly
+// that skips the engine's timing pass for a wave shape already scheduled
+// and runs only its functional pass. Simulated *hardware* numbers are
+// unchanged by any of this — only host wall-clock drops.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "dram/command.h"
 #include "dram/config.h"
 #include "fhe/ntt_backend.h"
@@ -78,10 +82,16 @@ class PimBackend final : public NttBackend {
   std::uint64_t total_cycles() const noexcept { return modeled_cycles(); }
   double total_energy_nj() const noexcept { return energy_nj_; }
   double total_us() const;
-  /// Engine passes executed (one per wave).
+  /// Engine passes executed (one per wave, memoized schedule or not).
   std::uint64_t engine_passes() const noexcept { return engine_passes_; }
   std::uint64_t plan_cache_hits() const noexcept { return plans_.hits(); }
   std::uint64_t plan_cache_misses() const noexcept { return plans_.misses(); }
+  /// Waves whose schedule came from the memo (functional pass only), and
+  /// waves the engine scheduled (both passes).
+  std::uint64_t schedule_hits() const noexcept { return schedules_.hits(); }
+  std::uint64_t schedule_misses() const noexcept {
+    return schedules_.misses();
+  }
 
   /// One recorded engine pass: where every item ran, and the commands the
   /// engine executed as the per-bank concatenation of its programs (bank 0's
@@ -118,6 +128,8 @@ class PimBackend final : public NttBackend {
   /// plan cache (one plan per (params, direction, bank, base_row),
   /// bank-retargeted from the bank-0 twin); each bank's cached traces, in
   /// item order, are that bank's engine program, passed without copying.
+  /// A schedule memo hit runs only the engine's functional pass and books
+  /// the memoized makespan and energy.
   std::uint64_t run_wave(std::span<const BatchItem> wave) override;
   std::shared_ptr<const mapping::MappedNtt> plan_for(
       const ntt::NttParams& params, bool inverse_direction,
@@ -129,6 +141,22 @@ class PimBackend final : public NttBackend {
   pim::PimDevice device_;
   sim::Engine engine_;
   mapping::PlanCache plans_;
+
+  /// What a pass books: its makespan and its energy.
+  struct Schedule {
+    std::uint64_t cycles = 0;
+    double energy_nj = 0;
+  };
+  /// Memo entries: 8x the 510 shapes of all waves of 1-8 items at one n,
+  /// each item forward or inverse.
+  static constexpr std::size_t kScheduleMemoEntries = 4096;
+  /// Keyed on every bank's plan shape ids in program order, each bank's
+  /// list closed by a 0 (no plan has shape id 0): a pass's schedule and
+  /// energy depend on nothing else, since the geometry and the engine
+  /// configuration are fixed for the backend's lifetime.
+  LruCache<std::vector<std::uint64_t>, Schedule> schedules_{
+      kScheduleMemoEntries};
+
   double energy_nj_ = 0;
   std::uint64_t engine_passes_ = 0;
 

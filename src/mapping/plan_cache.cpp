@@ -1,6 +1,36 @@
 #include "mapping/plan_cache.h"
 
+#include <algorithm>
+
 namespace nttpim::mapping {
+
+namespace {
+
+/// `cmd` without the fields two plans of one shape may differ in.
+dram::Command shape_of(dram::Command cmd) {
+  cmd.bank = 0;
+  cmd.param_value = 0;
+  return cmd;
+}
+
+bool same_shape(const MappedNtt& a, const MappedNtt& b) {
+  return std::equal(a.trace.begin(), a.trace.end(), b.trace.begin(),
+                    b.trace.end(), [](const auto& x, const auto& y) {
+                      return shape_of(x) == shape_of(y);
+                    });
+}
+
+/// Candidate finder only: same_shape() decides.
+std::size_t shape_hash(const MappedNtt& plan) {
+  std::size_t h = plan.trace.size();
+  for (const dram::Command& cmd : plan.trace)
+    h = (h * 1099511628211u) ^
+        (static_cast<std::size_t>(cmd.kind) | std::size_t{cmd.row} << 8 |
+         std::size_t{cmd.atom} << 40 | std::size_t{cmd.buf} << 56);
+  return h;
+}
+
+}  // namespace
 
 PlanKey PlanKey::make(const dram::DramGeometry& geometry,
                       const ntt::NttParams& params,
@@ -49,26 +79,36 @@ std::shared_ptr<const MappedNtt> PlanCache::get_or_map(
     if (twin == plans.end()) {
       MapperConfig base_config = config;
       base_config.bank = 0;
-      const RowCentricMapper mapper(geometry, params, base_config);
       twin = plans
-                 .emplace(twin_key,
-                          std::make_shared<const MappedNtt>(mapper.map(job)))
+                 .emplace(twin_key, map_plan(geometry, params, base_config,
+                                             job, twin_key))
                  .first;
-      record_counts(twin_key, *twin->second);
     }
     plan = std::make_shared<const MappedNtt>(
         retarget_bank(*twin->second, config.bank));
   } else {
-    const RowCentricMapper mapper(geometry, params, config);
-    plan = std::make_shared<const MappedNtt>(mapper.map(job));
-    record_counts(key, *plan);
+    plan = map_plan(geometry, params, config, job, key);
   }
   plans.emplace(key, plan);
   return plan;
 }
 
-void PlanCache::record_counts(const PlanKey& key, const MappedNtt& plan) {
-  plans_->counts.emplace(key.cost_key(), count_commands(plan.trace));
+std::shared_ptr<const MappedNtt> PlanCache::map_plan(
+    const dram::DramGeometry& geometry, const ntt::NttParams& params,
+    const MapperConfig& config, const NttJob& job, const PlanKey& key) {
+  MappedNtt mapped = RowCentricMapper(geometry, params, config).map(job);
+  Plans& state = *plans_;
+  const std::size_t hash = shape_hash(mapped);
+  const auto [first, last] = state.shapes.equal_range(hash);
+  const auto same = std::find_if(first, last, [&](const auto& entry) {
+    return same_shape(*entry.second, mapped);
+  });
+  mapped.shape_id = same != last ? same->second->shape_id
+                                 : state.next_shape_id++;
+  auto plan = std::make_shared<const MappedNtt>(std::move(mapped));
+  if (same == last) state.shapes.emplace(hash, plan);
+  state.counts.emplace(key.cost_key(), count_commands(plan->trace));
+  return plan;
 }
 
 std::optional<TraceCounts> PlanCache::peek_counts(const PlanKey& key) const {

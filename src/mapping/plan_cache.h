@@ -13,12 +13,22 @@
 // stamped on each command, so a miss that differs from a cached plan only in
 // the bank field is served by retarget_bank() (an O(trace) copy) instead of
 // a fresh mapper run — the building block of the batched multi-bank backend.
+//
+// Shape ids: every mapper run gives its plan a MappedNtt::shape_id, shared
+// with any earlier plan whose trace differs only in bank ids and PARAM
+// payloads (a hash finds the candidate, a field-by-field compare confirms
+// it), and a retargeted copy inherits its twin's. Today's mapper emits
+// one structure for every modulus, so plans of one (n, direction, base
+// row) share an id across moduli; a mapper whose structure depended on q
+// would split ids by itself. Ids are never reused, so a key built from
+// them (fhe::PimBackend's schedule memo) cannot alias a dropped plan's.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "dram/config.h"
 #include "mapping/mapper.h"
@@ -92,14 +102,24 @@ class PlanCache {
   std::size_t size() const noexcept { return plans_->plans.size(); }
 
  private:
-  /// Everything a lookup reads or writes: the plans, and the command
-  /// counts filed under each mapped plan's cost_key().
+  /// Everything a lookup reads or writes: the plans, the command counts
+  /// filed under each mapped plan's cost_key(), and one representative
+  /// plan per shape id, filed under its structural hash.
   struct Plans {
     std::map<PlanKey, std::shared_ptr<const MappedNtt>> plans;
     std::map<PlanKey, TraceCounts> counts;
+    std::unordered_multimap<std::size_t, std::shared_ptr<const MappedNtt>>
+        shapes;
+    std::uint64_t next_shape_id = 1;
   };
 
-  void record_counts(const PlanKey& key, const MappedNtt& plan);
+  /// Run the mapper for `key` (a bank-0 key), give the plan its shape id
+  /// and file its counts.
+  std::shared_ptr<const MappedNtt> map_plan(const dram::DramGeometry& geometry,
+                                            const ntt::NttParams& params,
+                                            const MapperConfig& config,
+                                            const NttJob& job,
+                                            const PlanKey& key);
 
   /// The cache is single-driver, every member included: debug builds
   /// assert that each access to this state comes from the owning thread.

@@ -46,6 +46,10 @@ struct MappedNtt {
   /// Where the result lives (== input base row unless the in-place-update
   /// ablation ping-pongs into a shadow region).
   std::uint32_t result_base_row = 0;
+  /// Structural id a PlanCache assigns (0 until one does): two plans share
+  /// it exactly when their traces are equal in every command field but
+  /// `bank` and `param_value`, so they schedule identically on any bank.
+  std::uint64_t shape_id = 0;
 };
 
 /// Copy of `mapped` with every command's bank id rewritten to `bank`. A

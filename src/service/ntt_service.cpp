@@ -433,8 +433,6 @@ void NttService::execute_wave(std::size_t shard, fhe::NttBackend& backend,
   idle_cv_.notify_all();
 }
 
-void NttService::pause() { former_.pause(); }
-
 void NttService::resume() { former_.resume(); }
 
 void NttService::drain() {

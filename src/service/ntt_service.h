@@ -196,9 +196,8 @@ class NttService {
       std::vector<std::uint32_t> a, std::vector<std::uint32_t> b,
       std::shared_ptr<const ntt::NttParams> params, SubmitOptions options = {});
 
-  /// Gate / un-gate wave forming (submissions keep accumulating while
-  /// paused). Pausing never interrupts a wave already executing.
-  void pause();
+  /// Open wave forming on a service built with `former.start_paused`
+  /// (submissions accumulate until then).
   void resume();
 
   /// Block until every request accepted so far has completed or failed.

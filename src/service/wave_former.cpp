@@ -84,9 +84,9 @@ ServiceClock::time_point WaveFormer::flush_deadline() const {
 
 bool WaveFormer::due(ServiceClock::time_point now,
                      std::size_t max_items) const {
-  // pause() re-gates cutting even mid-forming, so a staged backlog never
-  // leaks out as a partial wave while paused; close() flushes at once
-  // (drain fast).
+  // A former built paused cuts nothing until resume(), so a staged backlog
+  // never leaks out as a partial wave; close() flushes at once (drain
+  // fast).
   if (queue_.empty() || (paused_ && !closed_)) return false;
   return closed_ || pending_items_ >= max_items || now >= flush_deadline();
 }
@@ -149,11 +149,6 @@ std::vector<Request> WaveFormer::next_wave(std::size_t max_items) {
     // window elapsed, shrinking coalesced waves.
     ready_cv_.wait_until(lk, flush_deadline());
   }
-}
-
-void WaveFormer::pause() {
-  const sync::MutexLock lk(mu_);
-  paused_ = true;
 }
 
 void WaveFormer::resume() {

@@ -33,10 +33,11 @@
 // what bounds device rows and engine-pass size. When full, submit() either
 // blocks or rejects per OverflowPolicy — the service's backpressure.
 //
-// pause()/resume() gate consumers only: while paused, submissions pile up
-// but no wave is cut. This is how tests stage a deterministic backlog
-// (guaranteeing occupancy > 1 without sleep-based races) and how an
-// operator can stage work before opening the valve.
+// Config::start_paused and resume() gate consumers only: a former built
+// paused piles submissions up but cuts no wave until resume(). This is how
+// tests stage a deterministic backlog (guaranteeing occupancy > 1 without
+// sleep-based races) and how an operator can stage work before opening
+// the valve.
 //
 // close() stops new submissions (blocked producers wake and see kClosed),
 // un-pauses, and makes every pending request due at once, so consumers
@@ -98,7 +99,6 @@ class WaveFormer {
   /// threads, each with its own cap.
   std::vector<Request> next_wave(std::size_t max_items);
 
-  void pause();
   void resume();
   void close();
 

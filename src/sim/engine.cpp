@@ -27,14 +27,20 @@ struct Segment {
   std::size_t first_index;
 };
 
+/// Rejects a command that may not run in bank `bank`'s program, before
+/// any timing or functional state indexes by it.
+void validate(const Command& cmd, std::size_t bank, std::size_t num_buffers) {
+  NTTPIM_EXPECT_MSG(cmd.bank == bank, "command in another bank's program");
+  NTTPIM_EXPECT_MSG(std::max(cmd.buf, cmd.buf2) < num_buffers,
+                    "command references a buffer beyond Nb");
+}
+
 /// Per-bank scheduling state.
 struct BankState {
-  BankState(const dram::DramTiming& timing, std::size_t num_buffers,
-            pim::PimBank& pim)
+  BankState(const dram::DramTiming& timing, std::size_t num_buffers)
       : timing(timing),
         buf_avail(num_buffers, 0),
-        next_refresh(timing.trefi),
-        pim(&pim) {}
+        next_refresh(timing.trefi) {}
 
   dram::BankTiming timing;
   std::vector<std::uint64_t> buf_avail;  ///< buffer busy-until timestamps
@@ -44,7 +50,6 @@ struct BankState {
   std::uint64_t next_refresh = 0;        ///< next tREFI deadline
   RefreshStep refresh_step = RefreshStep::kNone;
   std::int64_t saved_row = dram::BankTiming::kNoOpenRow;
-  pim::PimBank* pim;                     ///< functional state of this bank
 
   // Program cursor: `head` walks the current segment up to `seg_end`, then
   // the bank's next segment in [next_segment, last_segment) takes over.
@@ -61,27 +66,25 @@ struct BankState {
   bool done() const noexcept { return head == nullptr; }
 };
 
-/// Shared scheduler core: per-bank program cursors, the commit rules
-/// (timing + functional effect) and the transparent-refresh state machine.
-/// The two Engine entry points differ only in how the next (bank, cycle)
-/// pair is selected each step.
+/// The timing pass: per-bank program cursors, the commit rules and the
+/// transparent-refresh state machine. It touches no functional state. The
+/// keyed and reference entry points differ only in how the next (bank,
+/// cycle) pair is selected each step.
 class Scheduler {
  public:
   /// `segments` holds every bank's program, grouped by bank in ascending
   /// bank order, each bank's segments in program order.
-  Scheduler(const EngineConfig& config, pim::PimDevice& device,
-            std::span<const Segment> segments)
+  Scheduler(const EngineConfig& config, const dram::DramGeometry& g,
+            std::size_t num_buffers, std::span<const Segment> segments)
       : config_(config), t_(config.timing), segments_(segments) {
-    const dram::DramGeometry& g = device.geometry();
     NTTPIM_EXPECT_MSG(g.num_channels >= 1 && g.banks % g.num_channels == 0,
                       "banks must divide evenly across channels");
     bus_free_.assign(g.num_channels, 0);
     channel_makespan_.assign(g.num_channels, 0);
-    const std::size_t banks = device.num_banks();
-    banks_.reserve(banks);
-    channel_.reserve(banks);
-    for (std::size_t b = 0; b < banks; ++b) {
-      banks_.emplace_back(t_, device.num_buffers(), device.bank(b));
+    banks_.reserve(g.banks);
+    channel_.reserve(g.banks);
+    for (std::size_t b = 0; b < g.banks; ++b) {
+      banks_.emplace_back(t_, num_buffers);
       channel_.push_back(g.channel_of(b));
     }
     for (std::size_t i = 0; i < segments.size(); ++i) {
@@ -89,36 +92,20 @@ class Scheduler {
       if (bs.next_segment == bs.last_segment) bs.next_segment = i;
       bs.last_segment = i + 1;
     }
-    for (std::size_t b = 0; b < banks; ++b) load_head(b);
+    for (std::size_t b = 0; b < g.banks; ++b) load_head(b);
   }
 
+  /// The schedule's statistics: everything but butterflies and energy,
+  /// which the functional pass completes.
   RunStats run(bool keyed) {
-    std::uint64_t butterflies_before = 0;
-    for (const BankState& bs : banks_)
-      butterflies_before += bs.pim->cu().butterfly_count();
-
     if (keyed)
       run_keyed();
     else
       run_full_rescan();
-
-    std::uint64_t butterflies_after = 0;
-    for (const BankState& bs : banks_)
-      butterflies_after += bs.pim->cu().butterfly_count();
-
     stats_.cycles = *std::max_element(channel_makespan_.begin(),
                                       channel_makespan_.end());
     stats_.channel_makespans = std::move(channel_makespan_);
     stats_.ns = static_cast<double>(stats_.cycles) * t_.ns_per_cycle();
-    stats_.butterflies = butterflies_after - butterflies_before;
-
-    dram::EnergyCounts counts;
-    counts.activations = stats_.activations;
-    counts.column_transfers = stats_.column_reads + stats_.column_writes;
-    counts.butterflies = stats_.butterflies;
-    counts.param_loads = stats_.param_loads;
-    counts.refreshes = stats_.refreshes;
-    stats_.energy = dram::compute_energy(config_.energy, counts, stats_.ns);
     return std::move(stats_);
   }
 
@@ -183,7 +170,9 @@ class Scheduler {
   // Transparent refresh, as a real MC performs it: close the open row,
   // issue REF, and restore the row so the trace's open-row assumptions
   // continue to hold. The PRE/ACT bookkeeping is charged to the refresh
-  // energy (refresh_pj), not the trace's activation counts.
+  // energy (refresh_pj), not the trace's activation counts. A refresh has
+  // no functional effect (cells keep their contents, and the restored row
+  // is the one the program left open), so only this pass models it.
   //
   // Earliest start >= t_min of the bank's next refresh action (kNone means
   // the tREFI deadline passed and the first step must be chosen). Same
@@ -301,8 +290,6 @@ class Scheduler {
     if (config_.record_timeline)
       stats_.timeline.push_back(
           TimelineEvent{bs.head_index, cmd.kind, cmd.bank, at, end});
-    // Functional effect, applied in per-bank program order.
-    bs.pim->apply(cmd);
     ++stats_.commands;
     ++bs.head;
     ++bs.head_index;
@@ -325,11 +312,7 @@ class Scheduler {
       bs.seg_end = bs.head + seg.commands.size();
       bs.head_index = seg.first_index;
     }
-    NTTPIM_EXPECT_MSG(bs.head->bank == b,
-                      "command in another bank's program");
-    NTTPIM_EXPECT_MSG(
-        std::max(bs.head->buf, bs.head->buf2) < bs.buf_avail.size(),
-        "command references a buffer beyond Nb");
+    validate(*bs.head, b, bs.buf_avail.size());
   }
 
   void commit_refresh_step(std::size_t b, std::uint64_t at) {
@@ -340,8 +323,6 @@ class Scheduler {
         if (bs.timing.open_row() != dram::BankTiming::kNoOpenRow) {
           bs.saved_row = bs.timing.open_row();
           bs.timing.issue_pre(at);
-          bs.pim->apply({.kind = CmdKind::kPre,
-                         .bank = static_cast<std::uint16_t>(b)});
           bs.refresh_step = RefreshStep::kNeedRef;
         } else {
           bs.saved_row = dram::BankTiming::kNoOpenRow;
@@ -376,9 +357,6 @@ class Scheduler {
         break;
       case RefreshStep::kNeedRestore:
         bs.timing.issue_act(at, static_cast<std::uint32_t>(bs.saved_row));
-        bs.pim->apply({.kind = CmdKind::kAct,
-                       .bank = static_cast<std::uint16_t>(b),
-                       .row = static_cast<std::uint32_t>(bs.saved_row)});
         bs.refresh_step = RefreshStep::kNone;
         bs.saved_row = dram::BankTiming::kNoOpenRow;
         break;
@@ -560,30 +538,75 @@ std::vector<Segment> program_segments(std::span<const BankProgram> programs,
   return segments;
 }
 
+/// The functional pass: each bank's segments, in program order, through
+/// that bank's PimBank. Banks share no functional state, so walking them
+/// one after another leaves the device as any interleaving would.
+void apply_segments(pim::PimDevice& device, std::span<const Segment> segments) {
+  for (const Segment& seg : segments) {
+    pim::PimBank& bank = device.bank(seg.bank);
+    for (const Command& cmd : seg.commands) {
+      validate(cmd, seg.bank, device.num_buffers());
+      bank.apply(cmd);
+    }
+  }
+}
+
+/// Both passes: the schedule, then the functional pass, whose butterfly
+/// count completes the energy estimate.
+RunStats execute(const EngineConfig& config, pim::PimDevice& device,
+                 std::span<const Segment> segments, bool keyed) {
+  RunStats stats =
+      Scheduler(config, device.geometry(), device.num_buffers(), segments)
+          .run(keyed);
+  const auto butterflies = [&device] {
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < device.num_banks(); ++b)
+      total += device.bank(b).cu().butterfly_count();
+    return total;
+  };
+  const std::uint64_t before = butterflies();
+  apply_segments(device, segments);
+  stats.butterflies = butterflies() - before;
+
+  dram::EnergyCounts counts;
+  counts.activations = stats.activations;
+  counts.column_transfers = stats.column_reads + stats.column_writes;
+  counts.butterflies = stats.butterflies;
+  counts.param_loads = stats.param_loads;
+  counts.refreshes = stats.refreshes;
+  stats.energy = dram::compute_energy(config.energy, counts, stats.ns);
+  return stats;
+}
+
 }  // namespace
 
 RunStats Engine::run(pim::PimDevice& device,
                      std::span<const BankProgram> programs) const {
   const auto segments = program_segments(programs, device.num_banks());
-  return Scheduler(config_, device, segments).run(/*keyed=*/true);
+  return execute(config_, device, segments, /*keyed=*/true);
 }
 
 RunStats Engine::run(pim::PimDevice& device,
                      std::span<const dram::Command> trace) const {
   const auto segments = partition_by_bank(trace, device.num_banks());
-  return Scheduler(config_, device, segments).run(/*keyed=*/true);
+  return execute(config_, device, segments, /*keyed=*/true);
 }
 
 RunStats Engine::run_reference(pim::PimDevice& device,
                                std::span<const BankProgram> programs) const {
   const auto segments = program_segments(programs, device.num_banks());
-  return Scheduler(config_, device, segments).run(/*keyed=*/false);
+  return execute(config_, device, segments, /*keyed=*/false);
 }
 
 RunStats Engine::run_reference(pim::PimDevice& device,
                                std::span<const dram::Command> trace) const {
   const auto segments = partition_by_bank(trace, device.num_banks());
-  return Scheduler(config_, device, segments).run(/*keyed=*/false);
+  return execute(config_, device, segments, /*keyed=*/false);
+}
+
+void Engine::apply(pim::PimDevice& device,
+                   std::span<const BankProgram> programs) {
+  apply_segments(device, program_segments(programs, device.num_banks()));
 }
 
 }  // namespace nttpim::sim

@@ -1,10 +1,16 @@
 // Cycle-accurate timing + functional co-simulation of a PIM command trace.
 //
-// This replaces the paper's DRAMsim3 + Python front-end driver pair: one
-// engine both enforces DRAM timing (per-bank FSM, shared command bus,
-// single-ported buffers, pipelined CU) and executes the commands'
-// functional effects, so the NTT result can be verified word-for-word
-// against the reference transform while the cycle count is measured.
+// This replaces the paper's DRAMsim3 + Python front-end driver pair with two
+// passes over per-bank command programs. The timing pass schedules every
+// command under the DRAM timing rules (per-bank FSM, shared command bus,
+// single-ported buffers, pipelined CU) and reads no data. The functional
+// pass, Engine::apply, then walks each bank's program in order through
+// pim::PimBank::apply, so the NTT result can be verified word-for-word
+// against the reference transform. A bank's functional effect depends only
+// on its own program order, and the schedule only on the commands'
+// structure, so neither pass needs the other: a caller that has already
+// scheduled programs of the same structure (fhe::PimBackend's schedule
+// memo) runs the functional pass alone.
 //
 // Scheduling model. Each bank runs its own command program in order;
 // across banks the engine each step picks the oldest-ready head (lowest
@@ -113,12 +119,13 @@ class Engine {
  public:
   explicit Engine(EngineConfig config) : config_(config) {}
 
-  /// Execute per-bank command programs on `device` (functionally and
-  /// temporally): programs[b] is bank b's program, and banks beyond
-  /// programs.size() stay idle. Returns the run statistics including the
-  /// energy estimate. Throws std::invalid_argument for more programs than
-  /// banks, or when a command reaches the head of its bank's program while
-  /// targeting another bank or a buffer beyond Nb.
+  /// Execute per-bank command programs on `device`: the timing pass, then
+  /// the functional pass (apply). programs[b] is bank b's program, and
+  /// banks beyond programs.size() stay idle. Returns the run statistics
+  /// including the energy estimate. Throws std::invalid_argument for more
+  /// programs than banks, or for a command in another bank's program or
+  /// naming a buffer beyond Nb; the timing pass rejects it before either
+  /// pass touches the device.
   ///
   /// Uses the keyed scheduler: each bank keeps a bus-independent
   /// earliest-issue key, refreshed only when that bank commits, so
@@ -142,6 +149,15 @@ class Engine {
                          std::span<const BankProgram> programs) const;
   RunStats run_reference(pim::PimDevice& device,
                          std::span<const dram::Command> trace) const;
+
+  /// The functional pass alone: each bank's program, in order, through
+  /// its pim::PimBank::apply. Leaves `device` exactly as run() would, and
+  /// makes the same checks (std::invalid_argument for more programs than
+  /// banks, a command in another bank's program, or a buffer beyond Nb),
+  /// each before the offending command touches the device. Engine-inserted
+  /// refreshes have no functional effect, so no EngineConfig is needed.
+  static void apply(pim::PimDevice& device,
+                    std::span<const BankProgram> programs);
 
  private:
   EngineConfig config_;

@@ -30,22 +30,6 @@ thread_local std::vector<std::pair<std::uint64_t, void*>> t_rings;
 
 }  // namespace
 
-const char* to_string(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kSubmit: return "submit";
-    case EventKind::kAdmit: return "admit";
-    case EventKind::kShed: return "shed";
-    case EventKind::kFormerEnqueue: return "former_enqueue";
-    case EventKind::kWaveCut: return "wave_cut";
-    case EventKind::kExecuteBegin: return "execute_begin";
-    case EventKind::kExecuteEnd: return "execute_end";
-    case EventKind::kDeadlineMiss: return "deadline_miss";
-    case EventKind::kComplete: return "complete";
-    case EventKind::kFail: return "fail";
-  }
-  return "unknown";
-}
-
 struct TraceCollector::ThreadBuffer {
   ThreadBuffer(std::size_t capacity, std::uint64_t tid, std::string name)
       : ring(capacity), tid(tid), name(std::move(name)) {}

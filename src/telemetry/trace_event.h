@@ -42,9 +42,6 @@ enum class EventKind : std::uint8_t {
   kFail,           ///< the request's wave failed; its error was delivered
 };
 
-/// Exporter/debug name of one kind ("submit", "wave_cut", ...).
-const char* to_string(EventKind kind) noexcept;
-
 /// Request-less sentinel for TraceEvent::seq: wave-scoped events carry
 /// only the wave, and a shed request never received a sequence number.
 inline constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};

@@ -186,7 +186,8 @@ TEST(Engine, RejectsUnknownBank) {
 
 TEST(Engine, RejectsBufferBeyondNb) {
   // Validated when the CU_RD becomes the bank's head — before the timing
-  // model indexes its buffer.
+  // model indexes its buffer — and by the functional pass alone, before
+  // the bank applies it.
   const dram::DramGeometry g = dram::hbm2e_geometry(1);
   pim::PimDevice device(g, 2);
   const Engine engine(EngineConfig{});
@@ -194,11 +195,19 @@ TEST(Engine, RejectsBufferBeyondNb) {
       {.kind = CmdKind::kAct, .bank = 0, .row = 0},
       {.kind = CmdKind::kCuRead, .bank = 0, .row = 0, .buf = 2}};
   EXPECT_THROW(engine.run(device, read), std::invalid_argument);
+  pim::PimDevice applied(g, 2);
+  const std::vector<BankProgram> read_program{{read}};
+  EXPECT_THROW(Engine::apply(applied, read_program), std::invalid_argument);
 
+  // buf2 is checked on every command, as the timing pass checks it.
   pim::PimDevice fresh(g, 2);
   const std::vector<Command> c2{
       {.kind = CmdKind::kC2, .bank = 0, .buf = 0, .buf2 = 7}};
   EXPECT_THROW(engine.run(fresh, c2), std::invalid_argument);
+  const std::vector<Command> zero{
+      {.kind = CmdKind::kBufZero, .bank = 0, .buf = 0, .buf2 = 7}};
+  const std::vector<BankProgram> zero_program{{zero}};
+  EXPECT_THROW(Engine::apply(fresh, zero_program), std::invalid_argument);
 }
 
 TEST(Engine, RejectsCommandInWrongBankProgram) {
@@ -209,9 +218,14 @@ TEST(Engine, RejectsCommandInWrongBankProgram) {
       {.kind = CmdKind::kAct, .bank = 1, .row = 0}};
   const std::vector<BankProgram> programs{{bank1}};  // bank 0's program
   EXPECT_THROW(engine.run(device, programs), std::invalid_argument);
+  EXPECT_THROW(Engine::apply(device, programs), std::invalid_argument);
+  // Rejected before either bank applied the ACT.
+  EXPECT_EQ(device.bank(0).functional_open_row(), -1);
+  EXPECT_EQ(device.bank(1).functional_open_row(), -1);
 
   const std::vector<BankProgram> too_many(3);
   EXPECT_THROW(engine.run(device, too_many), std::invalid_argument);
+  EXPECT_THROW(Engine::apply(device, too_many), std::invalid_argument);
 }
 
 TEST(Engine, RefreshOccursAtTrefiRate) {

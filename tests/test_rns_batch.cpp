@@ -2,11 +2,14 @@
 //
 // Covers the mixed-wave backend API (transform_batch_mixed), the RNS
 // product built on it (rns_negacyclic_multiply), the plan-cache bank-0
-// twin fix and the RNS input-validation fixes.
+// twin fix and shape ids, the backend's schedule memo and the RNS
+// input-validation fixes.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <span>
+#include <utility>
 
 #include "common/random.h"
 #include "fhe/cpu_backend.h"
@@ -15,7 +18,11 @@
 #include "fhe/rns_poly.h"
 #include "fhe/rq.h"
 #include "mapping/plan_cache.h"
+#include "ntt/negacyclic.h"
 #include "ntt/poly.h"
+#include "ntt/primes.h"
+#include "pim/host.h"
+#include "sim/engine.h"
 
 namespace nttpim::fhe {
 namespace {
@@ -314,6 +321,149 @@ TEST(PlanCache, FourBankWaveHitsAfterFirstUse) {
   EXPECT_EQ(pim.engine_passes(), 2u);
   EXPECT_EQ(pim.plan_cache_misses(), 4u);
   EXPECT_EQ(pim.plan_cache_hits(), 4u);  // the second wave
+}
+
+// Shape ids follow the trace's structure only: another modulus (PARAM
+// payloads) or another bank keeps a plan's id, and another direction or
+// base row splits it.
+TEST(PlanCache, ShapeIdsIgnoreModulusAndBankOnly) {
+  const dram::DramGeometry geometry = dram::hbm2e_geometry(2);
+  const std::vector<std::uint32_t> primes = ntt::find_ntt_primes(256, 30, 2);
+  const ntt::NttParams p0(256, primes[0]);
+  const ntt::NttParams p1(256, primes[1]);
+  mapping::PlanCache cache;
+  const auto plan = [&](const ntt::NttParams& params, std::uint16_t bank,
+                        bool inverse, std::uint32_t base_row) {
+    mapping::MapperConfig config;
+    config.num_buffers = 4;
+    config.bank = bank;
+    mapping::NttJob job;
+    job.base_row = base_row;
+    job.direction = inverse ? mapping::Direction::kInverse
+                            : mapping::Direction::kForward;
+    job.negacyclic = inverse;
+    return cache.get_or_map(geometry, params, config, job);
+  };
+  const auto forward = plan(p0, 0, false, 0);
+  EXPECT_NE(forward->shape_id, 0u);
+  const auto other_modulus = plan(p1, 0, false, 0);
+  EXPECT_NE(other_modulus->trace, forward->trace);  // PARAM payloads differ
+  EXPECT_EQ(other_modulus->shape_id, forward->shape_id);
+  EXPECT_EQ(plan(p0, 1, false, 0)->shape_id, forward->shape_id);
+  EXPECT_EQ(plan(p1, 1, false, 0)->shape_id, forward->shape_id);
+
+  const std::uint64_t inverse = plan(p0, 0, true, 0)->shape_id;
+  const std::uint64_t stacked = plan(p0, 0, false, 1)->shape_id;
+  EXPECT_NE(inverse, forward->shape_id);
+  EXPECT_NE(stacked, forward->shape_id);
+  EXPECT_NE(stacked, inverse);
+  EXPECT_EQ(plan(p1, 1, true, 0)->shape_id, inverse);
+  EXPECT_EQ(plan(p1, 1, false, 1)->shape_id, stacked);
+}
+
+// ------------------------------------------------------------ schedule memo
+
+// Seeded property: the schedule memo is exact. On 8-bank backends with 1, 2
+// and 4 channels, waves of n in {256, 1024} with random directions and up
+// to 2x banks items (so items stack) run with moduli from
+// find_ntt_primes. Each drawn wave also runs permuted and with its last
+// item's direction flipped, so shapes that share every item, or all but
+// one, must not share a schedule. Every shape runs twice with the moduli
+// redrawn, and the second run must be a memo hit. For every pass, the
+// cycles and energy the backend books must equal Engine::run_reference
+// over the recorded trace, run on a private device with the same staged
+// inputs, and every result must equal the CPU reference.
+TEST(ScheduleMemo, HitsBookTheReferenceScheduleExactly) {
+  constexpr std::size_t kBanks = 8;
+  constexpr std::size_t kNumBuffers = 4;
+  constexpr double kFreqMhz = 1200.0;
+  std::map<std::size_t, std::vector<ntt::NttParams>> moduli;
+  for (const std::size_t n : {256, 1024})
+    for (const std::uint32_t q : ntt::find_ntt_primes(n, 30, 4))
+      moduli[n].emplace_back(n, q);
+  sim::EngineConfig engine_config;
+  engine_config.timing = dram::hbm2e_timing().at_frequency(kFreqMhz);
+  const sim::Engine reference(engine_config);
+  CpuBackend cpu;
+  Rng rng(131);
+
+  /// (n, inverse) per item, in wave order.
+  using Shape = std::vector<std::pair<std::size_t, bool>>;
+  for (const std::size_t channels : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "channels=" << channels);
+    const dram::DramGeometry geometry =
+        dram::hbm2e_geometry(kBanks, channels);
+    PimBackend pim(kNumBuffers, kFreqMhz, geometry);
+    pim.set_record_waves(true);
+    // Reused across passes, as the backend reuses its own: staging
+    // overwrites every row a pass reads.
+    pim::PimDevice device(geometry, kNumBuffers);
+    std::uint64_t booked_cycles = 0;
+    double booked_energy = 0;  // summed in pass order, as the backend does
+    std::set<Shape> scheduled;
+
+    const auto run = [&](const Shape& shape) {
+      std::vector<const ntt::NttParams*> params;
+      std::vector<std::vector<std::uint32_t>> inputs;
+      for (const auto& [n, inverse] : shape) {
+        const std::vector<ntt::NttParams>& pool = moduli[n];
+        params.push_back(&pool[rng.next_below(pool.size())]);
+        inputs.push_back(rng.residues(n, params.back()->q()));
+      }
+      std::vector<std::vector<std::uint32_t>> polys = inputs;
+      std::vector<BatchItem> items;
+      for (std::size_t j = 0; j < shape.size(); ++j)
+        items.push_back({&polys[j], params[j], shape[j].second});
+
+      const std::uint64_t hits = pim.schedule_hits();
+      const bool seen = !scheduled.insert(shape).second;
+      pim.transform_batch_mixed(items);
+      EXPECT_EQ(pim.schedule_hits() - hits, seen ? 1u : 0u);
+      for (std::size_t j = 0; j < shape.size(); ++j) {
+        std::vector<std::uint32_t> expected = inputs[j];
+        if (shape[j].second)
+          cpu.inverse(expected, *params[j]);
+        else
+          cpu.forward(expected, *params[j]);
+        EXPECT_EQ(polys[j], expected) << "item " << j;
+      }
+
+      const PimBackend::RecordedWave& wave = pim.recorded_waves().back();
+      for (std::size_t j = 0; j < shape.size(); ++j) {
+        std::vector<std::uint32_t> staged = inputs[j];
+        if (!shape[j].second)
+          ntt::geometric_scale(staged, params[j]->psi(), 1, params[j]->q());
+        pim::load_polynomial(device.bank(wave.slots[j].bank),
+                             wave.slots[j].base_row, staged);
+      }
+      const sim::RunStats ref = reference.run_reference(device, wave.trace);
+      booked_cycles += ref.cycles;
+      booked_energy += ref.energy.total_nj();
+      EXPECT_EQ(pim.total_cycles(), booked_cycles);
+      EXPECT_EQ(pim.total_energy_nj(), booked_energy);
+    };
+
+    for (int draw = 0; draw < 4; ++draw) {
+      Shape shape(1 + rng.next_below(2 * kBanks));
+      for (auto& [n, inverse] : shape) {
+        n = rng.next_below(2) == 0 ? 256 : 1024;
+        inverse = rng.next_below(2) == 1;
+      }
+      Shape permuted = shape;
+      for (std::size_t i = permuted.size(); i > 1; --i)
+        std::swap(permuted[i - 1], permuted[rng.next_below(i)]);
+      Shape flipped = shape;
+      flipped.back().second = !flipped.back().second;
+      for (const Shape* s : {&shape, &permuted, &flipped}) {
+        SCOPED_TRACE(::testing::Message() << "draw " << draw << ", "
+                                          << s->size() << " items");
+        run(*s);
+        run(*s);  // moduli redrawn: a memo hit
+      }
+    }
+    EXPECT_EQ(pim.schedule_hits() + pim.schedule_misses(), 24u);
+    EXPECT_EQ(pim.schedule_misses(), scheduled.size());
+  }
 }
 
 // ------------------------------------------------------ RNS input validation

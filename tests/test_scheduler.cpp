@@ -2,7 +2,8 @@
 // bus-independent earliest-issue keys) must be bit-identical to
 // Engine::run_reference (the retained full-rescan golden model) — same
 // cycles, same per-kind counters, same energy, same commit sequence, same
-// memory image. The modeled hardware numbers are the paper-reproduction
+// memory image — and Engine::apply, the functional pass alone, leaves that
+// image too. The modeled hardware numbers are the paper-reproduction
 // contract; a scheduler speedup must not move them.
 #include <gtest/gtest.h>
 
@@ -145,7 +146,8 @@ void expect_same_memory(const Workload& w, const pim::PimDevice& fast,
 }
 
 /// Keyed scheduler vs the reference, through both entries: the
-/// interleaved flat trace and the per-bank programs.
+/// interleaved flat trace and the per-bank programs. The functional pass
+/// alone must leave the reference's memory image.
 void run_both_and_compare(const Workload& w, const EngineConfig& config) {
   const Engine engine(config);
   {
@@ -163,6 +165,9 @@ void run_both_and_compare(const Workload& w, const EngineConfig& config) {
   const RunStats ref = engine.run_reference(ref_device, programs);
   expect_identical(fast, ref);
   expect_same_memory(w, fast_device, ref_device);
+  pim::PimDevice applied_device = make_device(w);
+  Engine::apply(applied_device, programs);
+  expect_same_memory(w, applied_device, ref_device);
 }
 
 TEST(SchedulerEquivalence, SingleBankWithRefresh) {

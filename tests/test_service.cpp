@@ -1,8 +1,8 @@
 // Deterministic concurrency tests of the async NTT serving runtime.
 //
 // Every test is sleep-free: synchronization is futures, drain(), and the
-// pause()/resume() staging hook (submit a backlog while wave forming is
-// gated, then open the valve), and the former and admission decide at
+// start_paused/resume() staging hook (submit a backlog while wave forming
+// is gated, then open the valve), and the former and admission decide at
 // explicit times on the test's own thread, so occupancy, ordering and
 // backpressure assertions are exact rather than timing-dependent.
 #include <algorithm>
@@ -180,8 +180,8 @@ TEST(ServiceE2E, MultiplyMatchesCpuReference) {
 }
 
 // (b) A staged backlog must coalesce: occupancy is exactly num_banks when
-// the backlog is a multiple of the wave size. pause() + huge window makes
-// this deterministic — no sleeps, no scheduling luck.
+// the backlog is a multiple of the wave size. start_paused + huge window
+// makes this deterministic — no sleeps, no scheduling luck.
 TEST(ServiceE2E, WaveOccupancyAboveOneUnderConcurrentLoad) {
   const auto params = make_params(256);
   ServiceConfig cfg;
@@ -1320,8 +1320,10 @@ TEST(ServiceE2E, QosShedsFloodingTenantAndCountsDeadlineMisses) {
 //    on, and the Chrome export parses strictly with exactly 72 flow
 //    starts, 72 flow ends and 72 complete slices;
 //  - "qos_overload": a rate-0 bucket of burst 32 on the bulk tenant sheds
-//    exactly bulk submits 32..63, and the critical requests still come
-//    first.
+//    exactly bulk submits 32..63, and the critical requests, whose deadline
+//    has already passed, still come first. Traced, the export holds one
+//    "shed" instant per shed request and one "deadline miss" instant per
+//    missed deadline (all 8 critical requests).
 // Every delivered result matches the CPU reference.
 TEST(ServiceE2E, QosCutsStagedCriticalTenantFirst) {
   constexpr std::size_t kBulk = 64;
@@ -1358,7 +1360,8 @@ TEST(ServiceE2E, QosCutsStagedCriticalTenantFirst) {
     service::ServiceStats stats;
     std::string trace;  ///< Chrome export, when traced
   };
-  const auto run = [&](bool qos, std::size_t bulk_burst, bool traced) {
+  const auto run = [&](bool qos, std::size_t bulk_burst, bool traced,
+                       bool overdue = false) {
     ServiceConfig cfg;
     cfg.backend.banks_per_shard = 4;
     cfg.former.flush_window = hour();
@@ -1377,7 +1380,9 @@ TEST(ServiceE2E, QosCutsStagedCriticalTenantFirst) {
     critical.qos.tenant = 1;
     if (qos) {
       critical.qos.priority = 10;
-      critical.qos.deadline = service::ServiceClock::now() + hour();
+      const service::ServiceClock::time_point now =
+          service::ServiceClock::now();
+      critical.qos.deadline = overdue ? now - hour() : now + hour();
     }
     for (std::size_t id = 0; id < kTotal; ++id) {
       svc.submit(inputs[id], params_of(id),
@@ -1440,10 +1445,18 @@ TEST(ServiceE2E, QosCutsStagedCriticalTenantFirst) {
   EXPECT_EQ(count_occurrences(qos.trace, "\"name\": \"complete\""), kTotal);
 
   constexpr std::size_t kBulkBurst = 32;
-  const Staged overload = run(/*qos=*/true, kBulkBurst, /*traced=*/false);
+  const Staged overload =
+      run(/*qos=*/true, kBulkBurst, /*traced=*/true, /*overdue=*/true);
   EXPECT_EQ(overload.shed, ids(kBulkBurst, kBulk));
   EXPECT_EQ(overload.stats.shed, kBulk - kBulkBurst);
   EXPECT_EQ(overload.order, concat(ids(kBulk, kTotal), ids(0, kBulkBurst)));
+  ASSERT_EQ(overload.stats.classes.size(), 2u);
+  EXPECT_EQ(overload.stats.classes[1].deadline_misses, kCritical);
+  EXPECT_TRUE(test_json::JsonValidator::valid(overload.trace));
+  EXPECT_EQ(count_occurrences(overload.trace, "\"name\": \"shed\""),
+            overload.stats.shed);
+  EXPECT_EQ(count_occurrences(overload.trace, "\"name\": \"deadline miss\""),
+            overload.stats.classes[1].deadline_misses);
 }
 
 // ------------------------------------------------------ fault injection

@@ -20,8 +20,8 @@ instead of it):
      Implicit-conversion reads (`if (flag)`) are not detected. Orderings
      are part of the contract; defaults hide them.
   3. no-test-sleep  -- no sleep_for / sleep_until in tests/. A sleeping
-     test is a race with a timeout; the repo's test idioms (pause/resume
-     staging, explicit times passed to the former and admission, drain())
+     test is a race with a timeout; the repo's test idioms (start_paused/
+     resume staging, explicit times passed to the former and admission, drain())
      exist so tests never wait on wall time.
 
 Exit status: 0 clean, 1 findings, 2 usage error. Findings print as
@@ -187,7 +187,7 @@ def check_test_sleep(rel: str, code: str, findings: list[str]) -> None:
     for m in SLEEP.finditer(code):
         findings.append(
             f"{rel}:{line_of(code, m.start())}: [no-test-sleep] sleep_{m.group(1)} "
-            f"in a test — stage determinism with pause()/resume(), "
+            f"in a test — stage determinism with start_paused/resume(), "
             f"explicit times, or drain() instead of wall time"
         )
 
