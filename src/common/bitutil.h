@@ -1,6 +1,7 @@
 // Bit-manipulation helpers used throughout the NTT and mapping code.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -32,15 +33,31 @@ constexpr std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
 }
 
-/// Reverse the low `bits` bits of `x` (the classic FFT bit-reversal index).
+namespace detail {
+/// kByteReverse[b] is the byte b with its 8 bits in reverse order.
+inline constexpr std::array<std::uint8_t, 256> kByteReverse = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (unsigned b = 0; b < 256; ++b) {
+    unsigned reversed = 0;
+    for (unsigned i = 0; i < 8; ++i) reversed |= ((b >> i) & 1u) << (7 - i);
+    table[b] = static_cast<std::uint8_t>(reversed);
+  }
+  return table;
+}();
+}  // namespace detail
+
+/// Reverse the low `bits` bits of `x` (the classic FFT bit-reversal index)
+/// in O(1): four byte lookups reverse all 32 bits, and the shift keeps the
+/// reversed low `bits`.
 constexpr std::uint32_t bit_reverse(std::uint32_t x, unsigned bits) {
   NTTPIM_CHECK(bits <= 32);
-  std::uint32_t r = 0;
-  for (unsigned i = 0; i < bits; ++i) {
-    r = (r << 1) | (x & 1u);
-    x >>= 1;
-  }
-  return r;
+  if (bits == 0) return 0;
+  const auto& rev = detail::kByteReverse;
+  const std::uint32_t all = (std::uint32_t{rev[x & 0xffu]} << 24) |
+                            (std::uint32_t{rev[(x >> 8) & 0xffu]} << 16) |
+                            (std::uint32_t{rev[(x >> 16) & 0xffu]} << 8) |
+                            std::uint32_t{rev[x >> 24]};
+  return all >> (32 - bits);
 }
 
 /// Table of bit-reversed indices for a size-`n` (power-of-two) transform.

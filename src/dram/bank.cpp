@@ -55,6 +55,18 @@ void DramArray::write_linear(std::size_t word_index, std::uint32_t value) {
   words_[word_index] = value;
 }
 
+std::span<std::uint32_t> DramArray::linear(std::size_t first,
+                                           std::size_t count) {
+  NTTPIM_EXPECT(first <= words_.size() && count <= words_.size() - first);
+  return {words_.data() + first, count};
+}
+
+std::span<const std::uint32_t> DramArray::linear(std::size_t first,
+                                                 std::size_t count) const {
+  NTTPIM_EXPECT(first <= words_.size() && count <= words_.size() - first);
+  return {words_.data() + first, count};
+}
+
 // --------------------------------------------------------------- BankTiming
 
 BankTiming::BankTiming(const DramTiming& timing) : timing_(timing) {}

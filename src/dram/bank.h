@@ -37,6 +37,11 @@ class DramArray {
   /// interface to lay out polynomials.
   std::uint32_t read_linear(std::size_t word_index) const;
   void write_linear(std::size_t word_index, std::uint32_t value);
+  /// Words [first, first + count) in linear order, bounds-checked once: a
+  /// whole polynomial's host access.
+  std::span<std::uint32_t> linear(std::size_t first, std::size_t count);
+  std::span<const std::uint32_t> linear(std::size_t first,
+                                        std::size_t count) const;
 
  private:
   std::size_t offset(std::uint32_t row, std::uint32_t atom,

@@ -8,17 +8,18 @@
 #include "common/bitutil.h"
 #include "common/check.h"
 #include "common/random.h"
-#include "ntt/negacyclic.h"
+#include "ntt/tables.h"
 
 namespace nttpim::fhe {
 
 namespace {
 
 void transform(const BatchItem& item) {
+  const ntt::NttTables& tables = item.params->tables();
   if (item.inverse)
-    ntt::inverse_negacyclic_ntt(*item.poly, *item.params);
+    tables.inverse_negacyclic(*item.poly);
   else
-    ntt::forward_negacyclic_ntt(*item.poly, *item.params);
+    tables.forward_negacyclic(*item.poly);
 }
 
 }  // namespace
@@ -120,8 +121,9 @@ double CpuBackend::measure_cycles_per_point_stage(double freq_mhz,
   double best_ns = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     auto p = poly;
+    const BatchItem item{&p, &params, /*inverse=*/false};
     const auto t0 = std::chrono::steady_clock::now();
-    ntt::forward_negacyclic_ntt(p, params);
+    transform(item);
     const auto t1 = std::chrono::steady_clock::now();
     best_ns = std::min(
         best_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());

@@ -1,11 +1,13 @@
 // Host-CPU serving backend.
 //
-// The CPU reference kernels (ntt/reference + the per-(n,q) twiddle cache)
-// started life as validation golden models; CpuBackend promotes them to a
-// first-class *serving* backend, so a CPU shard can pull waves next to the
-// PIM shards. That is the deployment model NTT-PIM (and MeNTT/BP-NTT)
-// assume: the host CPU path coexists with the in-memory accelerator,
-// absorbing overflow traffic while the PIM shards are busy.
+// CpuBackend serves the table-driven negacyclic kernels of ntt/tables.h:
+// each item reads its parameter set's precomputed twiddle, psi and
+// bit-reversal tables, every multiply a Shoup multiply, bit-identical to
+// the plain transforms that stay the golden model (ntt/negacyclic.h). A
+// CPU shard pulls waves next to the PIM shards: the deployment model
+// NTT-PIM (and MeNTT/BP-NTT) assume, where the host CPU path coexists with
+// the in-memory accelerator, absorbing overflow traffic while the PIM
+// shards are busy.
 //
 // Two things make it production-shaped rather than a loop around the
 // golden model:
@@ -17,7 +19,7 @@
 //  - its modeled account is elapsed time in the PIM backend's
 //    modeled-cycle unit (see NttBackend::modeled_cycles): one item costs
 //    cycles_per_point_stage * n * log2(n) modeled cycles — the classic
-//    n log n fit of the reference kernel — and a wave costs its busiest
+//    n log n fit of the served kernel — and a wave costs its busiest
 //    lane's total, computed once on the calling thread after the lanes
 //    finish. It is deterministic for a fixed Config.
 #pragma once
@@ -45,10 +47,14 @@ class CpuBackend final : public NttBackend {
     double freq_mhz = 1200.0;
     /// Fitted cost constant: one n-point transform is priced at
     /// cycles_per_point_stage * n * log2(n) modeled cycles. The default is
-    /// the documented fit of the reference negacyclic kernel (measured
-    /// ns/(n log2 n) * freq); calibrate on the deployment host with
+    /// the fit of the served table kernel by this rule: the lowest value
+    /// measure_cycles_per_point_stage() (n = 1024, best of 9, 1200 MHz)
+    /// returned over 105 calls in five processes, rounded to a quarter
+    /// cycle. A RelWithDebInfo gcc 12 build on a shared 4-core x86-64 VM
+    /// read 1.253 (contended calls read up to 3.8), so an n = 1024 item is
+    /// priced at 10.7 us. Calibrate on the deployment host with
     /// measure_cycles_per_point_stage() for a host-fitted constant.
-    double cycles_per_point_stage = 6.0;
+    double cycles_per_point_stage = 1.25;
   };
 
   CpuBackend() : CpuBackend(Config{}) {}
@@ -60,9 +66,9 @@ class CpuBackend final : public NttBackend {
 
   std::size_t lanes() const noexcept { return lanes_; }
 
-  /// Microbenchmark the reference negacyclic kernel on this host and
-  /// return the fitted cycles_per_point_stage at `freq_mhz`: the best of
-  /// `reps` timed n-point forward transforms, as modeled cycles per
+  /// Microbenchmark the served forward kernel (ntt/tables.h) on this host
+  /// and return the fitted cycles_per_point_stage at `freq_mhz`: the best
+  /// of `reps` timed n-point forward transforms, as modeled cycles per
   /// n*log2(n). Takes ~reps transforms of wall-clock; call it once at
   /// deployment and reuse the constant.
   static double measure_cycles_per_point_stage(double freq_mhz = 1200.0,

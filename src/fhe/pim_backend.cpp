@@ -5,7 +5,7 @@
 #include "common/bitutil.h"
 #include "common/check.h"
 #include "mapping/act_model.h"
-#include "ntt/negacyclic.h"
+#include "ntt/tables.h"
 #include "pim/host.h"
 
 namespace nttpim::fhe {
@@ -131,8 +131,8 @@ std::uint64_t PimBackend::run_wave(std::span<const BatchItem> wave) {
 
   // Placement: channel-major round-robin (see the header), stacked at each
   // bank's next free row block. Host-side load applies the
-  // bit-reversal permutation and (for forward transforms) folds the psi^i
-  // negacyclic pre-scale into the data.
+  // bit-reversal permutation; a forward item is first staged with the
+  // psi^i negacyclic pre-scale from its parameter set's tables.
   std::vector<std::uint32_t> next_row(banks, 0);
   WaveLog& log = *wave_log_;  // asserts the single-driver contract (debug)
   log.last_wave.clear();
@@ -151,10 +151,13 @@ std::uint64_t PimBackend::run_wave(std::span<const BatchItem> wave) {
                       "wave overflows a bank's row capacity");
     next_row[bank] = base_row + rows_used;
 
-    std::vector<std::uint32_t> staged = *item.poly;
-    if (!item.inverse)
-      ntt::geometric_scale(staged, params.psi(), 1, params.q());
-    pim::load_polynomial(device_.bank(bank), base_row, staged);
+    if (item.inverse) {
+      pim::load_polynomial(device_.bank(bank), base_row, *item.poly);
+    } else {
+      staged_.resize(params.n());
+      params.tables().psi_scale(*item.poly, staged_);
+      pim::load_polynomial(device_.bank(bank), base_row, staged_);
+    }
 
     plans[j] = plan_for(params, item.inverse, bank, base_row);
     log.last_wave.push_back(

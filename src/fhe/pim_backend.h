@@ -159,6 +159,8 @@ class PimBackend final : public NttBackend {
 
   double energy_nj_ = 0;
   std::uint64_t engine_passes_ = 0;
+  /// A forward item's psi-scaled copy, reused across items and waves.
+  std::vector<std::uint32_t> staged_;
 
   /// Wave capture state mutated by every engine pass. Confined to the
   /// driving thread like the backend itself; the wrapper asserts that

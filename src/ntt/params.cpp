@@ -3,12 +3,14 @@
 #include "common/check.h"
 #include "ntt/modular.h"
 #include "ntt/primes.h"
+#include "ntt/tables.h"
 
 namespace nttpim::ntt {
 
 NttParams::NttParams(std::size_t n, std::uint32_t q) : n_(n), q_(q) {
   NTTPIM_EXPECT_MSG(is_pow2(n) && n >= 2, "N must be a power of two >= 2");
   NTTPIM_EXPECT_MSG(is_prime(q), "q must be prime");
+  NTTPIM_EXPECT_MSG(q < (1u << 31), "q must be below 2^31");
   NTTPIM_EXPECT_MSG((q - 1) % (2 * n) == 0,
                     "q must satisfy q ≡ 1 (mod 2N) for psi to exist");
   log2n_ = exact_log2(n);
@@ -18,6 +20,8 @@ NttParams::NttParams(std::size_t n, std::uint32_t q) : n_(n), q_(q) {
   omega_inv_ = static_cast<std::uint32_t>(inv_mod(omega_, q));
   psi_inv_ = static_cast<std::uint32_t>(inv_mod(psi_, q));
   n_inv_ = static_cast<std::uint32_t>(inv_mod(n % q, q));
+  tables_ = std::make_shared<const NttTables>(n, q, omega_, omega_inv_, psi_,
+                                              psi_inv_, n_inv_);
 }
 
 NttParams NttParams::create(std::size_t n, unsigned bits) {

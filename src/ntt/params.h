@@ -6,17 +6,23 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitutil.h"
 
 namespace nttpim::ntt {
 
+class NttTables;
+
 class NttParams {
  public:
   /// Build parameters for a size-`n` cyclic NTT modulo prime `q`.
-  /// Requires: n a power of two, q prime with 2n | q-1 (so that a 2n-th root
-  /// psi exists, enabling the negacyclic transform as well).
+  /// Requires: n a power of two, q a prime below 2^31 (the BU datapath's
+  /// range, which the Shoup tables share) with 2n | q-1 (so that a 2n-th
+  /// root psi exists, enabling the negacyclic transform as well). Builds
+  /// the parameter set's host tables (ntt/tables.h) once; copies share
+  /// them.
   NttParams(std::size_t n, std::uint32_t q);
 
   /// Convenience: pick the largest `bits`-bit NTT-friendly prime for size n.
@@ -43,6 +49,10 @@ class NttParams {
   /// within a stage the butterfly at in-group offset j uses twiddle w_s^j.
   std::uint32_t stage_step(unsigned stage) const;
 
+  /// The immutable per-(n, q) twiddle, psi and bit-reversal tables the
+  /// host's served transforms read (ntt/tables.h).
+  const NttTables& tables() const noexcept { return *tables_; }
+
  private:
   std::size_t n_;
   unsigned log2n_;
@@ -52,6 +62,7 @@ class NttParams {
   std::uint32_t psi_;
   std::uint32_t psi_inv_;
   std::uint32_t n_inv_;
+  std::shared_ptr<const NttTables> tables_;
 };
 
 }  // namespace nttpim::ntt

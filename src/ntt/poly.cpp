@@ -1,6 +1,7 @@
 #include "ntt/poly.h"
 
 #include "common/check.h"
+#include "ntt/barrett.h"
 #include "ntt/modular.h"
 #include "ntt/negacyclic.h"
 #include "ntt/reference.h"
@@ -48,9 +49,9 @@ std::vector<std::uint32_t> pointwise_mul(std::span<const std::uint32_t> a,
                                          std::span<const std::uint32_t> b,
                                          std::uint32_t q) {
   NTTPIM_EXPECT(a.size() == b.size());
+  const Barrett32 br(q);
   std::vector<std::uint32_t> c(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    c[i] = static_cast<std::uint32_t>(mul_mod(a[i], b[i], q));
+  for (std::size_t i = 0; i < a.size(); ++i) c[i] = br.mul(a[i], b[i]);
   return c;
 }
 

@@ -22,7 +22,8 @@ std::vector<std::uint32_t> negacyclic_convolution_schoolbook(
     std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
     std::uint32_t q);
 
-/// Pointwise (Hadamard) product mod q.
+/// Pointwise (Hadamard) product mod q, for 1 < q < 2^31: one Barrett
+/// reduction (ntt/barrett.h) per product, exact for any 32-bit operands.
 std::vector<std::uint32_t> pointwise_mul(std::span<const std::uint32_t> a,
                                          std::span<const std::uint32_t> b,
                                          std::uint32_t q);

@@ -1,46 +1,96 @@
 #include "pim/cu.h"
 
+#include <utility>
+
 #include "common/check.h"
-#include "ntt/modular.h"
 
 namespace nttpim::pim {
 
-using ntt::add_mod;
-using ntt::sub_mod;
+ComputeUnit::ComputeUnit(std::shared_ptr<TwiddleMemo> memo)
+    : memo_(memo ? std::move(memo)
+                 : std::make_shared<TwiddleMemo>(kTwiddleMemoRuns)) {
+  refresh_c1_powers();
+}
 
-void ComputeUnit::refresh_c1_steps() {
-  // c1_step_pow_[k] = c1_root^(2^k): exec_c1 stage s of `stages` uses the
-  // step c1_root^(2^(stages-s)), stages <= 3, so three squarings at PARAM
-  // time replace a pow_mod per stage per C1 command.
-  c1_step_pow_[0] = barrett_.reduce(c1_root_);
-  c1_step_pow_[1] = barrett_.mul(c1_step_pow_[0], c1_step_pow_[0]);
-  c1_step_pow_[2] = barrett_.mul(c1_step_pow_[1], c1_step_pow_[1]);
+void ComputeUnit::refresh_c1_powers() {
+  // exec_c1 stage s of `stages` <= 3 steps by c1_root^(2^(stages-s)), so
+  // its twiddle j is c1_root^(j << (stages-s)), an exponent below 4.
+  const std::uint32_t root = barrett_.reduce(c1_root_);
+  std::uint32_t power = 1;
+  for (ntt::ShoupMul& entry : c1_pow_) {
+    entry = ntt::make_shoup(power, q_);
+    power = barrett_.mul(power, root);
+  }
 }
 
 void ComputeUnit::load_param(dram::ParamReg reg, std::uint32_t value) {
   switch (reg) {
     case dram::ParamReg::kModulus:
-      // The BU's reduction pipelines (Montgomery in hardware, Barrett
-      // here) handle 31-bit moduli; reject out-of-range values up front
-      // rather than from inside the reducer's constructor.
+      // The BU's reduction pipelines (Montgomery in hardware, Barrett and
+      // Shoup here) handle 31-bit moduli; reject out-of-range values up
+      // front rather than from inside the reducer's constructor.
       NTTPIM_EXPECT_MSG(value > 1 && value < (1u << 31),
                         "modulus must be in (1, 2^31)");
       q_ = value;
       barrett_ = ntt::Barrett32(q_);
-      tfg_ = ntt::TwiddleGenerator(q_);
-      refresh_c1_steps();
+      omega0_ = step_ = start_ = 1;
+      run_ = nullptr;
+      refresh_c1_powers();
       break;
     case dram::ParamReg::kTfgOmega0:
-      tfg_.set_omega0(value);
+      omega0_ = value % q_;
       break;
     case dram::ParamReg::kTfgStep:
-      tfg_.set_step(value);
+      start_ = current_twiddle();
+      run_ = nullptr;
+      step_ = value % q_;
       break;
     case dram::ParamReg::kC1Root:
       c1_root_ = value % q_;
-      refresh_c1_steps();
+      refresh_c1_powers();
       break;
   }
+}
+
+void ComputeUnit::reset_tfg() {
+  // Restarting the run being read needs no lookup: the common case of a
+  // stage that resets at every butterfly group.
+  if (run_ && run_->start == omega0_) {
+    pos_ = 0;
+    return;
+  }
+  run_ = nullptr;
+  start_ = omega0_;
+}
+
+std::uint32_t ComputeUnit::current_twiddle() const {
+  if (!run_) return start_;
+  if (pos_ < run_->twiddles.size()) return run_->twiddles[pos_].w;
+  return barrett_.mul(run_->twiddles.back().w, step_);
+}
+
+std::shared_ptr<TwiddleRun> ComputeUnit::run_from(std::uint32_t start) {
+  const TwiddleRunKey key{q_, start, step_};
+  if (const auto* hit = memo_->find(key)) return *hit;
+  auto run = std::make_shared<TwiddleRun>(
+      TwiddleRun{start, {ntt::make_shoup(start, q_)}});
+  memo_->insert(key, run);
+  return run;
+}
+
+ntt::ShoupMul ComputeUnit::next_twiddle_slow() {
+  if (!run_) {
+    run_ = run_from(start_);
+    pos_ = 0;
+  } else if (run_->twiddles.size() < kTwiddleRunCap) {
+    // The TFG's own step, taken once per twiddle and then memoized.
+    run_->twiddles.push_back(ntt::make_shoup(
+        barrett_.mul(run_->twiddles.back().w, step_), q_));
+  } else {
+    run_ = run_from(barrett_.mul(run_->twiddles.back().w, step_));
+    pos_ = 0;
+  }
+  return run_->twiddles[pos_++];
 }
 
 void ComputeUnit::exec_c1(AtomBuffer& buf, unsigned stages) {
@@ -48,39 +98,35 @@ void ComputeUnit::exec_c1(AtomBuffer& buf, unsigned stages) {
                     "C1 supports 1..log2(Na) stages");
   const std::size_t points = std::size_t{1} << stages;
   NTTPIM_CHECK(points <= kAtomWords);
-  // `stages` DIT stages over the first 2^stages words. The per-stage twiddle
-  // step is c1_root^(2^(stages-s)): squaring the root register per stage —
-  // exactly what the tiny C1 twiddle logic does in hardware (precomputed
-  // here at PARAM-load time).
+  // `stages` DIT stages over the first 2^stages words; stage s's twiddle
+  // step is c1_root^(2^(stages-s)) — squaring the root register per stage,
+  // exactly what the tiny C1 twiddle logic does in hardware (its powers
+  // precomputed here at PARAM-load time).
   for (unsigned s = 1; s <= stages; ++s) {
     const std::size_t m = std::size_t{1} << (s - 1);
-    const std::uint32_t step = c1_step_pow_[stages - s];
-    for (std::size_t k = 0; k < points; k += 2 * m) {
-      std::uint32_t w = 1;
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint64_t u = buf.words[k + j];
-        const std::uint64_t t = barrett_.mul(buf.words[k + j + m], w);
-        buf.words[k + j] = static_cast<std::uint32_t>(add_mod(u, t, q_));
-        buf.words[k + j + m] =
-            static_cast<std::uint32_t>(sub_mod(u, t, q_));
-        w = barrett_.mul(w, step);
-        ++butterflies_;
-      }
-    }
+    const unsigned shift = stages - s;
+    for (std::size_t k = 0; k < points; k += 2 * m)
+      for (std::size_t j = 0; j < m; ++j)
+        ntt::shoup_butterfly(buf.words[k + j], buf.words[k + j + m],
+                             c1_pow_[j << shift], q_);
   }
+  butterflies_ += (points / 2) * stages;
 }
 
 void ComputeUnit::exec_c2(AtomBuffer& p, AtomBuffer& s, bool tfg_reset) {
   NTTPIM_EXPECT_MSG(&p != &s, "C2 operand buffers must be distinct");
-  if (tfg_reset) tfg_.reset();
-  for (std::size_t j = 0; j < kAtomWords; ++j) {
-    const std::uint32_t w = tfg_.next();
-    const std::uint64_t a = p.words[j];
-    const std::uint64_t t = barrett_.mul(s.words[j], w);
-    p.words[j] = static_cast<std::uint32_t>(add_mod(a, t, q_));
-    s.words[j] = static_cast<std::uint32_t>(sub_mod(a, t, q_));
-    ++butterflies_;
+  if (tfg_reset) reset_tfg();
+  if (run_ && pos_ + kAtomWords <= run_->twiddles.size()) {
+    // The common case: the run already holds all eight twiddles.
+    const ntt::ShoupMul* w = run_->twiddles.data() + pos_;
+    pos_ += kAtomWords;
+    for (std::size_t j = 0; j < kAtomWords; ++j)
+      ntt::shoup_butterfly(p.words[j], s.words[j], w[j], q_);
+  } else {
+    for (std::size_t j = 0; j < kAtomWords; ++j)
+      ntt::shoup_butterfly(p.words[j], s.words[j], next_twiddle(), q_);
   }
+  butterflies_ += kAtomWords;
 }
 
 void ComputeUnit::set_scalar_reg(unsigned index, std::uint32_t value) {
@@ -94,12 +140,8 @@ std::uint32_t ComputeUnit::scalar_reg(unsigned index) const {
 }
 
 void ComputeUnit::exec_scalar_bu(bool tfg_reset) {
-  if (tfg_reset) tfg_.reset();
-  const std::uint32_t w = tfg_.next();
-  const std::uint64_t a = scalar_[0];
-  const std::uint64_t t = barrett_.mul(scalar_[1], w);
-  scalar_[0] = static_cast<std::uint32_t>(add_mod(a, t, q_));
-  scalar_[1] = static_cast<std::uint32_t>(sub_mod(a, t, q_));
+  if (tfg_reset) reset_tfg();
+  ntt::shoup_butterfly(scalar_[0], scalar_[1], next_twiddle(), q_);
   ++butterflies_;
 }
 

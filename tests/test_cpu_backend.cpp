@@ -121,6 +121,36 @@ TEST(CpuBackendUnit, PoolMatchesSingleTransforms) {
   EXPECT_EQ(restored, reference);
 }
 
+// Four lanes read one parameter set's tables at once (the TSan job runs
+// this suite): 16 items of one NttParams, both directions, each equal to
+// the plain reference transform. Half the items name copies of the
+// parameter set, which share its tables rather than rebuilding them.
+TEST(CpuBackendUnit, LanesShareOneParameterSetsTables) {
+  const auto params = make_params(1024, 30);
+  const std::vector<ntt::NttParams> copies(2, params);
+  for (const auto& copy : copies) EXPECT_EQ(&copy.tables(), &params.tables());
+
+  Rng rng(31);
+  std::vector<std::vector<std::uint32_t>> polys;
+  for (std::size_t j = 0; j < 16; ++j)
+    polys.push_back(rng.residues(params.n(), params.q()));
+  auto expected = polys;
+  std::vector<BatchItem> items;
+  for (std::size_t j = 0; j < polys.size(); ++j) {
+    const bool inverse = j % 2 == 1;
+    if (inverse)
+      ntt::inverse_negacyclic_ntt(expected[j], params);
+    else
+      ntt::forward_negacyclic_ntt(expected[j], params);
+    items.push_back({&polys[j], j < 8 ? &params : &copies[j % 2], inverse});
+  }
+
+  CpuBackend pool(pool_config(4));
+  ASSERT_EQ(pool.lanes(), 4u);
+  pool.transform_batch_mixed(items);
+  EXPECT_EQ(polys, expected);
+}
+
 TEST(CpuBackendUnit, PoolSurfacesItemError) {
   const auto params = make_params(256);
   Rng rng(9);
@@ -212,9 +242,9 @@ TEST(CpuBackendUnit, BaseValidatesAndBooksMinimalBackend) {
 TEST(CpuBackendUnit, ModeledCyclesBookBusiestLane) {
   const auto p1024 = make_params(1024, 29);
   const auto p256 = make_params(256);
-  // item_cycles(n) = 6.0 * n * log2(n) with the default fit.
-  constexpr std::uint64_t kBig = 6 * 1024 * 10;   // 61440
-  constexpr std::uint64_t kSmall = 6 * 256 * 8;   // 12288
+  // item_cycles(n) = 1.25 * n * log2(n) with the default fit.
+  constexpr std::uint64_t kBig = 1024 * 10 * 5 / 4;  // 12800
+  constexpr std::uint64_t kSmall = 256 * 8 * 5 / 4;   // 2560
   const auto one_wave = [&](CpuBackend& cpu) {
     Rng rng(19);
     auto big = rng.residues(p1024.n(), p1024.q());

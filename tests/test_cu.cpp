@@ -188,9 +188,18 @@ TEST(ComputeUnit, ModulusParamResetsTfg) {
   ComputeUnit cu;
   cu.load_param(ParamReg::kModulus, 97);
   cu.load_param(ParamReg::kTfgStep, 3);
+  cu.load_param(ParamReg::kTfgOmega0, 5);
   cu.load_param(ParamReg::kModulus, 17);  // re-parameterize (new NTT call)
   EXPECT_EQ(cu.modulus(), 17u);
-  EXPECT_EQ(cu.tfg().step(), 1u);  // TFG state rebuilt for the new modulus
+  // TFG state rebuilt for the new modulus: omega0 = step = current = 1, so
+  // every twiddle is 1, with or without a reset. With (r0, r1) = (0, 1) a
+  // scalar butterfly leaves its twiddle in r0.
+  for (const bool reset : {false, false, true, false}) {
+    cu.set_scalar_reg(0, 0);
+    cu.set_scalar_reg(1, 1);
+    cu.exec_scalar_bu(reset);
+    EXPECT_EQ(cu.scalar_reg(0), 1u);
+  }
 }
 
 TEST(ComputeUnit, RejectsDegenerateModulus) {

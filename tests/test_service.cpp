@@ -433,7 +433,7 @@ TEST(ServiceUnit, ResetStatsKeepsModeledCycles) {
 }
 
 // A shard books each wave's modeled elapsed cycles: one 4-request wave on
-// a 2-lane CPU shard is two lanes of two N = 256 items at the default 6
+// a 2-lane CPU shard is two lanes of two N = 256 items at the default 1.25
 // cycles per point-stage.
 TEST(ServiceUnit, ShardBooksItsWaveElapsedCycles) {
   const auto params = make_params(256);
@@ -447,7 +447,7 @@ TEST(ServiceUnit, ShardBooksItsWaveElapsedCycles) {
   svc.drain();
   const auto stats = svc.stats();
   EXPECT_EQ(stats.waves, 1u);
-  EXPECT_EQ(stats.shards.at(0).modeled_cycles, 2u * 6 * 256 * 8);
+  EXPECT_EQ(stats.shards.at(0).modeled_cycles, 2u * 256 * 8 * 5 / 4);
 }
 
 // Regression (PR 5): nearest-rank percentiles. The old floor() rank was
@@ -832,17 +832,20 @@ TEST(ServiceProperty, PullConservesRequestsUnderSkewedLoad) {
   expect_tiles(stats);
 }
 
-// Property: shards that pull spread a skewed stream (24 staged four-item
+// Property: shards that pull spread a skewed stream (96 staged four-item
 // waves alternating N = 1024 and N = 256 on 2 shards) more evenly than
 // blind round-robin. The baseline is a modeled replay of round-robin
 // placement (wave w on shard w % 2, each shard a private backend from the
 // service's own PIM descriptor): the alternation resonates with the
-// rotation and lands every expensive wave on shard 0, 302244 of 342180
+// rotation and lands every expensive wave on shard 0, 1208976 of 1368720
 // modeled cycles (a 0.883 share). The live service's busiest-shard share
-// must come in below it: a shard takes a wave only once it is free.
+// must come in below it: a shard takes a wave only once it is free. The
+// stream is long enough (several ms of host time) that the second shard's
+// wake-up after resume() is a small share of it: a shorter stream let one
+// shard drain every wave before the OS ran the other.
 TEST(ServiceProperty, SkewedDispatchBeatsRoundRobinReplay) {
   constexpr std::size_t kBanks = 4;
-  constexpr std::size_t kWaves = 24;
+  constexpr std::size_t kWaves = 96;
   const auto hot = make_params(1024, 29);
   const auto cold = make_params(256, 30);
   const auto params_of = [&](std::size_t request) {
@@ -908,7 +911,7 @@ TEST(ServiceProperty, SkewedDispatchBeatsRoundRobinReplay) {
 
 // Property: pulling alone routes part of a bulk (N = 1024) / small
 // (N = 256) wave stream to a CPU pool and cuts the busiest backend's
-// modeled makespan below PIM-only (9 of 24 waves to the CPU; 258048 vs
+// modeled makespan below PIM-only (16 of 24 waves to the CPU; 122880 vs
 // 342180 cycles). The replay runs no worker, so nothing races the cycle
 // simulator: it cuts the staged stream with a real WaveFormer, closed so
 // that every cut is immediate, and at each step the shard whose modeled
