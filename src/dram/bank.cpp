@@ -45,26 +45,25 @@ void DramArray::write_atom(std::uint32_t row, std::uint32_t atom,
   std::copy(words.begin(), words.end(), words_.begin() + base);
 }
 
-std::uint32_t DramArray::read_linear(std::size_t word_index) const {
-  NTTPIM_EXPECT(word_index < words_.size());
-  return words_[word_index];
+std::size_t DramArray::rows_offset(std::uint32_t first_row,
+                                   std::size_t count) const {
+  NTTPIM_EXPECT(first_row < geometry_.rows_per_bank);
+  const std::size_t first =
+      static_cast<std::size_t>(first_row) * geometry_.words_per_row();
+  NTTPIM_EXPECT(count <= words_.size() - first);
+  return first;
 }
 
-void DramArray::write_linear(std::size_t word_index, std::uint32_t value) {
-  NTTPIM_EXPECT(word_index < words_.size());
-  words_[word_index] = value;
+void DramArray::write_words(std::uint32_t first_row,
+                            std::span<const std::uint32_t> words) {
+  const std::size_t first = rows_offset(first_row, words.size());
+  std::copy(words.begin(), words.end(), words_.begin() + first);
 }
 
-std::span<std::uint32_t> DramArray::linear(std::size_t first,
-                                           std::size_t count) {
-  NTTPIM_EXPECT(first <= words_.size() && count <= words_.size() - first);
-  return {words_.data() + first, count};
-}
-
-std::span<const std::uint32_t> DramArray::linear(std::size_t first,
-                                                 std::size_t count) const {
-  NTTPIM_EXPECT(first <= words_.size() && count <= words_.size() - first);
-  return {words_.data() + first, count};
+void DramArray::read_words(std::uint32_t first_row,
+                           std::span<std::uint32_t> out) const {
+  const std::size_t first = rows_offset(first_row, out.size());
+  std::copy_n(words_.begin() + first, out.size(), out.begin());
 }
 
 // --------------------------------------------------------------- BankTiming

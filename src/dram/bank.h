@@ -33,19 +33,19 @@ class DramArray {
   void write_atom(std::uint32_t row, std::uint32_t atom,
                   std::span<const std::uint32_t> words);
 
-  /// Linear word addressing (word index within the bank), used by the host
-  /// interface to lay out polynomials.
-  std::uint32_t read_linear(std::size_t word_index) const;
-  void write_linear(std::size_t word_index, std::uint32_t value);
-  /// Words [first, first + count) in linear order, bounds-checked once: a
-  /// whole polynomial's host access.
-  std::span<std::uint32_t> linear(std::size_t first, std::size_t count);
-  std::span<const std::uint32_t> linear(std::size_t first,
-                                        std::size_t count) const;
+  /// Bulk host access in storage order (row by row from `first_row`,
+  /// atoms in order within a row), bounds-checked once per call: how the
+  /// host interface places and reads back a polynomial (pim/host.h).
+  void write_words(std::uint32_t first_row,
+                   std::span<const std::uint32_t> words);
+  void read_words(std::uint32_t first_row, std::span<std::uint32_t> out) const;
 
  private:
   std::size_t offset(std::uint32_t row, std::uint32_t atom,
                      std::uint32_t lane) const;
+  /// Offset of `first_row`'s first word, after checking that `count` words
+  /// from there stay in the bank.
+  std::size_t rows_offset(std::uint32_t first_row, std::size_t count) const;
 
   DramGeometry geometry_;
   std::vector<std::uint32_t> words_;

@@ -1,8 +1,8 @@
 // Barrett reduction for 32-bit moduli, for products with no precomputed
-// operand: the TFG step that makes each memoized CU twiddle (pim/cu.h),
-// the power chains of the host tables (ntt/tables.h) and the pointwise
-// product. A multiply by a tabled constant is a Shoup multiply instead
-// (ntt/shoup.h).
+// operand: the CU's TFG step and C2 product, whose twiddle the TFG makes on
+// the fly (pim/cu.h), the power chains of the host tables (ntt/tables.h)
+// and the pointwise product. A multiply by a tabled constant is a Shoup
+// multiply instead (ntt/shoup.h).
 #pragma once
 
 #include <cstdint>

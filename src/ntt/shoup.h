@@ -1,15 +1,15 @@
-// Shoup multiplication by a precomputed constant — the host's served
-// multiply-mod.
-//
-// Every multiply on a served host path has one operand known ahead of time:
-// a twiddle, a psi power, n^-1 psi^-i. For such a constant w in [0, q)
+// Shoup multiplication by a precomputed constant — the host's multiply-mod
+// wherever one operand is known ahead of time: a table twiddle, a psi
+// power, n^-1 psi^-i, a C1 root power. For such a constant w in [0, q)
 // the companion w' = floor(w * 2^32 / q) turns a * w mod q into two 32x32
 // multiplies, one subtraction and one conditional subtraction, with no
-// division. The tables (ntt/tables.h) and the CU's twiddle memo
-// (pim/cu.h) store each constant next to its companion.
+// division. The tables (ntt/tables.h) and the CU's C1 powers (pim/cu.h)
+// store each constant next to its companion.
 #pragma once
 
 #include <cstdint>
+
+#include "ntt/modular.h"
 
 namespace nttpim::ntt {
 
@@ -38,20 +38,11 @@ constexpr std::uint32_t shoup_mul(std::uint32_t a, ShoupMul w,
   return r >= q ? r - q : r;
 }
 
-/// The DIT butterfly (a, b) <- (a + w*b, a - w*b) mod q, with one Shoup
-/// multiply and no branch: with random data the sign of a - w*b is a coin
-/// flip, so the branch add_mod/sub_mod (ntt/modular.h) compile to would
-/// mispredict on every other butterfly. The two words are exactly
-/// add_mod(a, t, q) and sub_mod(a, t, q) for t = a*w mod q, for every
-/// 32-bit a, reduced or not.
+/// The DIT butterfly (a, b) <- (a + w*b, a - w*b) mod q with one Shoup
+/// multiply and the branch-free combine of ntt::dit_butterfly.
 constexpr void shoup_butterfly(std::uint32_t& a, std::uint32_t& b, ShoupMul w,
                                std::uint32_t q) noexcept {
-  const std::uint64_t u = a;
-  const std::uint64_t t = shoup_mul(b, w, q);
-  const std::uint64_t sum = u + t;
-  const std::uint64_t borrow = 0 - static_cast<std::uint64_t>(u < t);
-  a = static_cast<std::uint32_t>(sum >= q ? sum - q : sum);
-  b = static_cast<std::uint32_t>(u - t + (q & borrow));
+  dit_butterfly(a, b, shoup_mul(b, w, q), q);
 }
 
 }  // namespace nttpim::ntt

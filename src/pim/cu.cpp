@@ -1,16 +1,9 @@
 #include "pim/cu.h"
 
-#include <utility>
-
 #include "common/check.h"
+#include "ntt/modular.h"
 
 namespace nttpim::pim {
-
-ComputeUnit::ComputeUnit(std::shared_ptr<TwiddleMemo> memo)
-    : memo_(memo ? std::move(memo)
-                 : std::make_shared<TwiddleMemo>(kTwiddleMemoRuns)) {
-  refresh_c1_powers();
-}
 
 void ComputeUnit::refresh_c1_powers() {
   // exec_c1 stage s of `stages` <= 3 steps by c1_root^(2^(stages-s)), so
@@ -33,16 +26,13 @@ void ComputeUnit::load_param(dram::ParamReg reg, std::uint32_t value) {
                         "modulus must be in (1, 2^31)");
       q_ = value;
       barrett_ = ntt::Barrett32(q_);
-      omega0_ = step_ = start_ = 1;
-      run_ = nullptr;
+      omega0_ = step_ = current_ = 1;
       refresh_c1_powers();
       break;
     case dram::ParamReg::kTfgOmega0:
       omega0_ = value % q_;
       break;
     case dram::ParamReg::kTfgStep:
-      start_ = current_twiddle();
-      run_ = nullptr;
       step_ = value % q_;
       break;
     case dram::ParamReg::kC1Root:
@@ -50,47 +40,6 @@ void ComputeUnit::load_param(dram::ParamReg reg, std::uint32_t value) {
       refresh_c1_powers();
       break;
   }
-}
-
-void ComputeUnit::reset_tfg() {
-  // Restarting the run being read needs no lookup: the common case of a
-  // stage that resets at every butterfly group.
-  if (run_ && run_->start == omega0_) {
-    pos_ = 0;
-    return;
-  }
-  run_ = nullptr;
-  start_ = omega0_;
-}
-
-std::uint32_t ComputeUnit::current_twiddle() const {
-  if (!run_) return start_;
-  if (pos_ < run_->twiddles.size()) return run_->twiddles[pos_].w;
-  return barrett_.mul(run_->twiddles.back().w, step_);
-}
-
-std::shared_ptr<TwiddleRun> ComputeUnit::run_from(std::uint32_t start) {
-  const TwiddleRunKey key{q_, start, step_};
-  if (const auto* hit = memo_->find(key)) return *hit;
-  auto run = std::make_shared<TwiddleRun>(
-      TwiddleRun{start, {ntt::make_shoup(start, q_)}});
-  memo_->insert(key, run);
-  return run;
-}
-
-ntt::ShoupMul ComputeUnit::next_twiddle_slow() {
-  if (!run_) {
-    run_ = run_from(start_);
-    pos_ = 0;
-  } else if (run_->twiddles.size() < kTwiddleRunCap) {
-    // The TFG's own step, taken once per twiddle and then memoized.
-    run_->twiddles.push_back(ntt::make_shoup(
-        barrett_.mul(run_->twiddles.back().w, step_), q_));
-  } else {
-    run_ = run_from(barrett_.mul(run_->twiddles.back().w, step_));
-    pos_ = 0;
-  }
-  return run_->twiddles[pos_++];
 }
 
 void ComputeUnit::exec_c1(AtomBuffer& buf, unsigned stages) {
@@ -115,17 +64,10 @@ void ComputeUnit::exec_c1(AtomBuffer& buf, unsigned stages) {
 
 void ComputeUnit::exec_c2(AtomBuffer& p, AtomBuffer& s, bool tfg_reset) {
   NTTPIM_EXPECT_MSG(&p != &s, "C2 operand buffers must be distinct");
-  if (tfg_reset) reset_tfg();
-  if (run_ && pos_ + kAtomWords <= run_->twiddles.size()) {
-    // The common case: the run already holds all eight twiddles.
-    const ntt::ShoupMul* w = run_->twiddles.data() + pos_;
-    pos_ += kAtomWords;
-    for (std::size_t j = 0; j < kAtomWords; ++j)
-      ntt::shoup_butterfly(p.words[j], s.words[j], w[j], q_);
-  } else {
-    for (std::size_t j = 0; j < kAtomWords; ++j)
-      ntt::shoup_butterfly(p.words[j], s.words[j], next_twiddle(), q_);
-  }
+  if (tfg_reset) current_ = omega0_;
+  for (std::size_t j = 0; j < kAtomWords; ++j)
+    ntt::dit_butterfly(p.words[j], s.words[j],
+                       barrett_.mul(s.words[j], next_twiddle()), q_);
   butterflies_ += kAtomWords;
 }
 
@@ -140,8 +82,9 @@ std::uint32_t ComputeUnit::scalar_reg(unsigned index) const {
 }
 
 void ComputeUnit::exec_scalar_bu(bool tfg_reset) {
-  if (tfg_reset) reset_tfg();
-  ntt::shoup_butterfly(scalar_[0], scalar_[1], next_twiddle(), q_);
+  if (tfg_reset) current_ = omega0_;
+  ntt::dit_butterfly(scalar_[0], scalar_[1],
+                     barrett_.mul(scalar_[1], next_twiddle()), q_);
   ++butterflies_;
 }
 

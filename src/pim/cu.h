@@ -6,24 +6,19 @@
 // commands, and a crossbar connecting buffers to the BU registers.
 //
 // This class implements the *functional* semantics; latencies live in
-// DramTiming and are accounted by the simulation engine. The hardware TFG
-// makes each twiddle on the fly, omega <- omega * step, because it has no
-// room for tables. The host model has that room and owes only bit-exact
-// values, so it reads the TFG's sequence from memoized runs of twiddles,
-// each stored with its Shoup companion (ntt/shoup.h): a butterfly then
-// costs one Shoup multiply against a precomputed constant instead of two
-// modular multiplies. The values are exactly the hardware sequence's; a
-// run is made, and extended on demand, by the same modular step the TFG
-// takes (Barrett here, Montgomery in hardware).
+// DramTiming and are accounted by the simulation engine. The TFG makes each
+// twiddle on the fly, omega <- omega * step, one modular multiply per
+// butterfly (the scheme of Aysu et al. [21] the paper adopts). The host
+// model takes that step and the butterfly's product with Barrett reduction
+// (ntt/barrett.h) and combines them without a branch (ntt::dit_butterfly):
+// bit-exact with the plain `%` forms in modular.h and with the hardware's
+// Montgomery pipeline. A C1's twiddles are the four powers of its root,
+// fixed at PARAM time, so they are Shoup constants (ntt/shoup.h).
 #pragma once
 
 #include <array>
-#include <compare>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/lru_cache.h"
 #include "dram/command.h"
 #include "ntt/barrett.h"
 #include "ntt/shoup.h"
@@ -31,42 +26,9 @@
 
 namespace nttpim::pim {
 
-/// One run of a TFG sequence: twiddles start * step^k mod q for
-/// k = 0, 1, ..., each with its Shoup companion, kTwiddleRunCap at most.
-struct TwiddleRun {
-  std::uint32_t start = 0;
-  std::vector<ntt::ShoupMul> twiddles;
-};
-
-struct TwiddleRunKey {
-  std::uint32_t q = 0;
-  std::uint32_t start = 0;
-  std::uint32_t step = 0;
-  auto operator<=>(const TwiddleRunKey&) const = default;
-};
-
-/// A device's TFG runs, shared by its banks' CUs. A CU holds the run it
-/// reads, so an eviction never pulls a run from under a reader.
-using TwiddleMemo = LruCache<TwiddleRunKey, std::shared_ptr<TwiddleRun>>;
-
-/// Twiddles per run: one 256-word row, the longest reset-free sequence a
-/// row-centric stage draws (an inter-row row pair). Longer sequences — the
-/// inverse scale pass runs n words without a reset — continue as further
-/// runs, so one run's payload stays 2 KiB.
-inline constexpr std::size_t kTwiddleRunCap = 256;
-/// Runs per device memo: about 4x the ~240 distinct runs of 8 moduli at
-/// n = 1024 in both directions (the largest key mix the repo serves), so a
-/// steady mix stays resident. Worst case about 1024 x (2 KiB payload +
-/// ~200 B of node and control-block overhead) = 2.2 MiB per device.
-inline constexpr std::size_t kTwiddleMemoRuns = 1024;
-
 class ComputeUnit {
  public:
-  /// A CU with a private twiddle memo (standalone use).
-  ComputeUnit() : ComputeUnit(nullptr) {}
-  /// A CU that reads and fills `memo`, shared with its device's other CUs;
-  /// null gives it a private one.
-  explicit ComputeUnit(std::shared_ptr<TwiddleMemo> memo);
+  ComputeUnit() { refresh_c1_powers(); }
 
   /// PARAM command: load a parameter register. A modulus load restarts
   /// the TFG at omega0 = step = current = 1; an omega0 load leaves the
@@ -97,40 +59,25 @@ class ComputeUnit {
   std::uint64_t butterfly_count() const noexcept { return butterflies_; }
 
  private:
-  /// TFG reset bit: current <- omega0.
-  void reset_tfg();
-  /// The next twiddle, advancing the sequence.
-  ntt::ShoupMul next_twiddle() {
-    if (run_ && pos_ < run_->twiddles.size()) return run_->twiddles[pos_++];
-    return next_twiddle_slow();
+  /// The TFG's output for this butterfly; advances current <- current * step.
+  std::uint32_t next_twiddle() noexcept {
+    const std::uint32_t value = current_;
+    current_ = barrett_.mul(current_, step_);
+    return value;
   }
-  /// next_twiddle() at a run's end or with no run: resolve, extend or
-  /// continue the run.
-  ntt::ShoupMul next_twiddle_slow();
-  /// The value the next twiddle takes.
-  std::uint32_t current_twiddle() const;
-  /// The memo's run (q, start, step_), made with its first twiddle if
-  /// absent.
-  std::shared_ptr<TwiddleRun> run_from(std::uint32_t start);
   /// Re-derive c1_pow_ after a modulus or C1-root parameter load.
   void refresh_c1_powers();
 
-  std::shared_ptr<TwiddleMemo> memo_;
   std::uint32_t q_ = 3;  ///< placeholder modulus until PARAM arrives
   ntt::Barrett32 barrett_{3};  ///< host-side stand-in for the BU's reducer
   std::uint32_t c1_root_ = 1;
   /// c1_root^e for e = 0..3: the only twiddles a C1 of <= 3 stages uses.
   std::array<ntt::ShoupMul, 4> c1_pow_{};
 
-  // TFG registers. The sequence's next value is run_'s entry pos_ or, with
-  // no run resolved yet (after a reset or a step or modulus load),
-  // start_; the run is looked up on the next twiddle, so a register load
-  // that a reset overrides never touches the memo.
+  // TFG registers.
   std::uint32_t omega0_ = 1;
   std::uint32_t step_ = 1;
-  std::shared_ptr<TwiddleRun> run_;
-  std::size_t pos_ = 0;
-  std::uint32_t start_ = 1;
+  std::uint32_t current_ = 1;
 
   std::uint32_t scalar_[2] = {0, 0};
   std::uint64_t butterflies_ = 0;

@@ -1,15 +1,13 @@
 #include "pim/device.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 
 namespace nttpim::pim {
 
-PimBank::PimBank(const dram::DramGeometry& geometry, std::size_t num_buffers,
-                 std::shared_ptr<TwiddleMemo> twiddle_memo)
-    : array_(geometry), buffers_(num_buffers), cu_(std::move(twiddle_memo)) {
+PimBank::PimBank(const dram::DramGeometry& geometry, std::size_t num_buffers)
+    : array_(geometry), buffers_(num_buffers) {
   NTTPIM_EXPECT_MSG(num_buffers >= 1, "at least the GSA buffer must exist");
   NTTPIM_EXPECT_MSG(geometry.words_per_atom() == kAtomWords,
                     "geometry atom size must match the CU datapath");
@@ -96,10 +94,9 @@ PimDevice::PimDevice(const dram::DramGeometry& geometry,
                      std::size_t num_buffers)
     : geometry_(geometry), num_buffers_(num_buffers) {
   NTTPIM_EXPECT(geometry.banks >= 1);
-  const auto memo = std::make_shared<TwiddleMemo>(kTwiddleMemoRuns);
   banks_.reserve(geometry.banks);
   for (std::size_t b = 0; b < geometry.banks; ++b)
-    banks_.emplace_back(geometry, num_buffers, memo);
+    banks_.emplace_back(geometry, num_buffers);
 }
 
 PimBank& PimDevice::bank(std::size_t index) {

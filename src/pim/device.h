@@ -1,15 +1,12 @@
 // PIM device: banks augmented with atom buffers and a CU each.
 //
 // PimBank owns the functional state of one bank (cell array, buffers, CU);
-// PimDevice owns all banks plus the shared geometry and the one bounded
-// memo of TFG twiddle runs its banks' CUs read (pim/cu.h). The memo holds
-// values only, so no bank's results depend on another's. Command *timing*
-// is the simulation engine's job (sim/engine.h); PimBank::apply executes a
+// PimDevice owns all banks plus the shared geometry. Command *timing* is the
+// simulation engine's job (sim/engine.h); PimBank::apply executes a
 // command's functional effect, in program order per bank.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dram/bank.h"
@@ -22,10 +19,7 @@ namespace nttpim::pim {
 
 class PimBank {
  public:
-  /// `twiddle_memo` is the memo of TFG runs its CU shares with the
-  /// device's other banks; null gives the CU a private one.
-  PimBank(const dram::DramGeometry& geometry, std::size_t num_buffers,
-          std::shared_ptr<TwiddleMemo> twiddle_memo = nullptr);
+  PimBank(const dram::DramGeometry& geometry, std::size_t num_buffers);
 
   std::size_t num_buffers() const noexcept { return buffers_.size(); }
   dram::DramArray& array() noexcept { return array_; }

@@ -18,32 +18,26 @@
 namespace nttpim::pim {
 
 /// Place a natural-order polynomial into the bank starting at `base_row`,
-/// applying the host-side bit-reversal permutation: one checked bulk
-/// access to the bank's words, and an O(1) bit reversal per word.
+/// applying the host-side bit-reversal permutation (an O(1) bit reversal
+/// per word) and then one bulk write.
 inline void load_polynomial(PimBank& bank, std::uint32_t base_row,
                             std::span<const std::uint32_t> poly) {
   NTTPIM_EXPECT(is_pow2(poly.size()));
-  const auto& geometry = bank.array().geometry();
-  const std::size_t base_word =
-      static_cast<std::size_t>(base_row) * geometry.words_per_row();
-  const std::span<std::uint32_t> words =
-      bank.array().linear(base_word, poly.size());
+  std::vector<std::uint32_t> placed(poly.size());
   const unsigned bits = exact_log2(poly.size());
   for (std::size_t i = 0; i < poly.size(); ++i)
-    words[bit_reverse(static_cast<std::uint32_t>(i), bits)] = poly[i];
+    placed[bit_reverse(static_cast<std::uint32_t>(i), bits)] = poly[i];
+  bank.array().write_words(base_row, placed);
 }
 
 /// Read back `n` words in storage order (natural-order NTT output): one
-/// checked bulk copy.
+/// bulk read.
 inline std::vector<std::uint32_t> read_result(const PimBank& bank,
                                               std::uint32_t base_row,
                                               std::size_t n) {
-  const auto& geometry = bank.array().geometry();
-  const std::size_t base_word =
-      static_cast<std::size_t>(base_row) * geometry.words_per_row();
-  const std::span<const std::uint32_t> words =
-      bank.array().linear(base_word, n);
-  return {words.begin(), words.end()};
+  std::vector<std::uint32_t> out(n);
+  bank.array().read_words(base_row, out);
+  return out;
 }
 
 }  // namespace nttpim::pim

@@ -132,7 +132,9 @@ TEST(Host, LoadAppliesBitReversal) {
 
   for (std::uint32_t i = 0; i < 16; ++i) {
     const auto slot = bit_reverse(i, 4);
-    EXPECT_EQ(device.bank(0).array().read_linear(slot), poly[i]);
+    EXPECT_EQ(device.bank(0).array().read_word(0, slot / kAtomWords,
+                                               slot % kAtomWords),
+              poly[i]);
   }
 }
 
@@ -141,9 +143,10 @@ TEST(Host, ReadResultReturnsStorageOrder) {
   std::vector<std::uint32_t> data(512);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::uint32_t>(i * 7);
-  // Write linearly at rows 2..3 and read back through the host helper.
-  for (std::size_t i = 0; i < data.size(); ++i)
-    device.bank(0).array().write_linear(2 * 256 + i, data[i]);
+  // Write rows 2..3 word by word and read back through the host helper.
+  for (std::uint32_t i = 0; i < data.size(); ++i)
+    device.bank(0).array().write_word(2 + i / 256, (i % 256) / kAtomWords,
+                                      i % kAtomWords, data[i]);
   EXPECT_EQ(read_result(device.bank(0), 2, 512), data);
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "dram/bank.h"
 #include "dram/command.h"
 #include "dram/config.h"
@@ -68,11 +72,37 @@ TEST(DramArray, WordAddressingRoundTrips) {
   EXPECT_EQ(array.read_word(3, 7, 5), 0xdeadbeefu);
   EXPECT_EQ(array.read_word(3, 7, 4), 0u);
 
-  // Linear addressing agrees with (row, atom, lane).
-  const std::size_t linear = (3 * 32 + 7) * 8 + 5;
-  EXPECT_EQ(array.read_linear(linear), 0xdeadbeefu);
-  array.write_linear(linear + 1, 42);
+  // Bulk access agrees with (row, atom, lane): storage order is row, then
+  // atom, then lane.
+  std::vector<std::uint32_t> row3(g.words_per_row());
+  array.read_words(3, row3);
+  EXPECT_EQ(row3[7 * 8 + 5], 0xdeadbeefu);
+  row3[7 * 8 + 6] = 42;
+  array.write_words(3, row3);
   EXPECT_EQ(array.read_word(3, 7, 6), 42u);
+}
+
+TEST(DramArray, BulkAccessSpansRowsAndStaysInTheBank) {
+  DramGeometry g = hbm2e_geometry();
+  g.rows_per_bank = 4;
+  DramArray array(g);
+  const std::size_t row_words = g.words_per_row();
+  std::vector<std::uint32_t> words(row_words + 3);
+  for (std::size_t i = 0; i < words.size(); ++i)
+    words[i] = static_cast<std::uint32_t>(i + 1);
+  array.write_words(2, words);  // all of row 2 and row 3's first atom
+  EXPECT_EQ(array.read_word(2, 0, 0), 1u);
+  EXPECT_EQ(array.read_word(3, 0, 2), row_words + 3);
+  EXPECT_EQ(array.read_word(3, 0, 3), 0u);
+  std::vector<std::uint32_t> back(words.size());
+  array.read_words(2, back);
+  EXPECT_EQ(back, words);
+  // Past the last row, or starting beyond it, is refused before any word
+  // moves.
+  EXPECT_THROW(array.write_words(3, words), std::invalid_argument);
+  EXPECT_THROW(array.read_words(4, std::span<std::uint32_t>{}),
+               std::invalid_argument);
+  EXPECT_EQ(array.read_word(3, 1, 0), 0u);
 }
 
 TEST(DramArray, AtomAccess) {

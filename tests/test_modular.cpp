@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/random.h"
 #include "ntt/barrett.h"
 
@@ -22,6 +25,29 @@ TEST(SubMod, WrapsCorrectly) {
   EXPECT_EQ(sub_mod(3, 4, 5), 4u);
   EXPECT_EQ(sub_mod(0, 1, 97), 96u);
   EXPECT_EQ(sub_mod(50, 50, 97), 0u);
+}
+
+// The branch-free combine equals add_mod/sub_mod for a product t < q and
+// every 32-bit a, reduced or not, up to the largest modulus the CU takes.
+TEST(DitButterfly, MatchesAddModSubMod) {
+  Rng rng(3);
+  for (const std::uint32_t q : {3u, 12289u, 2147473409u, (1u << 31) - 1}) {
+    std::vector<std::uint32_t> as = {0, 1, q - 1, q, ~0u};
+    std::vector<std::uint32_t> ts = {0, 1, q - 1};
+    for (int i = 0; i < 64; ++i) {
+      as.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+      ts.push_back(static_cast<std::uint32_t>(rng.next_below(q)));
+    }
+    for (const std::uint32_t a : as) {
+      for (const std::uint32_t t : ts) {
+        std::uint32_t x = a;
+        std::uint32_t y = 12345;  // overwritten: only a and t matter
+        dit_butterfly(x, y, t, q);
+        EXPECT_EQ(x, add_mod(a, t, q)) << "q=" << q << " a=" << a << " t=" << t;
+        EXPECT_EQ(y, sub_mod(a, t, q)) << "q=" << q << " a=" << a << " t=" << t;
+      }
+    }
+  }
 }
 
 TEST(MulMod, MatchesWideArithmetic) {

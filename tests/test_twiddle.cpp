@@ -1,13 +1,12 @@
 // The CU's twiddle factor generator (TFG) against a chain model of the
-// hardware: one modular multiply per twiddle, omega <- omega * step. The
-// CU reads the same sequence from memoized runs of precomputed twiddles
-// (pim/cu.h); the chain survives only here, as the model those runs must
-// reproduce value for value.
+// hardware with plain `%` arithmetic: one modular multiply per twiddle,
+// omega <- omega * step. The CU takes the same step, and each butterfly's
+// product, with Barrett reduction and a branch-free combine (pim/cu.h);
+// the model is what those must reproduce value for value.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -180,34 +179,23 @@ TEST(TwiddleGenerator, ValuesReducedModQ) {
   EXPECT_LT(draw(cu), 7u);
 }
 
-TEST(TwiddleGenerator, SequenceCrossesRunsWithoutReset) {
-  // One reset, then kTwiddleRunCap * 3 + 5 twiddles: the sequence
-  // continues across three run boundaries exactly as the chain does, and a
-  // second CU on the same memo replays it from memoized runs.
-  const std::uint32_t q = 2147483647u;  // the largest modulus the CU takes
-  const auto memo = std::make_shared<TwiddleMemo>(kTwiddleMemoRuns);
-  for (int pass = 0; pass < 2; ++pass) {
-    ComputeUnit cu(memo);
-    cu.load_param(ParamReg::kModulus, q);
-    cu.load_param(ParamReg::kTfgOmega0, 123456789);
-    cu.load_param(ParamReg::kTfgStep, 987654321);
-    ChainTfg chain(q);
-    chain.set_omega0(123456789);
-    chain.set_step(987654321);
-    chain.reset();
-    for (std::size_t i = 0; i < kTwiddleRunCap * 3 + 5; ++i)
-      ASSERT_EQ(draw(cu, i == 0), chain.next()) << "pass " << pass << " i=" << i;
-  }
-  EXPECT_EQ(memo->misses(), 4u);  // four runs, made on the first pass
-  EXPECT_EQ(memo->hits(), 4u);    // and read back on the second
+TEST(TwiddleGenerator, LongSequenceAtTheLargestModulus) {
+  // One reset, then 773 twiddles at the largest modulus the CU takes: the
+  // Barrett step stays exact along the whole chain.
+  const std::uint32_t q = 2147483647u;
+  ComputeUnit cu = cu_with(q, 123456789, 987654321);
+  ChainTfg chain(q);
+  chain.set_omega0(123456789);
+  chain.set_step(987654321);
+  chain.reset();
+  for (int i = 0; i < 773; ++i) ASSERT_EQ(draw(cu, i == 0), chain.next()) << i;
 }
 
 // Random command streams through a CU and through ChainCu must leave the
 // same buffers and registers after every command. The streams mix
 // modulus, omega0, step and C1-root PARAMs, C1, and C2 and scalar
-// butterflies with and without a TFG reset. Values come from small pools,
-// so runs recur; the omega0 pool is larger than the memo, so runs are
-// evicted and remade.
+// butterflies with and without a TFG reset, over four moduli up to the
+// largest the CU takes.
 TEST(TwiddleGeneratorProperty, RandomStreamsMatchTheChain) {
   const std::array<std::uint32_t, 4> moduli = {12289u, 998244353u,
                                               2013265921u, 2147483647u};
@@ -217,15 +205,14 @@ TEST(TwiddleGeneratorProperty, RandomStreamsMatchTheChain) {
     for (auto& v : values) v = static_cast<std::uint32_t>(rng.next_u64());
     return values;
   };
-  const std::vector<std::uint32_t> omega0s = pool(3 * kTwiddleMemoRuns);
+  const std::vector<std::uint32_t> omega0s = pool(64);
   const std::vector<std::uint32_t> steps = pool(5);
   const std::vector<std::uint32_t> roots = pool(5);
   const auto pick = [&rng](const std::vector<std::uint32_t>& values) {
     return values[rng.next_below(values.size())];
   };
 
-  const auto memo = std::make_shared<TwiddleMemo>(kTwiddleMemoRuns);
-  ComputeUnit cu(memo);
+  ComputeUnit cu;
   ChainCu model;
   std::array<AtomBuffer, 2> cu_bufs{}, model_bufs{};
   for (int op = 0; op < 12000; ++op) {
@@ -276,11 +263,9 @@ TEST(TwiddleGeneratorProperty, RandomStreamsMatchTheChain) {
     ASSERT_EQ(cu.scalar_reg(0), model.scalar_reg(0)) << "op " << op;
     ASSERT_EQ(cu.scalar_reg(1), model.scalar_reg(1)) << "op " << op;
   }
-  EXPECT_GT(memo->misses(), kTwiddleMemoRuns);  // the memo overflowed
-  EXPECT_GT(memo->hits(), 0u);                  // and runs were reused
 }
 
-// One reset-free stream longer than the run cap, with step and omega0
+// One reset-free stream of 1024 C2s (8192 twiddles), with step and omega0
 // loads mid-sequence and no reset at all: the sequence runs on from the
 // modulus load's (1, 1) start through every step change.
 TEST(TwiddleGeneratorProperty, ResetFreeStreamMatchesTheChain) {
@@ -291,7 +276,7 @@ TEST(TwiddleGeneratorProperty, ResetFreeStreamMatchesTheChain) {
   cu.load_param(ParamReg::kModulus, q);
   model.load_param(ParamReg::kModulus, q);
   AtomBuffer cu_p{}, cu_s{}, model_p{}, model_s{};
-  for (int op = 0; op < 4 * static_cast<int>(kTwiddleRunCap); ++op) {
+  for (int op = 0; op < 1024; ++op) {
     if (op % 97 == 0) {
       const auto v = static_cast<std::uint32_t>(rng.next_in(2, q - 1));
       cu.load_param(ParamReg::kTfgStep, v);
